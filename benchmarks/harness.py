@@ -55,7 +55,7 @@ def provenance() -> Dict[str, Any]:
     A timing is only comparable to another timing from the same code and
     platform, so each record carries the commit, interpreter, NumPy build and
     core count it was measured under -- enough for
-    ``scripts/plot_perf_history.py`` and ``scripts/check_bench_regression.py``
+    ``repro bench-history`` and ``scripts/check_bench_regression.py``
     to group like with like instead of averaging across machines.
     """
     return {

@@ -215,18 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="concurrent job worker threads (default: %(default)s); "
                        "each job's chunks additionally fan out over --parallel")
-    serve.add_argument("--server", choices=("asyncio", "threaded"), default="asyncio",
-                       help="HTTP front end: the asyncio gateway (snapshot reads, SSE "
-                            "progress, rate limiting) or the threaded fallback "
-                            "(default: %(default)s)")
     serve.add_argument("--rate-limit", type=float, default=None, metavar="R",
                        help="per-client request rate limit in requests/second "
-                            "(asyncio server only; default: unlimited)")
+                            "(default: unlimited)")
     serve.add_argument("--burst", type=int, default=None, metavar="B",
                        help="rate-limit bucket capacity (default: one second's worth)")
     serve.add_argument("--audit-log", default=None, metavar="PATH",
                        help="append-only JSONL audit trail of submissions and "
-                            "cancellations (asyncio server only)")
+                            "cancellations (default: in-memory only)")
     serve.add_argument("--audit-max-bytes", type=int, default=None, metavar="N",
                        help="roll the audit trail over to PATH.1 once it would "
                             "exceed N bytes (default: never rotate)")
@@ -256,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--chunk-size", type=int, default=None,
                         help="replications per chunk for campaign submissions")
     submit.add_argument("--wait", action="store_true",
-                        help="poll until the job finishes and print its result")
+                        help="follow the job until it finishes and print its result")
     submit.add_argument("--timeout", type=float, default=600.0,
                         help="--wait timeout in seconds (default: %(default)s)")
     submit.add_argument("--csv", action="store_true",
@@ -465,7 +461,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.gateway import GatewayServer
     from repro.service.jobs import JobStore
     from repro.service.queue import JobScheduler
-    from repro.service.server import ScenarioServer
 
     # A server is the one place the structured JSON log stream is always
     # wanted; --verbose additionally surfaces per-request/span DEBUG events.
@@ -477,26 +472,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store, num_workers=args.workers, backend=backend, cache=cache,
             chunk_size=args.chunk_size,
         )
-        if args.server == "asyncio":
-            server = GatewayServer(
-                scheduler, host=args.host, port=args.port,
-                rate_limit=args.rate_limit, burst=args.burst,
-                audit=AuditTrail(
-                    args.audit_log,
-                    max_bytes=args.audit_max_bytes,
-                    max_files=args.audit_max_files,
-                ) if args.audit_log else None,
-                verbose=args.verbose,
-            )
-        else:
-            if args.rate_limit is not None or args.audit_log is not None:
-                raise ValueError(
-                    "--rate-limit/--audit-log need the asyncio gateway "
-                    "(drop --server threaded)"
-                )
-            server = ScenarioServer(
-                scheduler, host=args.host, port=args.port, verbose=args.verbose
-            )
+        server = GatewayServer(
+            scheduler, host=args.host, port=args.port,
+            rate_limit=args.rate_limit, burst=args.burst,
+            audit=AuditTrail(
+                args.audit_log,
+                max_bytes=args.audit_max_bytes,
+                max_files=args.audit_max_files,
+            ) if args.audit_log else None,
+            verbose=args.verbose,
+        )
     except (TypeError, ValueError) as exc:
         # Startup validation (e.g. --chunk-size over the service cap) must
         # exit with a clear message, not a traceback.
@@ -508,7 +493,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         exporter = OtlpSpanExporter(args.otlp_endpoint).start()
     where = args.db if args.db else "in-memory (lost on exit; use --db to persist)"
-    print(f"scenario service listening on {server.url} ({args.server})")
+    print(f"scenario service listening on {server.url}")
     print(f"job store          : {where}")
     if scheduler.recovered:
         print(f"recovered jobs     : {scheduler.recovered} (re-queued after restart)")
@@ -526,9 +511,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if exporter is not None:
         print(f"otlp export        : {exporter.endpoint} "
               f"(instance {exporter.instance_id})")
-    events = "GET /v1/jobs/{id}/events  " if args.server == "asyncio" else ""
     print("endpoints          : POST /v1/jobs  GET /v1/jobs[/{id}[/trace]]  "
-          f"DELETE /v1/jobs/{{id}}  {events}GET /v1/scenarios  "
+          "DELETE /v1/jobs/{id}  GET /v1/jobs/{id}/events  GET /v1/scenarios  "
           "GET /v1/healthz  GET /v1/metrics  GET /v1/debug/flight")
     try:
         server.serve_forever()
@@ -610,8 +594,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 print(line, file=sys.stderr)
 
         try:
-            # stream=True follows the gateway's SSE progress events (no
-            # polling); against the threaded server it falls back to polling.
+            # stream=True follows the gateway's SSE progress events (no polling).
             job = client.wait(
                 job["id"], timeout=args.timeout, on_progress=_show_progress,
                 stream=True,

@@ -5,13 +5,10 @@ benchmark run (``bench``, ``mode``, ``metric``, ``value``, plus the
 provenance stamp: ``git_sha``, ``python``, ``numpy``, ``cpu_count``).  The CI
 bench-smoke job threads one such file through its cache, so after a few
 pushes it holds a per-benchmark timing series.  This module turns that file
-into a human-readable trend table:
-
-* one row per ``(bench, mode, metric)`` series -- run count, best and latest
-  value, the latest-vs-best ratio, a unicode sparkline of the recent values,
-  and the short commit of the latest record;
-* ``scripts/plot_perf_history.py`` and ``repro bench-history`` are thin CLIs
-  over :func:`render_trends`.
+into a human-readable trend table with one row per ``(bench, mode, metric)``
+series -- run count, best and latest value, the latest-vs-best ratio, a
+unicode sparkline of the recent values, and the short commit of the latest
+record.  ``repro bench-history`` is the CLI over :func:`render_trends`.
 
 Only the standard library is used: the file is read on operator machines and
 CI log steps where NumPy may not be importable (matching
@@ -20,7 +17,6 @@ CI log steps where NumPy may not be importable (matching
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -30,7 +26,6 @@ __all__ = [
     "group_series",
     "sparkline",
     "render_trends",
-    "main",
 ]
 
 SeriesKey = Tuple[str, str, str]
@@ -157,39 +152,3 @@ def render_trends(
             "  ".join(row[i].ljust(widths[i]) for i in range(len(header))).rstrip()
         )
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point shared by the script and ``repro bench-history``."""
-    parser = argparse.ArgumentParser(
-        prog="plot_perf_history",
-        description="Render the bench perf-history JSONL as a trend table.",
-    )
-    parser.add_argument(
-        "history", help="path to the JSONL history file "
-        "(benchmarks/harness.py --history PATH)",
-    )
-    parser.add_argument(
-        "--bench", default=None, metavar="SUBSTRING",
-        help="only series whose benchmark name contains SUBSTRING",
-    )
-    parser.add_argument(
-        "--mode", default=None, choices=("quick", "full"),
-        help="only series recorded in this mode",
-    )
-    parser.add_argument(
-        "--last", type=int, default=20, metavar="N",
-        help="sparkline length: the N most recent values (default 20)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        records = load_history(args.history)
-    except OSError as error:
-        print(f"cannot read {args.history}: {error}", file=sys.stderr)
-        return 1
-    print(render_trends(records, bench=args.bench, mode=args.mode, last=args.last))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via scripts/ wrapper
-    sys.exit(main())

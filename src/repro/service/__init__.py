@@ -17,14 +17,11 @@ Four layers, each usable on its own:
   store, validating and deduplicating submissions by scenario content hash,
   executing :class:`~repro.runtime.scenario.ScenarioSpec` campaigns and
   registry experiments with per-chunk progress and cooperative cancellation;
-* :mod:`repro.service.server` -- the threaded HTTP API
-  (:class:`~repro.service.server.ScenarioServer`, stdlib
-  ``ThreadingHTTPServer``): ``/v1/jobs``, ``/v1/scenarios``, ``/v1/healthz``,
-  ``/v1/metrics``;
-* :mod:`repro.service.gateway` -- the asyncio front end
-  (:class:`~repro.service.gateway.GatewayServer`): the same ``/v1`` surface
-  served from an in-memory :class:`~repro.service.snapshot.ServiceSnapshot`,
-  plus SSE progress streams (``/v1/jobs/{id}/events``), per-client
+* :mod:`repro.service.gateway` -- the asyncio HTTP front end
+  (:class:`~repro.service.gateway.GatewayServer`): ``/v1/jobs``,
+  ``/v1/scenarios``, ``/v1/healthz``, ``/v1/metrics`` served from an
+  in-memory :class:`~repro.service.snapshot.ServiceSnapshot`, plus SSE
+  progress streams (``/v1/jobs/{id}/events``), per-client
   :class:`~repro.service.ratelimit.TokenBucketLimiter` rate limiting and an
   :class:`~repro.service.audit.AuditTrail`;
 * :mod:`repro.service.client` -- the Python client
@@ -43,7 +40,6 @@ from repro.service.gateway import GatewayServer
 from repro.service.jobs import JOB_STATES, JobRecord, JobStore
 from repro.service.queue import JobCancelled, JobScheduler
 from repro.service.ratelimit import RateLimitDecision, TokenBucketLimiter
-from repro.service.server import ScenarioServer
 from repro.service.snapshot import ServiceSnapshot
 
 __all__ = [
@@ -55,7 +51,6 @@ __all__ = [
     "JobScheduler",
     "JobStore",
     "RateLimitDecision",
-    "ScenarioServer",
     "ServiceClient",
     "ServiceError",
     "ServiceSnapshot",

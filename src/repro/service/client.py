@@ -1,7 +1,7 @@
 """Python client for the scenario service.
 
 A thin, dependency-free (urllib) wrapper over the HTTP API of
-:mod:`repro.service.server`, plus the one non-trivial conversion: rebuilding
+:mod:`repro.service.gateway`, plus the one non-trivial conversion: rebuilding
 a :class:`~repro.simulation.campaign.CampaignResult` from a finished job's
 payload (bit-identical to the samples the server computed, because JSON
 round-trips IEEE-754 doubles exactly).
@@ -65,9 +65,8 @@ class ServiceClient:
         >>> done = client.wait(job["id"], stream=True)    # doctest: +SKIP
         >>> result = ServiceClient.campaign_result(done)  # doctest: +SKIP
 
-    ``wait(stream=True)`` follows the gateway's SSE event stream (no
-    polling) and falls back to polling against servers without the events
-    route; either way a 429 from the rate limiter is absorbed by sleeping
+    ``wait(stream=True)`` follows the gateway's SSE event stream instead of
+    polling; either way a 429 from the rate limiter is absorbed by sleeping
     the server-announced ``retry_after`` -- a throttled wait is slowed,
     never failed.
     """
@@ -258,16 +257,14 @@ class ServiceClient:
     def events(self, job_id: str, *, timeout: Optional[float] = None):
         """``GET /v1/jobs/{id}/events`` -- yield ``(event, data)`` SSE pairs.
 
-        A generator over the server-sent-events progress stream the asyncio
+        A generator over the server-sent-events progress stream the
         gateway serves: ``("progress", {...})`` per observed transition, a
         terminal ``("end", {...})``, and ``("heartbeat", None)`` for the
         keep-alive comments quiet streams carry.  ``data`` is the decoded
         JSON payload (job id, state, chunk progress -- never the result;
         fetch that with :meth:`job` after the ``end`` event).
 
-        Raises :class:`ServiceError` on HTTP errors -- including 404 from
-        servers without SSE support (the threaded ``ScenarioServer``), which
-        is what :meth:`wait` uses to fall back to polling.
+        Raises :class:`ServiceError` on HTTP errors (404 for an unknown job).
 
         Example::
 
@@ -350,9 +347,8 @@ class ServiceClient:
 
         With ``stream=True`` the client follows the gateway's SSE progress
         stream (:meth:`events`) instead of polling: each transition arrives
-        pushed, and the terminal record is fetched once at the end.  Against
-        a server without SSE support (404 on the events route) it falls back
-        to polling transparently.
+        pushed, and the terminal record is fetched once at the end.  Either
+        way an unknown job raises :class:`ServiceError` with status 404.
 
         ``on_progress`` is called with the freshly observed record whenever
         its observable state changes (job state, chunk progress, or the
@@ -368,15 +364,7 @@ class ServiceClient:
         within the same overall ``timeout``.
         """
         if stream:
-            try:
-                return self._wait_streaming(
-                    job_id, timeout=timeout, on_progress=on_progress
-                )
-            except ServiceError as exc:
-                if exc.status != 404:
-                    raise
-                # No SSE route (threaded server) or the job is unknown: the
-                # polling path answers both correctly.
+            return self._wait_streaming(job_id, timeout=timeout, on_progress=on_progress)
         deadline = time.monotonic() + timeout
         interval = poll_interval
         last_seen: Optional[tuple] = None

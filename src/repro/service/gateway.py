@@ -1,10 +1,8 @@
-"""Asyncio serving gateway: the high-throughput HTTP front end.
+"""Asyncio serving gateway: the scenario service's HTTP front end.
 
-The threaded :class:`~repro.service.server.ScenarioServer` spends one OS
-thread per connection and one sqlite read per status poll -- fine for a lab,
-but the ROADMAP's "millions of users" target needs a front end whose cost
-per request is a dict lookup, not a thread context switch.  This module is
-that front end, on nothing but the stdlib:
+A job service's dominant request is a status poll, so the front end's cost
+per request must be a dict lookup, not a thread context switch plus a
+sqlite read.  This module is that front end, on nothing but the stdlib:
 
 * **asyncio transport** -- :func:`asyncio.start_server` with a small
   HTTP/1.1 parser (keep-alive and pipelining, request-body size limits,
@@ -19,8 +17,7 @@ that front end, on nothing but the stdlib:
   ``DELETE /v1/jobs/{id}``, ``POST /v1/scenarios/preview``) run on a small
   :class:`~concurrent.futures.ThreadPoolExecutor` against the *existing*
   :class:`~repro.service.queue.JobScheduler`/:class:`~repro.service.jobs.JobStore`,
-  keeping validation, dedupe and bit-identical execution semantics exactly
-  as the threaded server has them;
+  which own validation, dedupe and bit-identical execution;
 * **rate limiting** -- a per-client-key
   :class:`~repro.service.ratelimit.TokenBucketLimiter`; throttled requests
   get ``429`` plus a ``Retry-After`` header (and the precise float in the
@@ -49,6 +46,7 @@ Example::
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import logging
 import math
@@ -59,17 +57,19 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.devtools.lockwatch import tracked_lock
+from repro.experiments.registry import experiment_descriptions
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
+from repro.runtime.backends import ENGINES
+from repro.runtime.scenario import ScenarioSpec, expand_scenarios
 from repro.service.audit import AuditTrail
 from repro.service.jobs import JobRecord
 from repro.service.queue import JobScheduler
 from repro.service.ratelimit import TokenBucketLimiter
-from repro.service.server import catalog_payload, sweep_preview_payload
 from repro.service.snapshot import ServiceSnapshot
 
-__all__ = ["GatewayServer"]
+__all__ = ["GatewayServer", "catalog_payload", "sweep_preview_payload"]
 
 _logger = get_logger("service.gateway")
 
@@ -103,6 +103,69 @@ def _route_label(path: str) -> str:
             return "/v1/jobs/{id}/trace"
         return "/v1/jobs/{id}"
     return "other"
+
+
+def catalog_payload() -> Dict[str, Any]:
+    """The ``GET /v1/scenarios`` response body (static per process)."""
+    sweepable = sorted(
+        f.name for f in dataclasses.fields(ScenarioSpec) if f.name != "name"
+    )
+    return {
+        "experiments": experiment_descriptions(),
+        "engines": list(ENGINES),
+        "sweepable_fields": sweepable,
+        "preview": "POST {scenario, axes} to /v1/scenarios/preview to expand "
+                   "a sweep without running it",
+    }
+
+
+def sweep_preview_payload(body: Dict[str, Any]) -> Dict[str, Any]:
+    """Expand a ``{scenario, axes}`` preview request into its response payload.
+
+    Raises :exc:`ValueError` / :exc:`TypeError` / :exc:`KeyError` for
+    malformed requests (the HTTP layer renders those as a 400).
+
+    Example::
+
+        >>> payload = sweep_preview_payload({
+        ...     "scenario": {"name": "s", "chain": {"n": 3, "seed": 1},
+        ...                  "failure": {"kind": "exponential", "mtbf": 10.0},
+        ...                  "strategies": ["optimal_dp"], "num_runs": 10},
+        ...     "axes": {"num_runs": [10, 20]},
+        ... })
+        >>> payload["count"]
+        2
+    """
+    base = ScenarioSpec.from_dict(body.get("scenario", {}))
+    axes = body.get("axes", {})
+    if not isinstance(axes, dict):
+        raise ValueError('"axes" must map field names to value lists')
+    if "failure" in axes:
+        axes = dict(axes)
+        axes["failure"] = [
+            spec if not isinstance(spec, dict) else base.failure.__class__(**spec)
+            for spec in axes["failure"]
+        ]
+    if "chain" in axes:
+        axes = dict(axes)
+        axes["chain"] = [
+            spec if not isinstance(spec, dict) else base.chain.__class__(**spec)
+            for spec in axes["chain"]
+        ]
+    expanded = expand_scenarios(base, **axes)
+    return {
+        "count": len(expanded),
+        "scenarios": [
+            {
+                "name": spec.name,
+                "cache_key": spec.cache_key(),
+                "num_runs": spec.num_runs,
+                "engine": spec.engine,
+                "scenario": spec.to_dict(),
+            }
+            for spec in expanded
+        ],
+    }
 
 
 def _sse_frame(event: str, data: Dict[str, Any]) -> bytes:
@@ -181,10 +244,8 @@ class _JobEventHub:
 class GatewayServer:
     """The asyncio HTTP front end of the scenario service.
 
-    Serves the same ``/v1`` surface as the threaded
-    :class:`~repro.service.server.ScenarioServer` (plus
-    ``GET /v1/jobs/{id}/events``), against the same scheduler -- pick one
-    per deployment with ``repro serve --server {asyncio,threaded}``.
+    Serves the ``/v1`` surface of ``docs/api.md`` against one
+    :class:`JobScheduler`; ``repro serve`` runs it in the foreground.
 
     Parameters
     ----------
@@ -316,9 +377,10 @@ class GatewayServer:
     def serve_forever(self) -> None:
         """Run in the calling thread until :meth:`shutdown` (or Ctrl-C).
 
-        The scheduler's workers get the same bounded grace period on the way
-        out as under the threaded server: a job cut short mid-run is exactly
-        what restart recovery re-queues on the next start.
+        On the way out the scheduler's workers get a bounded grace period to
+        finish their current job, then are abandoned: a foreground server
+        must stop when asked, and a job cut short mid-run is exactly what
+        restart recovery re-queues on the next start.
         """
         self._attach()
         try:

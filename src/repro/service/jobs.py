@@ -277,7 +277,7 @@ class JobStore:
         the store lock, so two threads submitting the same content
         concurrently can never both enqueue it -- the idempotency guarantee
         ('identical requests cost one simulation, ever') holds under the
-        threaded HTTP server, not just sequentially.
+        gateway's concurrent write pool, not just sequentially.
         """
         with self._lock:
             existing = self.find_reusable(dedupe_key)
@@ -308,32 +308,16 @@ class JobStore:
             ).fetchone()
         return self._record(row) if row is not None else None
 
-    def list_jobs(
-        self,
-        *,
-        state: Optional[str] = None,
-        kind: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> List[JobRecord]:
-        """All jobs, newest first, optionally filtered by state and/or kind."""
-        query = "SELECT * FROM jobs"
-        clauses, params = [], []
-        if state is not None:
-            if state not in JOB_STATES:
-                raise ValueError(f"unknown state {state!r}; expected one of {JOB_STATES}")
-            clauses.append("state = ?")
-            params.append(state)
-        if kind is not None:
-            clauses.append("kind = ?")
-            params.append(kind)
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY submitted_at DESC"
-        if limit is not None:
-            query += " LIMIT ?"
-            params.append(int(limit))
+    def list_jobs(self) -> List[JobRecord]:
+        """Every job, newest first.
+
+        The bulk read that primes :class:`~repro.service.snapshot.ServiceSnapshot`;
+        filtered listings are served from the snapshot.
+        """
         with self._lock:
-            rows = self._conn.execute(query, params).fetchall()
+            rows = self._conn.execute(
+                "SELECT * FROM jobs ORDER BY submitted_at DESC"
+            ).fetchall()
         return [self._record(row) for row in rows]
 
     def counts(self) -> Dict[str, int]:

@@ -1,7 +1,7 @@
 """Scheduler: drains the job queue onto the execution runtime.
 
 The :class:`JobScheduler` is the compute half of the scenario service (the
-HTTP half lives in :mod:`repro.service.server`).  It owns
+HTTP half lives in :mod:`repro.service.gateway`).  It owns
 
 * validation -- submitted payloads are materialised into
   :class:`~repro.runtime.scenario.ScenarioSpec` objects or checked against
@@ -130,8 +130,8 @@ class JobScheduler:
 
     Submissions validate the spec before any row exists and deduplicate by
     scenario content hash (``reused`` is True when an equivalent job --
-    queued, running or done -- already answered the submission).  Both HTTP
-    front ends are thin shells over this class.
+    queued, running or done -- already answered the submission).  The HTTP
+    gateway is a thin shell over this class.
     """
 
     #: Upper bound on a single chunk, in replications.  Running jobs cancel

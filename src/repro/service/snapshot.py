@@ -33,7 +33,6 @@ Example::
 from __future__ import annotations
 
 import json
-import threading
 from typing import Any, Dict, List, Optional
 
 from repro.devtools.lockwatch import tracked_lock
@@ -156,23 +155,27 @@ class ServiceSnapshot:
     ) -> List[Dict[str, Any]]:
         """Job summaries (no result payloads), newest first -- memory only.
 
-        Mirrors :meth:`JobStore.list_jobs` filtering exactly, including the
-        :exc:`ValueError` on an unknown ``state`` (the HTTP 400 contract).
+        The one place jobs are filtered: by ``state``, ``kind`` and at most
+        ``limit`` entries (``0`` lists none).  An unknown ``state`` or a
+        ``limit`` that is not a non-negative integer raises
+        :exc:`ValueError` (the HTTP 400 contract).
         """
         if state is not None and state not in JOB_STATES:
             raise ValueError(f"unknown state {state!r}; expected one of {JOB_STATES}")
+        if limit is not None and (not isinstance(limit, int) or limit < 0):
+            raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
         with self._lock:
             records = list(self._records.values())
         records.sort(key=lambda record: record.submitted_at, reverse=True)
         out: List[Dict[str, Any]] = []
         for record in records:
+            if limit is not None and len(out) >= limit:
+                break
             if state is not None and record.state != state:
                 continue
             if kind is not None and record.kind != kind:
                 continue
             out.append(record.to_dict(include_result=False))
-            if limit is not None and len(out) >= int(limit):
-                break
         return out
 
     def counts(self) -> Dict[str, int]:

@@ -185,9 +185,9 @@ class TestServiceCommands:
 
     def test_jobs_against_live_service_and_submit_wait(self, tmp_path, capsys):
         from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
+        from repro.service.gateway import GatewayServer
         from repro.service.jobs import JobStore
         from repro.service.queue import JobScheduler
-        from repro.service.server import ScenarioServer
 
         spec = ScenarioSpec(
             name="cli-e2e", chain=ChainSpec(n=4, seed=1),
@@ -197,7 +197,7 @@ class TestServiceCommands:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec.to_json())
         store = JobStore()
-        server = ScenarioServer(JobScheduler(store), port=0)
+        server = GatewayServer(JobScheduler(store), port=0)
         server.start()
         try:
             exit_code = main([
@@ -207,7 +207,7 @@ class TestServiceCommands:
             assert exit_code == 0
             captured = capsys.readouterr()
             assert "Simulation campaign" in captured.out and "optimal_dp" in captured.out
-            # --wait surfaces the polled job's live progress (line-per-change
+            # --wait surfaces the streamed job's live progress (line-per-change
             # on a non-tty stderr); the final observation is the done state.
             progress_lines = [
                 line for line in captured.err.splitlines() if line.startswith("job ")
@@ -258,9 +258,9 @@ class TestServiceCommands:
     def test_metrics_and_job_stats_against_live_service(self, tmp_path, capsys):
         from repro.runtime.cache import ResultCache
         from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
+        from repro.service.gateway import GatewayServer
         from repro.service.jobs import JobStore
         from repro.service.queue import JobScheduler
-        from repro.service.server import ScenarioServer
 
         spec = ScenarioSpec(
             name="cli-metrics", chain=ChainSpec(n=4, seed=1),
@@ -271,7 +271,7 @@ class TestServiceCommands:
         spec_path.write_text(spec.to_json())
         store = JobStore()
         scheduler = JobScheduler(store, cache=ResultCache(tmp_path / "cache"))
-        server = ScenarioServer(scheduler, port=0)
+        server = GatewayServer(scheduler, port=0)
         server.start()
         try:
             assert main([
@@ -316,13 +316,13 @@ class TestServiceCommands:
 
     def test_jobs_stats_before_execution_reports_no_breakdown(self, capsys):
         from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
+        from repro.service.gateway import GatewayServer
         from repro.service.jobs import JobStore
         from repro.service.queue import JobScheduler
-        from repro.service.server import ScenarioServer
 
         store = JobStore()
         scheduler = JobScheduler(store)
-        server = ScenarioServer(scheduler, port=0)
+        server = GatewayServer(scheduler, port=0)
         server.start()
         try:
             scheduler.stop()  # keep HTTP alive, never execute the job

@@ -16,7 +16,6 @@ The load-bearing guarantees:
 """
 
 import json
-import os
 import socket
 import threading
 import time
@@ -32,7 +31,6 @@ from repro.service.gateway import GatewayServer
 from repro.service.jobs import JobStore
 from repro.service.queue import JobScheduler
 from repro.service.ratelimit import TokenBucketLimiter
-from repro.service.server import ScenarioServer
 from repro.service.snapshot import ServiceSnapshot
 
 
@@ -212,6 +210,7 @@ class TestServiceSnapshot:
             assert snapshot.job_bytes("nope") is None
 
     def test_list_jobs_mirrors_store_filters(self):
+        # The snapshot is the one place listings are filtered.
         with JobStore() as store:
             snapshot = ServiceSnapshot(store)
             snapshot.attach()
@@ -222,8 +221,12 @@ class TestServiceSnapshot:
                 "experiment"
             ]
             assert len(snapshot.list_jobs(limit=1)) == 1
+            assert snapshot.list_jobs(limit=0) == []
             with pytest.raises(ValueError, match="unknown state"):
                 snapshot.list_jobs(state="bogus")
+            for bad in (-1, 1.5, "2"):
+                with pytest.raises(ValueError, match="non-negative integer"):
+                    snapshot.list_jobs(limit=bad)
 
     def test_detach_stops_updates(self):
         with JobStore() as store:
@@ -393,6 +396,19 @@ class TestGatewayHTTP:
         assert by_action["job.cancel"]["job_id"] == job["id"]
         assert by_action["job.submit"]["correlation_id"]
 
+    def test_list_limit_is_validated(self, gateway):
+        gateway.scheduler.stop()  # park the workers: listing needs no results
+        client = ServiceClient(gateway.url)
+        for seed in (1, 2):
+            client.submit_campaign(small_spec(seed=seed))
+        assert len(client.jobs(limit=1)) == 1
+        assert client.jobs(limit=0) == []
+        for bad in ("-1", "1.5", "x"):
+            with pytest.raises(ServiceError) as exc_info:
+                client._request("GET", f"/v1/jobs?limit={bad}")
+            assert exc_info.value.status == 400
+            assert set(exc_info.value.payload) == {"error"}
+
     def test_preview_sweep(self, gateway):
         client = ServiceClient(gateway.url)
         preview = client.preview_sweep(small_spec(), {"num_runs": [10, 20]})
@@ -519,6 +535,10 @@ class TestServerSentEvents:
         with pytest.raises(ServiceError) as exc_info:
             next(iter(client.events("nope")))
         assert exc_info.value.status == 404
+        # The streaming wait raises the same 404 for an unknown job.
+        with pytest.raises(ServiceError) as exc_info:
+            client.wait("nope", timeout=5, stream=True)
+        assert exc_info.value.status == 404
 
     def test_heartbeats_then_cancellation_event(self, gateway):
         gateway.scheduler.stop()  # park the workers: the job never starts
@@ -596,20 +616,6 @@ class TestServerSentEvents:
         assert any(name == "heartbeat" for name, _ in events)
         assert events[-1][1] == {"state": "done", "chunks_done": 2}
 
-    def test_wait_stream_falls_back_to_polling_on_threaded_server(self):
-        store = JobStore()
-        scheduler = JobScheduler(store, num_workers=1)
-        server = ScenarioServer(scheduler, port=0)
-        server.start()
-        try:
-            client = ServiceClient(server.url)
-            job = client.submit_campaign(small_spec(num_runs=115))
-            done = client.wait(job["id"], timeout=60, stream=True)
-            assert done["state"] == "done"
-        finally:
-            server.shutdown()
-            store.close()
-
 
 class TestGatewayCLI:
     @pytest.fixture(autouse=True)
@@ -624,12 +630,6 @@ class TestGatewayCLI:
             if getattr(handler, "_repro_obs_handler", False):
                 root.removeHandler(handler)
         root.setLevel(logging.NOTSET)
-
-    def test_serve_rejects_rate_limit_with_threaded_server(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="rate-limit"):
-            main(["serve", "--server", "threaded", "--rate-limit", "10"])
 
     def test_serve_validation_error_exits_cleanly(self):
         from repro.cli import main

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
+from repro.cli import main as cli_main
 from repro.perf_history import (
     group_series,
     load_history,
-    main,
     render_trends,
     sparkline,
 )
@@ -122,29 +120,31 @@ class TestRenderTrends:
 
 
 class TestMain:
+    """``repro bench-history``: the one CLI over the renderer."""
+
     def test_renders_file(self, tmp_path, capsys):
         path = tmp_path / "history.jsonl"
         _write_history(path, RECORDS)
-        assert main([str(path)]) == 0
+        assert cli_main(["bench-history", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "bench_a" in out
+        assert "bench_a" in out and "bench_b" in out
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
-        assert main([str(tmp_path / "absent.jsonl")]) == 1
+        assert cli_main(["bench-history", str(tmp_path / "absent.jsonl")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
     def test_filters_forwarded(self, tmp_path, capsys):
         path = tmp_path / "history.jsonl"
         _write_history(path, RECORDS)
-        assert main([str(path), "--bench", "_b", "--mode", "full"]) == 0
+        assert cli_main(
+            ["bench-history", str(path), "--bench", "_b", "--mode", "full"]
+        ) == 0
         out = capsys.readouterr().out
         assert "bench_b" in out and "bench_a" not in out
 
 
 class TestCliSubcommand:
     def test_bench_history_subcommand(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
         path = tmp_path / "history.jsonl"
         _write_history(path, RECORDS)
         assert cli_main(["bench-history", str(path), "--bench", "_a"]) == 0
@@ -152,8 +152,6 @@ class TestCliSubcommand:
         assert "bench_a" in out and "1.50x" in out
 
     def test_bench_history_missing_file(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
         assert cli_main(["bench-history", str(tmp_path / "gone.jsonl")]) == 1
         assert "cannot read" in capsys.readouterr().err
 

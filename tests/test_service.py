@@ -19,12 +19,13 @@ import urllib.request
 
 import pytest
 
+from repro.obs.flight import FlightRecorder, set_flight_recorder
 from repro.runtime.cache import ResultCache
 from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.gateway import GatewayServer
 from repro.service.jobs import JobStore
 from repro.service.queue import JobCancelled, JobScheduler
-from repro.service.server import ScenarioServer
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -50,7 +51,6 @@ class TestJobStore:
             assert store.get(a.id).state == "queued"
             assert store.get("nope") is None
             assert {job.id for job in store.list_jobs()} == {a.id, b.id}
-            assert [job.id for job in store.list_jobs(kind="experiment")] == [b.id]
             assert store.counts()["queued"] == 2
 
     def test_claim_next_is_fifo_and_exclusive(self):
@@ -235,12 +235,12 @@ class TestJobScheduler:
 
 @pytest.fixture(scope="class")
 def live_service(tmp_path_factory):
-    """A real HTTP server on an ephemeral port, with workers and a cache."""
+    """A real HTTP gateway on an ephemeral port, with workers and a cache."""
     root = tmp_path_factory.mktemp("service")
     store = JobStore()
     cache = ResultCache(root / "cache")
     scheduler = JobScheduler(store, num_workers=2, cache=cache)
-    server = ScenarioServer(scheduler, port=0)
+    server = GatewayServer(scheduler, port=0)
     server.start()
     client = ServiceClient(server.url, timeout=10.0)
     yield {"server": server, "client": client, "cache_root": root / "cache"}
@@ -360,7 +360,7 @@ class TestServiceEndToEnd:
         # deterministically.
         store = JobStore()
         scheduler = JobScheduler(store)
-        server = ScenarioServer(scheduler, port=0)
+        server = GatewayServer(scheduler, port=0)
         server.start()
         try:
             scheduler.stop()  # keep serving HTTP, stop executing jobs
@@ -453,21 +453,29 @@ class TestServiceEndToEnd:
         assert all(value >= 0.0 for value in phases.values())
         assert done["timings"]["phases"] == phases
 
-    def test_internal_errors_return_500_with_json_body(self, live_service):
+    def test_internal_errors_return_500_with_json_body(self, live_service, monkeypatch):
         # Force a handler crash below the dispatch layer and confirm the
-        # client sees a structured 500, not a dropped connection.
-        server = live_service["server"]
-        original = server.scheduler.store.get
-        server.scheduler.store.get = lambda job_id: (_ for _ in ()).throw(
-            RuntimeError("boom")
-        )
+        # client sees a structured 500 (not a dropped connection), the error
+        # is recorded, and the server keeps serving.
+        def boom(job_id):
+            raise RuntimeError("boom")
+
+        client = live_service["client"]
+        recorder = FlightRecorder(capacity=64)
+        previous = set_flight_recorder(recorder)
         try:
-            with pytest.raises(ServiceError) as excinfo:
-                live_service["client"].job("whatever")
+            with monkeypatch.context() as patch:
+                patch.setattr(live_service["server"].snapshot, "job_bytes", boom)
+                with pytest.raises(ServiceError) as excinfo:
+                    client.job("whatever")
         finally:
-            server.scheduler.store.get = original
+            set_flight_recorder(previous)
         assert excinfo.value.status == 500
         assert excinfo.value.payload == {"error": "internal server error"}
+        errors = recorder.events(kind="error")
+        assert [event["event"] for event in errors] == ["http.request_error"]
+        assert "RuntimeError: boom" in errors[0]["error"]
+        assert client.health()["status"] == "ok"
 
 
 class TestReviewRegressions:
@@ -518,11 +526,11 @@ class TestReviewRegressions:
         # must test identity, not truthiness.
         store = JobStore()
         scheduler = JobScheduler(store, cache=ResultCache(tmp_path / "cold"))
-        server = ScenarioServer(scheduler, port=0)
+        server = GatewayServer(scheduler, port=0)
         try:
             assert server.health()["cache"] is not None
         finally:
-            scheduler.stop()
+            server.shutdown()
             store.close()
 
 

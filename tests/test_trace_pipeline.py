@@ -5,7 +5,7 @@ The tentpole contract under test: a pool-backed job's chunk spans -- recorded
 inside worker processes -- travel back in the chunk result payloads, are
 folded into the job's live trace under ``job.run``, persisted in the job
 store's ``traces`` table, and served over ``GET /v1/jobs/{id}/trace`` by
-both HTTP front ends.  Around it: span-tree reconstruction and rendering,
+the HTTP gateway.  Around it: span-tree reconstruction and rendering,
 the per-trace span cap, the OTLP/HTTP exporter against an in-test fake
 collector, the always-on flight recorder ring, size-based audit-trail
 rotation, and the benchmark perf-history JSONL plus its regression checker.
@@ -30,7 +30,6 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import GatewayServer
 from repro.service.jobs import JobStore
 from repro.service.queue import JobScheduler
-from repro.service.server import ScenarioServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -180,7 +179,7 @@ class TestShipping:
 
 
 # ----------------------------------------------------------------------
-# Persisted traces: store, scheduler, HTTP, both front ends
+# Persisted traces: store, scheduler, HTTP
 # ----------------------------------------------------------------------
 
 
@@ -244,15 +243,12 @@ class TestJobStoreTraces:
             assert all(s["parent"] == "job.run" for s in chunk)
 
 
-@pytest.fixture(params=["threaded", "gateway"])
-def live_server(request):
-    """Each HTTP front end, serving a pool-backed scheduler."""
+@pytest.fixture(params=["gateway"])
+def live_server():
+    """The HTTP gateway, serving a pool-backed scheduler."""
     store = JobStore()
     scheduler = JobScheduler(store, backend=2, chunk_size=30)
-    if request.param == "threaded":
-        server = ScenarioServer(scheduler, port=0)
-    else:
-        server = GatewayServer(scheduler, port=0)
+    server = GatewayServer(scheduler, port=0)
     server.start()
     yield server
     server.shutdown()
