@@ -19,17 +19,12 @@ in-bench so CI fails if an optimisation regresses below its claim:
   where the vectorized path precomputes the order's liveness intervals once
   (``_FrontierCostTables``) instead of calling the Python model per DP cell;
   gated at >= 2x (measured two orders of magnitude).
-* ``budget_dp_streaming`` -- a *memory* row: ``tracemalloc`` peak of the
-  full-table budget DP vs the sqrt-budget streaming kernel, gated at >= 10x
-  reduction with bit-identical schedules.  Timing is deliberately not
-  measured under tracemalloc (tracing inflates wall-clock several-fold).
 * ``local_search_cache`` -- the incremental local search with per-group cost
   columns cached across rounds vs the same kernel re-evaluating every group
   each round, gated at >= 2x with bit-identical partitions.
 """
 
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -61,17 +56,6 @@ def _best_of(repeats, fn):
     return result, best_seconds
 
 
-def _peak_memory(fn):
-    """Result and tracemalloc peak (bytes) of one call, traced in isolation."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def run_analytic_solver_benchmarks(
     *,
     chain_n: int = 500,
@@ -80,8 +64,6 @@ def run_analytic_solver_benchmarks(
     dag_n: int = 300,
     independent_n: int = 50,
     frontier_n: int = 160,
-    stream_n: int = 400,
-    stream_cap: int = 400,
     cache_n: int = 400,
     cache_groups: int = 64,
     cache_iterations: int = 300,
@@ -198,45 +180,6 @@ def run_analytic_solver_benchmarks(
         min_speedup=2.0,
     )
 
-    # Streaming budget DP: a *memory* row.  Peak tracemalloc footprint of the
-    # full-table kernel vs the sqrt-budget streaming kernel on the same
-    # budget-saturated instance (cap == n is the worst case for the full
-    # table).  Wall-clock is intentionally not recorded here: tracemalloc
-    # inflates allocation-heavy code several-fold, so mixing the two would
-    # poison the timing columns.  The schedules must stay bit-identical.
-    stream_chain = uniform_random_chain(stream_n, seed=seed + 5)
-    full_result, full_peak = _peak_memory(
-        lambda: optimal_chain_checkpoints_budget(
-            stream_chain, DOWNTIME, RATE, stream_cap, method="vectorized"
-        )
-    )
-    stream_result, stream_peak = _peak_memory(
-        lambda: optimal_chain_checkpoints_budget(
-            stream_chain, DOWNTIME, RATE, stream_cap, method="streaming"
-        )
-    )
-    stream_match = (
-        full_result.expected_makespan == stream_result.expected_makespan
-        and full_result.checkpoint_after == stream_result.checkpoint_after
-    )
-    if not stream_match:
-        raise AssertionError(
-            "budget_dp_streaming: streamed schedule diverges from the full table"
-        )
-    memory_reduction = full_peak / max(stream_peak, 1)
-    if memory_reduction < 10.0:
-        raise AssertionError(
-            f"budget_dp_streaming: peak-memory reduction {memory_reduction:.1f}x "
-            f"is below the 10.0x gate"
-        )
-    table.add_row(
-        solver="budget_dp_streaming", n=stream_n,
-        full_table_peak_kb=full_peak / 1024.0,
-        streaming_peak_kb=stream_peak / 1024.0,
-        memory_reduction=memory_reduction,
-        exact_match=stream_match,
-    )
-
     # Incremental local search: the same vectorized kernel with the per-group
     # cost-column cache on vs off.  With the cache, an accepted move dirties
     # exactly the two groups it touched; without it every round rebuilds all
@@ -269,35 +212,31 @@ def test_analytic_solver_speedups(benchmark, print_table):
     table = benchmark(
         run_analytic_solver_benchmarks,
         chain_n=300, budget_n=120, budget_cap=30, dag_n=150, independent_n=40,
-        frontier_n=70, stream_n=260, stream_cap=260,
+        frontier_n=70,
         cache_n=320, cache_groups=48, cache_iterations=250,
     )
     print_table(table)
     assert all(row["exact_match"] for row in table.rows)
     chain_row = next(row for row in table.rows if row["solver"] == "chain_dp")
     assert chain_row["speedup"] > 1.0
-    stream_row = next(
-        row for row in table.rows if row["solver"] == "budget_dp_streaming"
-    )
-    assert stream_row["memory_reduction"] >= 10.0
 
 
 #: Parameter sets for script mode (the CI smoke job runs ``--quick``).  The
 #: quick set keeps the 500-task chain: the acceptance claim is >= 5x on a
 #: 500-task chain DP in a 1-core container.  The hot-kernel rows shrink in
-#: quick mode but stay above their gates (frontier >= 2x, streaming memory
-#: >= 10x, cache >= 2x) with measured headroom.
+#: quick mode but stay above their gates (frontier >= 2x, cache >= 2x) with
+#: measured headroom.
 FULL_PARAMS = {
     "chain_n": 500, "budget_n": 200, "budget_cap": 50,
     "dag_n": 300, "independent_n": 50,
-    "frontier_n": 160, "stream_n": 400, "stream_cap": 400,
+    "frontier_n": 160,
     "cache_n": 400, "cache_groups": 64, "cache_iterations": 300,
     "seed": 3,
 }
 QUICK_PARAMS = {
     "chain_n": 500, "budget_n": 120, "budget_cap": 30,
     "dag_n": 150, "independent_n": 32,
-    "frontier_n": 70, "stream_n": 260, "stream_cap": 260,
+    "frontier_n": 70,
     "cache_n": 320, "cache_groups": 48, "cache_iterations": 250,
     "seed": 3,
 }

@@ -52,7 +52,6 @@ from repro.runtime import (
     ResultCache,
     ScenarioSpec,
     SerialBackend,
-    VectorizedBackend,
 )
 from repro.simulation.monte_carlo import MonteCarloEstimator
 from repro.simulation.vectorized import (
@@ -155,11 +154,11 @@ def measure(num_runs: int = 600, num_workers: int | None = None,
         else "MISMATCH",
     )
 
-    # Built from a spec (a worker count), so the wrapper owns and closes the pool.
-    with VectorizedBackend(2) as vec_pool:
+    with ProcessPoolBackend(2) as vec_pool:
         vec_pool_result, vec_pool_seconds = _best_of(
             1,
             lambda: runner.run(num_runs, seed=spec.seed, backend=vec_pool,
+                               engine="vectorized",
                                chunk_size=max(num_runs // 2, 1)),
         )
     vec_half = runner.run(num_runs, seed=spec.seed, engine="vectorized",
@@ -385,9 +384,9 @@ def test_runtime_parallel_weibull_campaign(benchmark, print_table, tmp_path):
     # bit-identical across backends, and statistically agrees with scalar.
     vec_a = runner.run(spec.num_runs, seed=spec.seed, engine="vectorized",
                        chunk_size=spec.num_runs)
-    with VectorizedBackend(2) as vec_pool:
+    with ProcessPoolBackend(2) as vec_pool:
         vec_b = runner.run(spec.num_runs, seed=spec.seed, backend=vec_pool,
-                           chunk_size=spec.num_runs)
+                           engine="vectorized", chunk_size=spec.num_runs)
     assert dict(vec_a.makespans) == dict(vec_b.makespans)
     assert vec_a.ranking() == serial_result.ranking()
 

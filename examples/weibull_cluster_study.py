@@ -21,6 +21,8 @@ does exactly that:
 Run with ``python examples/weibull_cluster_study.py``.
 """
 
+import dataclasses
+
 import numpy as np
 
 from repro import (
@@ -73,10 +75,11 @@ def main() -> None:
 
     def simulate(positions, rejuvenate_all):
         schedule = Schedule.for_chain(chain, positions)
+        variant = dataclasses.replace(platform, rejuvenate_all_on_failure=rejuvenate_all)
         estimator = MonteCarloEstimator(
             schedule,
             failure_model_factory=lambda generator: RenewalPlatformFailureSource(
-                platform, generator, rejuvenate_all_on_failure=rejuvenate_all
+                variant, generator
             ),
             downtime=platform.downtime,
         )

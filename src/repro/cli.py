@@ -57,7 +57,7 @@ from repro.core.chain_dp import optimal_chain_checkpoints, optimal_chain_checkpo
 from repro.core.dag_scheduling import schedule_dag
 from repro.core.schedule import Schedule
 from repro.experiments.registry import EXPERIMENTS, experiment_descriptions, run_experiment
-from repro.runtime.backends import VectorizedBackend, resolve_backend
+from repro.runtime.backends import resolve_backend
 from repro.runtime.cache import ResultCache
 from repro.simulation.monte_carlo import MonteCarloEstimator
 from repro.workflows.serialization import load_chain, load_workflow, workflow_to_dot
@@ -396,12 +396,7 @@ def _runtime_from_args(args: argparse.Namespace):
     resolve it as None.
     """
     engine = getattr(args, "engine", None)
-    if engine == "vectorized":
-        # Hand the wrapper the *spec*, not a backend instance, so it owns the
-        # inner pool and the handlers' backend.close() shuts the workers down.
-        backend = VectorizedBackend(args.parallel if args.parallel else None)
-    else:
-        backend = resolve_backend(args.parallel) if args.parallel else None
+    backend = resolve_backend(args.parallel) if args.parallel else None
     cache = None
     if args.cache or args.cache_dir:
         cache = ResultCache(args.cache_dir)
@@ -493,29 +488,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         exporter = OtlpSpanExporter(args.otlp_endpoint).start()
     where = args.db if args.db else "in-memory (lost on exit; use --db to persist)"
-    print(f"scenario service listening on {server.url}")
-    print(f"job store          : {where}")
-    if scheduler.recovered:
-        print(f"recovered jobs     : {scheduler.recovered} (re-queued after restart)")
-    print(f"workers            : {scheduler.num_workers} x {scheduler.backend!r}")
-    if args.rate_limit is not None:
-        burst = args.burst if args.burst is not None else max(1, round(args.rate_limit))
-        print(f"rate limit         : {args.rate_limit:g} req/s per client "
-              f"(burst {burst})")
-    if args.audit_log is not None:
-        rotate = (
-            f" (rotate at {args.audit_max_bytes} B, keep {args.audit_max_files})"
-            if args.audit_max_bytes is not None else ""
-        )
-        print(f"audit trail        : {args.audit_log}{rotate}")
-    if exporter is not None:
-        print(f"otlp export        : {exporter.endpoint} "
-              f"(instance {exporter.instance_id})")
-    print("endpoints          : POST /v1/jobs  GET /v1/jobs[/{id}[/trace]]  "
-          "DELETE /v1/jobs/{id}  GET /v1/jobs/{id}/events  GET /v1/scenarios  "
-          "GET /v1/healthz  GET /v1/metrics  GET /v1/debug/flight")
+
+    def banner() -> None:
+        # Printed once the socket is bound, so --port 0 shows the real port.
+        print(f"scenario service listening on {server.url}")
+        print(f"job store          : {where}")
+        if scheduler.recovered:
+            print(f"recovered jobs     : {scheduler.recovered} (re-queued after restart)")
+        print(f"workers            : {scheduler.num_workers} x {scheduler.backend!r}")
+        if args.rate_limit is not None:
+            burst = args.burst if args.burst is not None else max(1, round(args.rate_limit))
+            print(f"rate limit         : {args.rate_limit:g} req/s per client "
+                  f"(burst {burst})")
+        if args.audit_log is not None:
+            rotate = (
+                f" (rotate at {args.audit_max_bytes} B, keep {args.audit_max_files})"
+                if args.audit_max_bytes is not None else ""
+            )
+            print(f"audit trail        : {args.audit_log}{rotate}")
+        if exporter is not None:
+            print(f"otlp export        : {exporter.endpoint} "
+                  f"(instance {exporter.instance_id})")
+        print("endpoints          : POST /v1/jobs  GET /v1/jobs[/{id}[/trace]]  "
+              "DELETE /v1/jobs/{id}  GET /v1/jobs/{id}/events  GET /v1/scenarios  "
+              "GET /v1/healthz  GET /v1/metrics  GET /v1/debug/flight", flush=True)
+
     try:
-        server.serve_forever()
+        server.serve_forever(on_ready=banner)
     except KeyboardInterrupt:
         print("shutting down (interrupted jobs are re-queued on the next "
               "start when using --db)")

@@ -49,7 +49,6 @@ import numpy as np
 
 from repro._validation import check_non_negative, check_positive
 from repro.core.dp_kernels import (
-    budget_dp_streaming,
     budget_dp_tables,
     chain_dp_tables,
     reconstruct_positions,
@@ -307,13 +306,7 @@ def optimal_chain_checkpoints_budget(
     ``method`` selects the execution path exactly as in
     :func:`optimal_chain_checkpoints`; the vectorized kernel computes each
     row's segment costs once and sweeps the whole budget dimension in one
-    broadcast ``argmin``, and is bit-identical to the reference loops.  The
-    additional ``method="streaming"`` runs
-    :func:`~repro.core.dp_kernels.budget_dp_streaming`: the same recurrence
-    swept two rolling budget columns at a time, never materialising the
-    ``(n+1) x (budget+1)`` tables -- peak memory ``O(n * sqrt(budget))``
-    instead of ``O(n * budget)``, with bit-identical makespans and positions
-    (see ``docs/performance.md``).
+    broadcast ``argmin``, and is bit-identical to the reference loops.
 
     Raises
     ------
@@ -331,28 +324,6 @@ def optimal_chain_checkpoints_budget(
             "max_checkpoints must be >= 1 when a final checkpoint is required"
         )
     budget_cap = min(max_checkpoints, n)
-    if method == "streaming":
-        best_final, streamed = budget_dp_streaming(
-            np.array(chain.prefix_work()),
-            np.array(chain.checkpoint_costs, dtype=float),
-            chain.recovery_before,
-            downtime,
-            rate,
-            budget_cap,
-            final_checkpoint=final_checkpoint,
-        )
-        if not math.isfinite(best_final):
-            raise OverflowError(
-                "no placement within the checkpoint budget has a finite expected "
-                "makespan; increase max_checkpoints or check the instance parameters"
-            )
-        return ChainDPResult(
-            expected_makespan=best_final,
-            checkpoint_after=streamed,
-            chain=chain,
-            downtime=downtime,
-            rate=rate,
-        )
     if resolve_dp_method(method, n) == "vectorized":
         best_arr, choice_arr = budget_dp_tables(
             np.array(chain.prefix_work()),

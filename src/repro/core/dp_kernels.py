@@ -26,7 +26,6 @@ never optimal"); the kernels mask those entries to ``+inf`` directly.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "row_transition_values",
     "chain_dp_tables",
     "budget_dp_tables",
-    "budget_dp_streaming",
     "reconstruct_positions",
 ]
 
@@ -248,209 +246,3 @@ def budget_dp_tables(
             best[x, 1:] = np.where(better, vmin, best[x, 1:])
             choice[x, 1:] = np.where(better, x + j_rel, choice[x, 1:])
     return best, choice
-
-
-#: Row-block size of the streaming budget DP, in matrix elements.  Each
-#: column update walks the rows in blocks whose cost matrices hold at most
-#: this many floats, so the transient working set stays a few hundred KiB
-#: regardless of instance size while the ufunc dispatch is still amortised
-#: over whole blocks.
-_STREAM_BLOCK_ELEMENTS = 4096
-
-
-def _stream_tail_options(
-    prefix: np.ndarray,
-    factors: np.ndarray,
-    rate: float,
-    final_checkpoint: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row "run to the end without a checkpoint" baseline of the budget DP.
-
-    Returns ``(tails, tail_choice)`` where ``tails[x]`` is the option-1 value
-    the reference evaluates first (``+inf`` when a final checkpoint is
-    required or the tail overflows) and ``tail_choice[x]`` the matching
-    sentinel (``n`` for a checkpoint-free tail, ``-1`` otherwise).  Scalar
-    evaluation order matches :func:`budget_dp_tables` exactly.
-    """
-    n = len(factors)
-    tails = np.full(n, np.inf)
-    tail_choice = np.full(n, -1, dtype=np.int64)
-    if not final_checkpoint:
-        for x in range(n):
-            factor = factors[x]
-            if not np.isfinite(factor):
-                continue
-            tail_exponent = rate * ((prefix[n] - prefix[x]) + 0.0)
-            if tail_exponent > _MAX_EXPONENT:
-                continue
-            tail_cost = factor * float(np.expm1(tail_exponent))
-            if tail_cost < np.inf:
-                tails[x] = tail_cost
-                tail_choice[x] = n
-    return tails, tail_choice
-
-
-def _stream_budget_column(
-    prev_col: np.ndarray,
-    out_col: np.ndarray,
-    out_choice: Optional[np.ndarray],
-    x_lo: int,
-    tails: np.ndarray,
-    tail_choice: np.ndarray,
-    factors: np.ndarray,
-    prefix: np.ndarray,
-    ckpt: np.ndarray,
-    rate: float,
-) -> None:
-    """One budget column of the streaming DP from the previous column.
-
-    Fills ``out_col[x]`` (and, when reconstruction is recording,
-    ``out_choice[x]``) for rows ``x in [x_lo, n)`` given the full previous
-    budget level in ``prev_col``.  Rows are processed in blocks; every
-    per-element operation (exponent association, overflow masking, the
-    ``+ best[j+1, b-1]`` add, the first-lowest-index ``argmin`` and the
-    strict-improvement compare against the option-1 baseline) replays
-    :func:`budget_dp_tables` bit for bit.
-    """
-    n = len(ckpt)
-    block_rows = max(1, _STREAM_BLOCK_ELEMENTS // max(1, n - x_lo))
-    for r0 in range(x_lo, n, block_rows):
-        r1 = min(r0 + block_rows, n)
-        rows = np.arange(r0, r1)
-        # lambda * (W + C) with the reference's exact association:
-        # (prefix[j+1] - prefix[x]) + C_j, then * rate, per element.  Every
-        # elementwise op runs in place so the live working set stays one
-        # float block plus one bool mask.
-        vals = prefix[None, r0 + 1 : n + 1] - prefix[rows, None]
-        vals += ckpt[None, r0:n]
-        vals *= rate
-        over = vals > _MAX_EXPONENT
-        np.minimum(vals, _MAX_EXPONENT, out=vals)
-        np.expm1(vals, out=vals)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals *= factors[rows, None]
-        vals[over] = np.inf
-        # Padding (j < x) and overflowed-factor rows are "never optimal".
-        np.less(np.arange(r0, n)[None, :], rows[:, None], out=over)
-        vals[over] = np.inf
-        vals[~np.isfinite(factors[rows]), :] = np.inf
-        vals += prev_col[None, r0 + 1 : n + 1]
-        jm = np.argmin(vals, axis=1)
-        vmin = vals[np.arange(r1 - r0), jm]
-        base = tails[rows]
-        better = vmin < base
-        out_col[r0:r1] = np.where(better, vmin, base)
-        if out_choice is not None:
-            out_choice[r0:r1] = np.where(better, jm + r0, tail_choice[rows])
-
-
-def budget_dp_streaming(
-    prefix: np.ndarray,
-    checkpoint_costs: np.ndarray,
-    recovery_for_row: Callable[[int], float],
-    downtime: float,
-    rate: float,
-    budget_cap: int,
-    *,
-    final_checkpoint: bool = True,
-) -> Tuple[float, Tuple[int, ...]]:
-    """Budgeted chain DP with streamed columns instead of materialised tables.
-
-    Identical recurrence and tie-breaking as :func:`budget_dp_tables`, but the
-    budget axis is swept column by column with two rolling value vectors, so
-    the ``O(n * budget)`` ``best``/``choice`` tables are never allocated.  For
-    reconstruction the stream keeps a value column every ``ceil(sqrt(budget))``
-    levels; walking the solution re-streams one inter-checkpoint block at a
-    time over the (shrinking) remaining rows while recording that block's
-    argmin choices.  Peak memory drops from ``O(n * budget)`` to
-    ``O(n * sqrt(budget))`` -- a few value vectors plus one compact
-    backpointer block -- at the cost of at most one extra streaming pass.
-
-    Because each column update replays the reference's per-cell float ops in
-    the same order (see :func:`_stream_budget_column`), the returned value and
-    checkpoint positions are **bit-identical** to the table-based kernels and
-    the scalar reference loops.
-
-    Returns
-    -------
-    (best, positions):
-        The optimal expected time for the whole chain at full budget, and the
-        reconstructed checkpoint positions (empty when ``best`` is not
-        finite; callers raise in that case).
-    """
-    n = len(checkpoint_costs)
-    ckpt = np.ascontiguousarray(checkpoint_costs, dtype=float)
-    prefix = np.ascontiguousarray(prefix, dtype=float)
-    factors = np.array(
-        [_row_factor(rate, downtime, recovery_for_row(x)) for x in range(n)]
-    )
-    tails, tail_choice = _stream_tail_options(prefix, factors, rate, final_checkpoint)
-
-    # Budget level 0: only the checkpoint-free tail is available.
-    col_a = np.empty(n + 1)
-    col_b = np.empty(n + 1)
-    col_a[:n] = tails
-    col_a[n] = 0.0
-    col_b[n] = 0.0
-
-    restart_every = max(1, math.isqrt(max(budget_cap, 1)))
-    saved: dict[int, np.ndarray] = {0: col_a.copy()}
-    prev, cur = col_a, col_b
-    for b in range(1, budget_cap + 1):
-        _stream_budget_column(
-            prev, cur, None, 0, tails, tail_choice, factors, prefix, ckpt, rate
-        )
-        cur[n] = 0.0
-        if b % restart_every == 0 and b < budget_cap:
-            saved[b] = cur.copy()
-        prev, cur = cur, prev
-    best_final = float(prev[0])
-    if not math.isfinite(best_final):
-        return best_final, ()
-
-    # Reconstruction: replay one restart block at a time, recording its
-    # choice columns, and follow the reference walk (budget decrements by one
-    # per segment; sentinel ``n`` ends with a checkpoint-free tail).
-    positions: list[int] = []
-    x, b = 0, budget_cap
-    blk_prev = np.empty(n + 1)
-    blk_cur = np.empty(n + 1)
-    while x < n:
-        if b == 0:
-            j = int(tail_choice[x])
-        else:
-            base = ((b - 1) // restart_every) * restart_every
-            np.copyto(blk_prev, saved[base])
-            choices: dict[int, np.ndarray] = {}
-            for c in range(base + 1, b + 1):
-                blk_cur[n] = 0.0
-                record = np.full(n, -1, dtype=np.int32)
-                _stream_budget_column(
-                    blk_prev,
-                    blk_cur,
-                    record,
-                    x,
-                    tails,
-                    tail_choice,
-                    factors,
-                    prefix,
-                    ckpt,
-                    rate,
-                )
-                choices[c] = record
-                blk_prev, blk_cur = blk_cur, blk_prev
-            while x < n and b > base:
-                j = int(choices[b][x])
-                if j == n or j < 0:
-                    break
-                positions.append(j)
-                x = j + 1
-                b -= 1
-            else:
-                continue
-        if j == n:
-            break
-        raise AssertionError(
-            "unreachable: finite budget DP value with an infeasible choice cell"
-        )
-    return best_final, tuple(positions)

@@ -11,9 +11,10 @@ provided here so that the simulator and the heuristic schedulers can exercise
 the non-memoryless case.
 
 Every distribution exposes the same small interface
-(:class:`FailureDistribution`): density, CDF, survival, hazard rate, mean,
-sampling, and conditional residual-life sampling (needed by the simulator when
-a law is not memoryless).
+(:class:`FailureDistribution`): density, CDF, survival, hazard rate, mean and
+sampling.  The simulators need nothing more: each processor is a renewal
+process whose next failure is its last renewal plus a fresh
+:meth:`FailureDistribution.sample`.
 """
 
 from __future__ import annotations
@@ -32,108 +33,8 @@ __all__ = [
     "ExponentialFailure",
     "WeibullFailure",
     "LogNormalFailure",
-    "inverse_normal_cdf",
     "superposed_rate",
 ]
-
-# Coefficients of Wichura's algorithm AS241 (PPND16): three rational
-# approximations to the inverse of the standard normal CDF, accurate to
-# ~1e-15 relative over the full double range.  Hand-rolled here because the
-# project deliberately depends only on NumPy (no scipy.special.ndtri).
-_AS241_A = (
-    3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-    3.3430575583588128105e4, 2.5090809287301226727e3,
-)
-_AS241_B = (
-    1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
-    5.3941960214247511077e3, 2.1213794301586595867e4, 3.9307895800092710610e4,
-    2.8729085735721942674e4, 5.2264952788528545610e3,
-)
-_AS241_C = (
-    1.42343711074968357734e0, 4.63033784615654529590e0,
-    5.76949722146069140550e0, 3.64784832476320460504e0,
-    1.27045825245236838258e0, 2.41780725177450611770e-1,
-    2.27238449892691845833e-2, 7.74545014278341407640e-4,
-)
-_AS241_D = (
-    1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
-    6.89767334985100004550e-1, 1.48103976427480074590e-1,
-    1.51986665636164571966e-2, 5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-)
-_AS241_E = (
-    6.65790464350110377720e0, 5.46378491116411436990e0,
-    1.78482653991729133580e0, 2.96560571828504891230e-1,
-    2.65321895265761230930e-2, 1.24266094738807843860e-3,
-    2.71155556874348757815e-5, 2.01033439929228813265e-7,
-)
-_AS241_F = (
-    1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-    1.48753612908506148525e-2, 7.86869131145613259100e-4,
-    1.84631831751005468180e-5, 1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _as241_poly(coeffs, r: np.ndarray) -> np.ndarray:
-    """Evaluate an AS241 polynomial (ascending coefficients) via Horner."""
-    out = np.full_like(r, coeffs[-1])
-    for coeff in reversed(coeffs[:-1]):
-        out = out * r + coeff
-    return out
-
-
-def inverse_normal_cdf(p) -> np.ndarray:
-    """Vectorized inverse of the standard normal CDF (quantile function).
-
-    Implements Wichura's algorithm AS241 (routine PPND16), a piecewise
-    rational approximation with ~1e-15 relative accuracy: the central region
-    ``|p - 0.5| <= 0.425`` uses one rational in ``0.180625 - q**2``, the tails
-    two rationals in ``sqrt(-log(min(p, 1-p)))``.  ``p <= 0`` maps to
-    ``-inf`` and ``p >= 1`` to ``+inf``.
-
-    This is the closed-form core of
-    :meth:`LogNormalFailure._inverse_survival_batch`; kept public because an
-    exact normal quantile with no scipy dependency is useful on its own.
-    """
-    p = np.asarray(p, dtype=float)
-    scalar_input = p.ndim == 0
-    p = np.atleast_1d(p)
-    out = np.empty_like(p)
-
-    low = p <= 0.0
-    high = p >= 1.0
-    out[low] = -np.inf
-    out[high] = np.inf
-
-    valid = ~(low | high)
-    q = p[valid] - 0.5
-    result = np.empty_like(q)
-
-    central = np.abs(q) <= 0.425
-    if central.any():
-        r = 0.180625 - q[central] ** 2
-        result[central] = q[central] * (
-            _as241_poly(_AS241_A, r) / _as241_poly(_AS241_B, r)
-        )
-    tail = ~central
-    if tail.any():
-        q_tail = q[tail]
-        r = np.where(q_tail < 0.0, p[valid][tail], 1.0 - p[valid][tail])
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        value = np.empty_like(r)
-        if near.any():
-            rn = r[near] - 1.6
-            value[near] = _as241_poly(_AS241_C, rn) / _as241_poly(_AS241_D, rn)
-        if (~near).any():
-            rf = r[~near] - 5.0
-            value[~near] = _as241_poly(_AS241_E, rf) / _as241_poly(_AS241_F, rf)
-        result[tail] = np.where(q_tail < 0.0, -value, value)
-
-    out[valid] = result
-    return out[0] if scalar_input else out
 
 
 class FailureDistribution(ABC):
@@ -182,93 +83,6 @@ class FailureDistribution(ABC):
         if s_age <= 0.0:
             return 0.0
         return self.survival(age + t) / s_age
-
-    def sample_residual(self, rng: np.random.Generator, age: float) -> float:
-        """Sample the residual life of a processor that has been up for ``age`` units.
-
-        For memoryless laws this is an ordinary sample.  For other laws we use
-        inverse-transform sampling of the conditional distribution
-        ``P(X - age <= t | X > age)``.
-        """
-        age = check_non_negative("age", age)
-        if self.memoryless or age == 0.0:
-            return float(self.sample(rng))
-        s_age = self.survival(age)
-        if s_age <= 0.0:
-            # The processor has (numerically) certainly failed; residual is 0.
-            return 0.0
-        u = rng.uniform()
-        # Solve survival(age + t) / survival(age) = 1 - u  for t.
-        target = s_age * (1.0 - u)
-        return max(0.0, self._inverse_survival(target) - age)
-
-    def sample_residual_batch(
-        self, rng: np.random.Generator, ages: np.ndarray
-    ) -> np.ndarray:
-        """Sample residual lives for a whole batch of processor ages at once.
-
-        Batch counterpart of :meth:`sample_residual`, used by the vectorized
-        simulation engine (:mod:`repro.simulation.vectorized`) when many
-        replications query aged processors in lock-step.  One uniform draw is
-        consumed per entry and pushed through the conditional
-        inverse-transform ``survival(age + t) = survival(age) * (1 - u)``, so
-        for strictly positive ages the result is element-wise identical to
-        calling :meth:`sample_residual` with the same underlying uniforms.
-        (The scalar method short-circuits ``age == 0`` to an ordinary sample
-        for speed; the batch variant keeps the inverse transform throughout,
-        which is the same distribution drawn through a different map.)
-
-        Memoryless laws ignore the ages entirely and return plain samples.
-        """
-        ages = np.asarray(ages, dtype=float)
-        if np.any(ages < 0.0) or not np.all(np.isfinite(ages)):
-            raise ValueError("ages must be finite and >= 0")
-        if self.memoryless:
-            return np.asarray(self.sample(rng, size=ages.shape), dtype=float)
-        u = rng.uniform(size=ages.shape)
-        s_age = self.survival_batch(ages)
-        targets = s_age * (1.0 - u)
-        residual = self._inverse_survival_batch(targets) - ages
-        # Numerically dead processors (survival(age) == 0) get residual 0.
-        return np.where(s_age <= 0.0, 0.0, np.maximum(residual, 0.0))
-
-    def survival_batch(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`survival`; subclasses override with closed forms."""
-        flat = np.asarray(t, dtype=float).ravel()
-        out = np.array([self.survival(float(x)) for x in flat])
-        return out.reshape(np.shape(t))
-
-    def _inverse_survival_batch(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_inverse_survival`.
-
-        The base implementation falls back to the scalar bisection per
-        element (exactly matching the scalar results); Exponential and
-        Weibull override it with closed forms.
-        """
-        flat = np.asarray(s, dtype=float).ravel()
-        out = np.array([self._inverse_survival(float(x)) for x in flat])
-        return out.reshape(np.shape(s))
-
-    def _inverse_survival(self, s: float) -> float:
-        """Return ``t`` such that ``survival(t) = s`` (monotone bisection fallback)."""
-        if s >= 1.0:
-            return 0.0
-        if s <= 0.0:
-            return math.inf
-        lo, hi = 0.0, max(self.mean(), 1.0)
-        while self.survival(hi) > s:
-            hi *= 2.0
-            if hi > 1e18:
-                return hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.survival(mid) > s:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
 
     def mtbf(self) -> float:
         """Alias for :meth:`mean` using the usual resilience-community acronym."""
@@ -321,16 +135,6 @@ class ExponentialFailure(FailureDistribution):
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         out = rng.exponential(scale=1.0 / self.rate, size=size)
         return float(out) if size is None else out
-
-    def survival_batch(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.where(t <= 0.0, 1.0, np.exp(-self.rate * np.maximum(t, 0.0)))
-
-    def _inverse_survival_batch(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = -np.log(np.clip(s, 0.0, 1.0)) / self.rate
-        return np.where(s >= 1.0, 0.0, np.where(s <= 0.0, np.inf, out))
 
     def scaled(self, factor: float) -> "ExponentialFailure":
         """Return the superposition of ``factor`` independent copies of this law.
@@ -412,25 +216,6 @@ class WeibullFailure(FailureDistribution):
         out = self.scale * rng.weibull(self.shape, size=size)
         return float(out) if size is None else out
 
-    def _inverse_survival(self, s: float) -> float:
-        if s >= 1.0:
-            return 0.0
-        if s <= 0.0:
-            return math.inf
-        return self.scale * (-math.log(s)) ** (1.0 / self.shape)
-
-    def survival_batch(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.where(
-            t <= 0.0, 1.0, np.exp(-((np.maximum(t, 0.0) / self.scale) ** self.shape))
-        )
-
-    def _inverse_survival_batch(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = self.scale * (-np.log(np.clip(s, 0.0, 1.0))) ** (1.0 / self.shape)
-        return np.where(s >= 1.0, 0.0, np.where(s <= 0.0, np.inf, out))
-
     @classmethod
     def from_mtbf(cls, mtbf: float, shape: float) -> "WeibullFailure":
         """Build a Weibull law with the given MTBF and shape."""
@@ -483,25 +268,6 @@ class LogNormalFailure(FailureDistribution):
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         out = rng.lognormal(mean=self.mu, sigma=self.sigma, size=size)
         return float(out) if size is None else out
-
-    def _inverse_survival_batch(self, s: np.ndarray) -> np.ndarray:
-        """Closed-form vectorized inverse survival via the normal quantile.
-
-        ``survival(t) = s`` means ``Phi((log t - mu) / sigma) = 1 - s``, so
-        ``t = exp(mu - sigma * Phi^{-1}(s))`` (using the symmetry
-        ``Phi^{-1}(1 - s) = -Phi^{-1}(s)``, which keeps full precision for
-        tiny survival values where ``1 - s`` would round) with
-        :func:`inverse_normal_cdf` standing in for ``Phi^{-1}``.  Replaces the
-        base class's per-element bisection -- itself limited to ~1e-7 in the
-        deep tail by the ``1 - cdf`` cancellation inside ``survival`` -- with
-        an AS241 evaluation accurate to ~1e-15: the log-normal counterpart of
-        the Weibull ``-log`` closed form, and the step that makes
-        :meth:`sample_residual_batch` loop-free for this law.
-        """
-        s = np.asarray(s, dtype=float)
-        with np.errstate(over="ignore"):
-            out = np.exp(self.mu - self.sigma * inverse_normal_cdf(np.clip(s, 0.0, 1.0)))
-        return np.where(s >= 1.0, 0.0, np.where(s <= 0.0, np.inf, out))
 
     @classmethod
     def from_mtbf(cls, mtbf: float, sigma: float) -> "LogNormalFailure":

@@ -202,14 +202,13 @@ class Platform:
         self,
         rng: np.random.Generator,
         horizon: float,
-        *,
-        rejuvenate_all_on_failure: Optional[bool] = None,
     ) -> List[float]:
         """Generate the absolute platform-level failure times up to ``horizon``.
 
         The platform process is the superposition of the ``p`` per-processor
         renewal processes: each processor independently fails and is renewed
-        (its clock restarts) after its own failures.
+        (its clock restarts) after its own failures, or every processor after
+        any failure when :attr:`rejuvenate_all_on_failure` is set.
 
         Parameters
         ----------
@@ -217,15 +216,8 @@ class Platform:
             Source of randomness.
         horizon:
             Generate failures strictly before this absolute time.
-        rejuvenate_all_on_failure:
-            When True, *all* processors are rejuvenated (their failure clocks
-            restart) after any platform failure.  ``None`` (the default)
-            inherits the platform's own ``rejuvenate_all_on_failure`` field;
-            an explicit bool overrides it for this call.
         """
         check_positive("horizon", horizon)
-        if rejuvenate_all_on_failure is None:
-            rejuvenate_all_on_failure = self.rejuvenate_all_on_failure
         states = self.initial_states(rng)
         failures: List[float] = []
         guard = 0
@@ -236,7 +228,7 @@ class Platform:
             if t >= horizon:
                 break
             failures.append(t)
-            if rejuvenate_all_on_failure:
+            if self.rejuvenate_all_on_failure:
                 for s in states:
                     s.next_failure = t + float(self.failure_law.sample(rng))
             else:

@@ -88,6 +88,8 @@ def sparkline(values: Sequence[float]) -> str:
 
 def _format_value(value: float) -> str:
     magnitude = abs(value)
+    if value.is_integer() and magnitude < 1e15:
+        return str(int(value))  # counts (e.g. source lines) keep every digit
     if magnitude != 0 and (magnitude >= 1e4 or magnitude < 1e-3):
         return f"{value:.3g}"
     return f"{value:.4f}".rstrip("0").rstrip(".")

@@ -7,11 +7,10 @@ exists -- consists of thousands of *independent* replications.  This package
 turns that independence into throughput and reuse:
 
 * :mod:`repro.runtime.backends` -- where replications execute: in-process
-  (:class:`SerialBackend`), on a pool of worker processes
-  (:class:`ProcessPoolBackend` on :mod:`concurrent.futures`), or as NumPy
-  array programs (:class:`VectorizedBackend`, which composes with the pool
-  for a pool of vectorized chunks -- see
-  :mod:`repro.simulation.vectorized`);
+  (:class:`SerialBackend`) or on a pool of worker processes
+  (:class:`ProcessPoolBackend` on :mod:`concurrent.futures`); how each chunk
+  executes (event loop or NumPy array program, see
+  :mod:`repro.simulation.vectorized`) is the orthogonal ``engine=`` choice;
 * :mod:`repro.runtime.chunking` -- how a replication budget is split into
   worker-sized chunks with independent, deterministically spawned RNG streams
   (``numpy.random.SeedSequence``), so results are bit-identical whatever the
@@ -38,7 +37,6 @@ from repro.runtime.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    VectorizedBackend,
     backend_scope,
     resolve_backend,
     resolve_engine,
@@ -72,7 +70,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "VectorizedBackend",
     "backend_scope",
     "resolve_backend",
     "resolve_engine",

@@ -6,7 +6,7 @@ contract is what lets the callers re-assemble per-chunk samples
 deterministically (see :mod:`repro.runtime.chunking`): the backend choice can
 change wall-clock time but never the numbers.
 
-Three backends are provided:
+Two backends are provided:
 
 * :class:`SerialBackend` -- a plain in-process loop; zero overhead, always
   available, the default everywhere;
@@ -14,21 +14,16 @@ Three backends are provided:
   fan-out, the single-host ancestor of the sharded/multi-host execution the
   ROADMAP aims at.  Worker functions and items must be picklable (module-level
   functions, dataclasses, numpy objects); closures and lambdas are not.
-* :class:`VectorizedBackend` -- a decorator backend: chunks are *placed* by an
-  inner backend (serial by default, a process pool for a pool of vectorized
-  chunks) but advertise ``engine == "vectorized"``, so simulation callers
-  execute each chunk as a NumPy array program
-  (:mod:`repro.simulation.vectorized`) instead of a Python event loop --
-  on memoryless models that is the exact segment-jumping Poisson kernel,
-  bit-identical to the scalar event loop for the same seed and chunk plan.
-  Parallelism and vectorization are orthogonal levers, and this composition
-  lets them multiply.
+
+A backend only decides *where* chunks run.  *How* each chunk executes -- the
+Python event loop or a NumPy array program (:mod:`repro.simulation.vectorized`)
+-- is the separate ``engine=`` argument of the simulation callers, so
+parallelism and vectorization are orthogonal levers that multiply.
 
 :func:`resolve_backend` turns the user-facing spellings (``None``, a worker
-count, ``"serial"``, ``"processes"``, ``"vectorized"``, or an existing
-backend) into a backend instance, which is how the CLI's ``--parallel N`` and
-``--engine`` flags reach the library; :func:`resolve_engine` normalises the
-engine choice itself.
+count, ``"serial"``, ``"processes"``, or an existing backend) into a backend
+instance, which is how the CLI's ``--parallel N`` flag reaches the library;
+:func:`resolve_engine` normalises the ``--engine`` choice.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "VectorizedBackend",
     "resolve_backend",
     "resolve_engine",
     "backend_scope",
@@ -58,10 +52,6 @@ ENGINES = ("scalar", "vectorized")
 
 class ExecutionBackend(ABC):
     """Maps a worker function over independent work items, preserving order."""
-
-    #: Execution engine this backend asks simulation callers to dispatch:
-    #: "scalar" (the Python event loop) unless a backend overrides it.
-    engine: str = "scalar"
 
     @abstractmethod
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
@@ -169,70 +159,16 @@ class ProcessPoolBackend(ExecutionBackend):
         return f"ProcessPoolBackend(max_workers={self.max_workers})"
 
 
-class VectorizedBackend(ExecutionBackend):
-    """Run chunks as NumPy array programs, placed by an inner backend.
+def resolve_engine(engine: Optional[str]) -> str:
+    """Normalise an engine choice.
 
-    The backend itself does no numerics: it advertises
-    ``engine == "vectorized"`` so that simulation callers
-    (:meth:`~repro.simulation.monte_carlo.MonteCarloEstimator.estimate`,
-    :meth:`~repro.simulation.campaign.CampaignRunner.run`) dispatch each
-    chunk to the batch engines of :mod:`repro.simulation.vectorized`, and it
-    delegates the *placement* of those chunks to ``inner`` -- in-process by
-    default, or a :class:`ProcessPoolBackend` for a pool of vectorized chunks
-    (``VectorizedBackend(ProcessPoolBackend(8))``).
-
-    An inner backend *instance* is borrowed (the caller keeps ownership and
-    must close it); an inner spec (``None``, a worker count, ``"processes"``)
-    is materialised here and closed with this backend.
-    """
-
-    engine = "vectorized"
-
-    def __init__(self, inner: Union[None, int, str, "ExecutionBackend"] = None) -> None:
-        self._owns_inner = not isinstance(inner, ExecutionBackend)
-        self.inner = resolve_backend(inner)
-        if isinstance(self.inner, VectorizedBackend):
-            raise TypeError("VectorizedBackend cannot wrap another VectorizedBackend")
-
-    @property
-    def num_workers(self) -> int:
-        return self.inner.num_workers
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        return self.inner.map(fn, items)
-
-    def imap(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> Iterator[Any]:
-        return self.inner.imap(fn, items)
-
-    def close(self) -> None:
-        if self._owns_inner:
-            self.inner.close()
-
-    def __repr__(self) -> str:
-        return f"VectorizedBackend(inner={self.inner!r})"
-
-
-def resolve_engine(
-    engine: Optional[str],
-    backend: Union[None, int, str, ExecutionBackend] = None,
-) -> str:
-    """Normalise an engine choice, inheriting the backend's engine by default.
-
-    ``engine`` may be ``None`` (use whatever ``backend`` advertises, falling
-    back to ``"scalar"``), ``"scalar"`` or ``"vectorized"`` in any case.
-    Anything else raises a :exc:`ValueError` naming the valid choices, so CLI
-    and API misuse produce a readable message instead of a traceback deep in
-    the simulator.
-
-    Backend *specs* carry their engine too: the string spelling
-    ``backend="vectorized"`` implies the vectorized engine exactly like the
-    :class:`VectorizedBackend` instance it resolves to.
+    ``engine`` may be ``None`` (the default, ``"scalar"``), ``"scalar"`` or
+    ``"vectorized"`` in any case.  Anything else raises a :exc:`ValueError`
+    naming the valid choices, so CLI and API misuse produce a readable
+    message instead of a traceback deep in the simulator.
     """
     if engine is None:
-        if isinstance(backend, str) and backend.strip().lower() == "vectorized":
-            return "vectorized"
-        inherited = getattr(backend, "engine", None)
-        return inherited if inherited in ENGINES else "scalar"
+        return "scalar"
     if not isinstance(engine, str):
         raise TypeError(
             f"engine must be a string or None, got {type(engine).__name__!r}"
@@ -253,7 +189,6 @@ def resolve_backend(
     * ``None``, ``"serial"``, ``0`` or ``1`` -- :class:`SerialBackend`;
     * an int ``n > 1`` -- :class:`ProcessPoolBackend` with ``n`` workers;
     * ``"processes"`` -- :class:`ProcessPoolBackend` sized to the machine;
-    * ``"vectorized"`` -- in-process :class:`VectorizedBackend`;
     * an existing :class:`ExecutionBackend` -- returned unchanged.
     """
     if spec is None:
@@ -272,11 +207,9 @@ def resolve_backend(
             return SerialBackend()
         if name in ("processes", "process", "pool"):
             return ProcessPoolBackend()
-        if name == "vectorized":
-            return VectorizedBackend()
         raise ValueError(
             f"unknown backend {spec!r}; expected 'serial', 'processes', "
-            "'vectorized', a worker count, or an ExecutionBackend instance"
+            "a worker count, or an ExecutionBackend instance"
         )
     raise TypeError(f"cannot build a backend from {type(spec).__name__!r}")
 

@@ -304,9 +304,7 @@ class ScenarioSpec:
                 backend=executor,
                 cache=cache,
                 chunk_size=chunk_size,
-                # Pin the engine explicitly: a spec with engine=None is a
-                # scalar campaign even on a VectorizedBackend placement.
-                engine=self.engine if self.engine is not None else "scalar",
+                engine=self.engine,
                 progress=progress,
             )
 

@@ -53,7 +53,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.devtools.lockwatch import tracked_lock
@@ -374,8 +374,11 @@ class GatewayServer:
         self._detach()
         self.scheduler.stop()
 
-    def serve_forever(self) -> None:
+    def serve_forever(self, on_ready: Optional[Callable[[], None]] = None) -> None:
         """Run in the calling thread until :meth:`shutdown` (or Ctrl-C).
+
+        ``on_ready`` is called once the socket is bound, when :attr:`url`
+        holds the real port (``port=0`` binds an ephemeral one).
 
         On the way out the scheduler's workers get a bounded grace period to
         finish their current job, then are abandoned: a foreground server
@@ -384,7 +387,7 @@ class GatewayServer:
         """
         self._attach()
         try:
-            asyncio.run(self._amain(None))
+            asyncio.run(self._amain(on_ready))
         finally:
             self._detach()
             self.scheduler.stop(timeout=2.0)
@@ -416,13 +419,13 @@ class GatewayServer:
 
     def _run_loop(self, ready: threading.Event) -> None:
         try:
-            asyncio.run(self._amain(ready))
+            asyncio.run(self._amain(ready.set))
         except BaseException as exc:  # noqa: BLE001  # repro: noqa[broad-except] - stored as _startup_error and re-raised by start()
             self._startup_error = exc
         finally:
             ready.set()
 
-    async def _amain(self, ready: Optional[threading.Event]) -> None:
+    async def _amain(self, on_ready: Optional[Callable[[], None]]) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._closing = False
@@ -439,8 +442,8 @@ class GatewayServer:
             host=self.host, port=self.port, workers=self.scheduler.num_workers,
             rate_limit=self.limiter.rate if self.limiter else None,
         )
-        if ready is not None:
-            ready.set()
+        if on_ready is not None:
+            on_ready()
         try:
             await self._stop_event.wait()
         finally:

@@ -230,7 +230,7 @@ class CampaignRunner:
                 )
             return self._run_chunked(
                 num_runs, seed=seed, backend=backend, cache=cache,
-                chunk_size=chunk_size, engine=resolve_engine(engine, backend),
+                chunk_size=chunk_size, engine=resolve_engine(engine),
                 progress=progress,
             )
         if progress is not None:

@@ -14,7 +14,7 @@ provided:
   log-normal).  This is the model of Section 6's third extension; each
   processor keeps its own age, and only the processor that failed is renewed
   (the paper criticises the "rejuvenate everybody" assumption of [12], which
-  can be reproduced by passing ``rejuvenate_all_on_failure=True``).
+  a platform with ``rejuvenate_all_on_failure=True`` reproduces).
 * :class:`TraceFailureSource` -- deterministic replay of a
   :class:`~repro.failures.traces.FailureTrace` (synthetic stand-in for the
   Failure Trace Archive logs the paper's companion work uses).
@@ -111,11 +111,10 @@ class RenewalPlatformFailureSource(FailureSource):
     Each of the ``p`` processors has an absolute next-failure time; the
     platform's next failure is the minimum of them.  When a failure strikes,
     only the failed processor is renewed (its next failure is redrawn from
-    the failure time), unless ``rejuvenate_all_on_failure`` is set, in which
-    case every processor restarts its clock -- the assumption of [12] the
-    paper argues against, kept for comparison experiments.  The default
-    (``None``) inherits the platform's own ``rejuvenate_all_on_failure``
-    field; an explicit bool overrides it.
+    the failure time), unless the platform's ``rejuvenate_all_on_failure``
+    field is set, in which case every processor restarts its clock -- the
+    assumption of [12] the paper argues against, kept for comparison
+    experiments.
     """
 
     def __init__(
@@ -123,13 +122,9 @@ class RenewalPlatformFailureSource(FailureSource):
         platform: Platform,
         rng: Optional[np.random.Generator] = None,
         *,
-        rejuvenate_all_on_failure: Optional[bool] = None,
         seed: Optional[Union[int, np.random.SeedSequence]] = None,
     ) -> None:
         self.platform = platform
-        if rejuvenate_all_on_failure is None:
-            rejuvenate_all_on_failure = platform.rejuvenate_all_on_failure
-        self.rejuvenate_all_on_failure = rejuvenate_all_on_failure
         # Threaded RNG, same contract as PoissonFailureSource: an explicit
         # generator wins, otherwise one is derived from the explicit seed.
         self._rng = rng if rng is not None else np.random.default_rng(seed)
@@ -155,7 +150,7 @@ class RenewalPlatformFailureSource(FailureSource):
 
     def register_failure(self, time: float) -> None:
         law = self.platform.failure_law
-        if self.rejuvenate_all_on_failure:
+        if self.platform.rejuvenate_all_on_failure:
             self._next_failures = [
                 time + float(law.sample(self._rng)) for _ in self._next_failures
             ]

@@ -295,9 +295,8 @@ class MonteCarloEstimator:
         its draws and is statistically equivalent instead; explicit trace
         models (a single trace or a trace list) replay through
         :func:`~repro.simulation.vectorized.replay_traces_batch` and agree
-        with the scalar engine to ~1 ulp per segment.  ``engine=None``
-        inherits the engine advertised by the backend (so passing a
-        :class:`~repro.runtime.backends.VectorizedBackend` is enough).
+        with the scalar engine to ~1 ulp per segment.  The backend only
+        places the chunks; it never changes the engine.
 
         ``progress`` is an optional ``callback(done, total)`` reporting how
         many of the estimate's deterministic chunks have completed, with the
@@ -328,7 +327,7 @@ class MonteCarloEstimator:
             return estimate
         return self._estimate_chunked(
             num_runs, rng=rng, seed=seed, backend=backend, cache=cache,
-            chunk_size=chunk_size, engine=resolve_engine(engine, backend),
+            chunk_size=chunk_size, engine=resolve_engine(engine),
             progress=progress,
         )
 

@@ -31,8 +31,7 @@ Three batch engines live here:
 * :func:`simulate_renewal_batch` -- the non-memoryless laws (Weibull,
   log-normal renewal processes of Section 6).  Per-processor next-failure
   times are carried as a ``(replications, processors)`` matrix and renewed
-  with batched draws (including :meth:`FailureDistribution.sample_residual_batch`
-  when replications start from aged processors).  Draw *order* is
+  with batched draws.  Draw *order* is
   data-dependent here, so this path is statistically -- not bit-wise --
   equivalent to the scalar engine (pinned by KS tests).
 * :func:`generate_trace_times_batch` + :func:`replay_traces_batch` -- the
@@ -696,9 +695,6 @@ def simulate_renewal_batch(
     downtime: float,
     rng: np.random.Generator,
     count: int,
-    *,
-    rejuvenate_all_on_failure: Optional[bool] = None,
-    initial_ages: Optional[np.ndarray] = None,
 ) -> BatchSimulationResult:
     """Simulate ``count`` replications under per-processor renewal failures.
 
@@ -706,44 +702,25 @@ def simulate_renewal_batch(
     :class:`~repro.simulation.engine.RenewalPlatformFailureSource` driving the
     scalar executor: each replication carries the absolute next-failure time
     of each of the platform's processors; the platform fails when the earliest
-    processor does, and only that processor is renewed (all of them when
-    ``rejuvenate_all_on_failure``, the assumption of [12] the paper argues
-    against -- ``None``, the default, inherits the platform's own
-    ``rejuvenate_all_on_failure`` field exactly like the scalar source).
+    processor does, and only that processor is renewed (all of them when the
+    platform's ``rejuvenate_all_on_failure`` field is set, the assumption of
+    [12] the paper argues against).
     Scheduled failures that land inside a downtime window are skipped by
     renewing from the scheduled time, exactly like the scalar source.
 
     Draws are batched across replications, so their *order* differs from the
     scalar engine's: this path is statistically -- not bit-wise -- equivalent
     (the KS tests in ``tests/test_vectorized.py`` pin the agreement down).
-
-    ``initial_ages`` optionally starts every processor with a given age (a
-    scalar, or an array broadcastable to ``(count, num_processors)``): the
-    first failure of each processor is then drawn from the *conditional*
-    residual-life distribution via
-    :meth:`~repro.failures.distributions.FailureDistribution.sample_residual_batch`.
-    This models a platform that has already been running -- relevant for
-    infant-mortality Weibull laws (shape < 1), where young and aged
-    processors behave very differently.  The default (``None``) draws fresh
-    lifetimes, matching the scalar source.
     """
     check_non_negative("downtime", downtime)
     check_positive_int("count", count)
-    if rejuvenate_all_on_failure is None:
-        rejuvenate_all_on_failure = platform.rejuvenate_all_on_failure
     attempt_dur, recovery_dur = _segment_durations(segments)
     law: FailureDistribution = platform.failure_law
     num_procs = platform.num_processors
 
-    if initial_ages is None:
-        next_fail = np.asarray(
-            law.sample(rng, size=(count, num_procs)), dtype=float
-        ).reshape(count, num_procs)
-    else:
-        ages = np.broadcast_to(
-            np.asarray(initial_ages, dtype=float), (count, num_procs)
-        )
-        next_fail = law.sample_residual_batch(rng, ages).reshape(count, num_procs)
+    next_fail = np.asarray(
+        law.sample(rng, size=(count, num_procs)), dtype=float
+    ).reshape(count, num_procs)
 
     num_segments = len(attempt_dur)
     now = np.zeros(count)
@@ -800,7 +777,7 @@ def simulate_renewal_batch(
             failures[struck] += 1
             now[struck] += lost
             wasted[struck] += lost
-            if rejuvenate_all_on_failure:
+            if platform.rejuvenate_all_on_failure:
                 next_fail[struck] = now[struck][:, None] + np.asarray(
                     law.sample(rng, size=(struck.size, num_procs)), dtype=float
                 ).reshape(struck.size, num_procs)

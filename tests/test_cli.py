@@ -226,6 +226,39 @@ class TestServiceCommands:
             server.shutdown()
             store.close()
 
+    def test_serve_port_zero_banner_shows_bound_port(self, tmp_path):
+        # The banner is printed once the socket is bound, so with --port 0
+        # its first line names the ephemeral port the server really uses.
+        import os
+        import select
+        import subprocess
+        import sys
+        import urllib.request
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        with open(tmp_path / "serve.log", "wb") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                 "--db", str(tmp_path / "jobs.sqlite")],
+                stdout=subprocess.PIPE, stderr=log, text=True, env=env,
+            )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+            assert ready, "serve printed no banner within 60 s"
+            first = proc.stdout.readline()
+            assert first.startswith("scenario service listening on http://")
+            url = first.split()[-1]
+            assert not url.endswith(":0")
+            with urllib.request.urlopen(f"{url}/v1/healthz", timeout=10) as response:
+                assert response.status == 200
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
     def test_serve_rejects_engine_flag(self):
         # A scenario's samples are defined by its spec; the server must not
         # offer a flag that would silently (not) override job engines.

@@ -115,16 +115,6 @@ class TestWeibullFailure:
         law = WeibullFailure(shape=0.5, scale=10.0)
         assert law.conditional_survival(5.0, age=50.0) > law.survival(5.0)
 
-    def test_sample_residual_non_negative(self, rng):
-        law = WeibullFailure(shape=0.7, scale=10.0)
-        for age in (0.0, 1.0, 25.0):
-            assert law.sample_residual(rng, age) >= 0.0
-
-    def test_inverse_survival_round_trip(self):
-        law = WeibullFailure(shape=1.3, scale=7.0)
-        t = law._inverse_survival(0.3)
-        assert law.survival(t) == pytest.approx(0.3, rel=1e-6)
-
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):
             WeibullFailure(shape=0.0, scale=1.0)

@@ -1,14 +1,13 @@
 """Property sweeps pinning the hot-kernel optimisations to their references.
 
-The PR 10 burn-down rewrote four kernels for speed while keeping their
-outputs bit-for-bit (or, for the local search, value-) identical to the
-code they replaced:
+Each fast kernel keeps its outputs bit-for-bit (or, for the local search,
+value-) identical to a retained reference:
 
 * the fused Poisson compare+advance veteran round
   (:func:`repro.simulation.vectorized.simulate_poisson_batch`) vs the
   lock-step kernel and the scalar event loop;
-* the streaming budget DP (``method="streaming"``) vs the reference tables,
-  including the ``budget=0`` / ``final_checkpoint=False`` edges;
+* the budget DP table kernel (``method="vectorized"``) vs the reference
+  tables, including the ``budget=0`` / ``final_checkpoint=False`` edges;
 * the incremental local search (``use_cache=True``) vs the same kernel with
   the cache disabled, and value agreement with the scalar reference search;
 * the precomputed frontier tables in
@@ -136,7 +135,13 @@ class TestFusedPoissonSweep:
 
 
 class TestStreamingBudgetDPSweep:
-    """``method="streaming"`` reproduces the reference tables bit-for-bit."""
+    """The budget DP table kernel reproduces the reference tables bit-for-bit.
+
+    Covers what the hypothesis suite in ``test_analytic_kernels.py`` does not
+    reach: ``n = 60``, budgets above ``n`` and budget 0 without a final
+    checkpoint.  (The class and test names predate the removal of a
+    streaming variant of the kernel; they are kept so test ids stay stable.)
+    """
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n", [1, 7, 23, 60])
@@ -150,25 +155,31 @@ class TestStreamingBudgetDPSweep:
                     chain, DOWNTIME, RATE, cap,
                     final_checkpoint=final_checkpoint, method="reference",
                 )
-                streamed = optimal_chain_checkpoints_budget(
+                table = optimal_chain_checkpoints_budget(
                     chain, DOWNTIME, RATE, cap,
-                    final_checkpoint=final_checkpoint, method="streaming",
+                    final_checkpoint=final_checkpoint, method="vectorized",
                 )
-                assert streamed.expected_makespan == reference.expected_makespan
-                assert streamed.checkpoint_after == reference.checkpoint_after
+                assert table.expected_makespan == reference.expected_makespan
+                assert table.checkpoint_after == reference.checkpoint_after
 
     def test_zero_budget_edge(self):
         # budget=0 is only legal without a mandatory final checkpoint; the
-        # streamed kernel must agree that no checkpoints is the only plan.
+        # table kernel must agree that no checkpoints is the only plan.
         chain = uniform_random_chain(9, seed=5)
         reference = optimal_chain_checkpoints_budget(
             chain, DOWNTIME, RATE, 0, final_checkpoint=False, method="reference"
         )
-        streamed = optimal_chain_checkpoints_budget(
-            chain, DOWNTIME, RATE, 0, final_checkpoint=False, method="streaming"
+        table = optimal_chain_checkpoints_budget(
+            chain, DOWNTIME, RATE, 0, final_checkpoint=False, method="vectorized"
         )
-        assert streamed.checkpoint_after == reference.checkpoint_after == ()
-        assert streamed.expected_makespan == reference.expected_makespan
+        assert table.checkpoint_after == reference.checkpoint_after == ()
+        assert table.expected_makespan == reference.expected_makespan
+
+    @pytest.mark.parametrize("method", ["streaming", "table"])
+    def test_unknown_method_is_rejected(self, method):
+        chain = uniform_random_chain(9, seed=5)
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            optimal_chain_checkpoints_budget(chain, DOWNTIME, RATE, 3, method=method)
 
 
 class TestCachedLocalSearchSweep:

@@ -111,6 +111,15 @@ class TestRenderTrends:
         # The sparkline shows 2 values, but vs_best still sees the 0.5 run.
         assert "20.00x" in text
 
+    def test_integral_values_keep_every_digit(self):
+        records = [
+            {"bench": "src_repro_lines", "mode": "quick", "metric": "lines",
+             "value": v}
+            for v in [19681, 19103]
+        ]
+        text = render_trends(records)
+        assert "19103" in text and "e+04" not in text
+
     def test_non_numeric_series_is_dropped(self):
         records = RECORDS + [
             {"bench": "bad", "mode": "full", "metric": "seconds", "value": "n/a"}

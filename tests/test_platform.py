@@ -114,10 +114,12 @@ class TestPlatformSimulation:
         assert 850 <= len(times) <= 1150
 
     def test_rejuvenation_flag_runs(self, rng):
-        platform = Platform(num_processors=3, failure_law=WeibullFailure(shape=0.7, scale=20.0))
-        times = platform.platform_failure_times(
-            rng, horizon=200.0, rejuvenate_all_on_failure=True
+        platform = Platform(
+            num_processors=3,
+            failure_law=WeibullFailure(shape=0.7, scale=20.0),
+            rejuvenate_all_on_failure=True,
         )
+        times = platform.platform_failure_times(rng, horizon=200.0)
         assert times == sorted(times)
 
     def test_sample_time_to_next_failure_exponential(self, rng):

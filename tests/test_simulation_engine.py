@@ -66,8 +66,12 @@ class TestRenewalPlatformFailureSource:
         assert first != second  # astronomically unlikely to collide
 
     def test_rejuvenate_all_flag(self, rng):
-        platform = Platform(num_processors=3, failure_law=WeibullFailure(shape=0.7, scale=30.0))
-        source = RenewalPlatformFailureSource(platform, rng, rejuvenate_all_on_failure=True)
+        platform = Platform(
+            num_processors=3,
+            failure_law=WeibullFailure(shape=0.7, scale=30.0),
+            rejuvenate_all_on_failure=True,
+        )
+        source = RenewalPlatformFailureSource(platform, rng)
         t = source.time_to_next_failure(0.0)
         source.register_failure(t)
         assert all(nf > t for nf in source._next_failures)

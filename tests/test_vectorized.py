@@ -23,10 +23,8 @@ import pytest
 from repro.core.schedule import Schedule, Segment
 from repro.failures.distributions import (
     ExponentialFailure,
-    FailureDistribution,
     LogNormalFailure,
     WeibullFailure,
-    inverse_normal_cdf,
 )
 from repro.failures.platform import Platform
 from repro.failures.traces import FailureEvent, FailureTrace, generate_trace
@@ -36,8 +34,6 @@ from repro.runtime import (
     ProcessPoolBackend,
     ResultCache,
     ScenarioSpec,
-    SerialBackend,
-    VectorizedBackend,
     resolve_backend,
     resolve_engine,
 )
@@ -53,7 +49,6 @@ from repro.simulation.vectorized import (
     replay_traces_batch,
     simulate_poisson_batch,
     simulate_poisson_batch_lockstep,
-    simulate_renewal_batch,
 )
 from repro.workflows.generators import uniform_random_chain
 
@@ -135,16 +130,6 @@ class TestPoissonExactEquivalence:
             assert result.useful_time == batch.useful_times[index]
             assert result.num_recovery_attempts == batch.recovery_attempts[index]
 
-    def test_engine_inherited_from_vectorized_backend(self, poisson_estimator):
-        explicit = poisson_estimator.estimate(
-            200, seed=3, engine="vectorized", chunk_size=100
-        )
-        with VectorizedBackend() as backend:
-            inherited = poisson_estimator.estimate(
-                200, seed=3, backend=backend, chunk_size=100
-            )
-        assert explicit == inherited
-
     def test_engines_share_cache_entries_on_fast_path(self, poisson_estimator, tmp_path):
         cache = ResultCache(tmp_path)
         scalar = poisson_estimator.estimate(
@@ -164,8 +149,10 @@ class TestPoissonExactEquivalence:
         serial = poisson_estimator.estimate(
             120, seed=6, engine="vectorized", chunk_size=30
         )
-        with VectorizedBackend(2) as pool:  # spec form: the wrapper owns the pool
-            pooled = poisson_estimator.estimate(120, seed=6, backend=pool, chunk_size=30)
+        with ProcessPoolBackend(2) as pool:
+            pooled = poisson_estimator.estimate(
+                120, seed=6, backend=pool, engine="vectorized", chunk_size=30
+            )
         assert serial == pooled
 
 
@@ -435,22 +422,6 @@ class TestRenewalStatisticalEquivalence:
         estimator.estimate(80, seed=2, engine="vectorized", cache=cache, chunk_size=40)
         assert len(cache.with_namespace("monte_carlo")) == 2
 
-    def test_initial_ages_feed_residual_sampling(self, schedule):
-        # Infant-mortality Weibull (shape < 1): a platform of aged processors
-        # fails far less often than a freshly rebooted one, so aged starts
-        # must yield fewer failures on average.
-        law = WeibullFailure.from_mtbf(60.0, shape=0.5)
-        platform = Platform(num_processors=2, failure_law=law)
-        fresh = simulate_renewal_batch(
-            schedule.segments(), platform, 0.5, np.random.default_rng(3), 600
-        )
-        aged = simulate_renewal_batch(
-            schedule.segments(), platform, 0.5, np.random.default_rng(3), 600,
-            initial_ages=500.0,
-        )
-        assert aged.num_failures.mean() < fresh.num_failures.mean()
-        assert np.all(aged.makespans > 0)
-
 
 class TestCampaignEngines:
     @pytest.fixture
@@ -474,17 +445,18 @@ class TestCampaignEngines:
 
     def test_vectorized_campaign_deterministic_across_backends(self, runner):
         serial = runner.run(60, seed=7, engine="vectorized", chunk_size=30)
-        with VectorizedBackend(2) as pool:  # spec form: the wrapper owns the pool
-            pooled = runner.run(60, seed=7, backend=pool, chunk_size=30)
+        with ProcessPoolBackend(2) as pool:
+            pooled = runner.run(
+                60, seed=7, backend=pool, engine="vectorized", chunk_size=30
+            )
         assert serial.makespans == pooled.makespans
 
     def test_vectorized_backend_with_cache_replays_bit_identically(
         self, runner, tmp_path
     ):
         cache = ResultCache(tmp_path)
-        with VectorizedBackend() as backend:
-            cold = runner.run(50, seed=9, backend=backend, cache=cache, chunk_size=25)
-            warm = runner.run(50, seed=9, backend=backend, cache=cache, chunk_size=25)
+        cold = runner.run(50, seed=9, cache=cache, engine="vectorized", chunk_size=25)
+        warm = runner.run(50, seed=9, cache=cache, engine="vectorized", chunk_size=25)
         assert cold.makespans == warm.makespans
         # And the replay really came from disk: a fresh cacheless run matches.
         fresh = runner.run(50, seed=9, engine="vectorized", chunk_size=25)
@@ -538,13 +510,6 @@ class TestScenarioSpecEngine:
         b = vec.run(chunk_size=20)
         assert {k: list(v) for k, v in a.makespans.items()} == {
             k: list(v) for k, v in b.makespans.items()
-        }
-        # And a VectorizedBackend placement does not change a scalar spec.
-        with VectorizedBackend() as backend:
-            scalar_on_vec_backend = spec.run(backend=backend, chunk_size=20)
-        plain = spec.run(chunk_size=20)
-        assert {k: list(v) for k, v in scalar_on_vec_backend.makespans.items()} == {
-            k: list(v) for k, v in plain.makespans.items()
         }
 
 
@@ -632,101 +597,26 @@ class TestTraceReplayBatch:
         assert batch[0, 0] == scalar.makespan == 15.0
 
 
-class TestResidualBatchSampling:
-    @pytest.mark.parametrize(
-        "law",
-        [
-            WeibullFailure.from_mtbf(100.0, shape=0.7),
-            WeibullFailure.from_mtbf(100.0, shape=1.5),
-            LogNormalFailure.from_mtbf(100.0, sigma=1.0),
-        ],
-        ids=["weibull-infant", "weibull-wearout", "lognormal"],
-    )
-    def test_batch_matches_scalar_for_same_uniforms(self, law):
-        ages = np.array([1.0, 10.0, 50.0, 200.0, 999.0])
-        batch = law.sample_residual_batch(np.random.default_rng(7), ages)
-        rng = np.random.default_rng(7)
-        scalar = np.array([law.sample_residual(rng, age) for age in ages])
-        # Same uniforms through the same conditional inverse transform.
-        np.testing.assert_allclose(batch, scalar, rtol=1e-9)
-
-    def test_memoryless_law_ignores_ages(self):
-        law = ExponentialFailure(rate=0.1)
-        ages = np.array([0.0, 5.0, 500.0])
-        batch = law.sample_residual_batch(np.random.default_rng(3), ages)
-        fresh = law.sample(np.random.default_rng(3), size=3)
-        np.testing.assert_array_equal(batch, fresh)
-
-    def test_conditional_distribution_is_correct(self):
-        # Empirical survival of residual draws must match the conditional
-        # survival S(age + t) / S(age).
-        law = WeibullFailure.from_mtbf(100.0, shape=0.7)
-        age = 50.0
-        samples = law.sample_residual_batch(
-            np.random.default_rng(13), np.full(20_000, age)
-        )
-        for t in (10.0, 50.0, 200.0):
-            empirical = float((samples > t).mean())
-            assert abs(empirical - law.conditional_survival(t, age)) < 0.02
-
-    def test_rejects_bad_ages(self):
-        law = WeibullFailure.from_mtbf(100.0, shape=0.7)
-        with pytest.raises(ValueError):
-            law.sample_residual_batch(np.random.default_rng(0), np.array([-1.0]))
-        with pytest.raises(ValueError):
-            law.sample_residual_batch(np.random.default_rng(0), np.array([np.inf]))
-
-
 class TestVectorizedBackendAndEngineSpellings:
+    """Engine and backend spellings: the engine comes only from ``engine=``."""
+
     def test_resolve_backend_vectorized(self):
-        backend = resolve_backend("vectorized")
-        assert isinstance(backend, VectorizedBackend)
-        assert backend.engine == "vectorized"
-        assert isinstance(backend.inner, SerialBackend)
-        assert backend.num_workers == 1
-
-    def test_composition_with_pool(self):
-        with ProcessPoolBackend(2) as pool:
-            backend = VectorizedBackend(pool)
-            assert backend.num_workers == 2
-            # A borrowed inner backend is not closed with the wrapper.
-            backend.close()
-            assert pool.map(_identity, [1, 2]) == [1, 2]
-
-    def test_cannot_nest_vectorized_backends(self):
-        with pytest.raises(TypeError):
-            VectorizedBackend(VectorizedBackend())
+        # The engine is chosen by engine=, never by the backend spec.
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend("vectorized")
 
     def test_resolve_engine_spellings(self):
         assert resolve_engine(None) == "scalar"
-        assert resolve_engine(None, VectorizedBackend()) == "vectorized"
         assert resolve_engine("Vectorized") == "vectorized"
-        assert resolve_engine("scalar", VectorizedBackend()) == "scalar"
-        # The string backend spec implies the engine like the instance does.
-        assert resolve_engine(None, "vectorized") == "vectorized"
-        assert resolve_engine(None, "serial") == "scalar"
-        assert resolve_engine(None, 4) == "scalar"
+        assert resolve_engine(" scalar ") == "scalar"
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine("gpu")
         with pytest.raises(TypeError):
             resolve_engine(3)
 
-    def test_backend_string_spec_selects_vectorized_engine(self, poisson_estimator):
-        explicit = poisson_estimator.estimate(
-            150, seed=2, engine="vectorized", chunk_size=50
-        )
-        via_spec = poisson_estimator.estimate(
-            150, seed=2, backend="vectorized", chunk_size=50
-        )
-        assert explicit == via_spec
-
     def test_estimate_rejects_unknown_engine(self, poisson_estimator):
         with pytest.raises(ValueError, match="unknown engine"):
             poisson_estimator.estimate(10, seed=0, engine="bogus")
-
-
-def _identity(x):
-    return x
 
 
 class TestTraceModelDispatch:
@@ -821,52 +711,6 @@ class TestTraceModelDispatch:
             np.testing.assert_allclose(makespans[0, index], result.makespan, rtol=1e-9)
 
 
-class TestInverseNormalCdf:
-    """The hand-rolled AS241 quantile behind the log-normal closed form."""
-
-    def test_known_quantiles(self):
-        known = {
-            0.5: 0.0,
-            0.975: 1.959963984540054,
-            0.995: 2.5758293035489004,
-            0.841344746068543: 1.0,
-        }
-        for p, z in known.items():
-            assert math.isclose(float(inverse_normal_cdf(p)), z, abs_tol=1e-12)
-            assert math.isclose(float(inverse_normal_cdf(1.0 - p)), -z, abs_tol=1e-12)
-
-    def test_edges_and_monotonicity(self):
-        assert float(inverse_normal_cdf(0.0)) == -math.inf
-        assert float(inverse_normal_cdf(1.0)) == math.inf
-        grid = np.linspace(1e-12, 1.0 - 1e-12, 10_001)
-        values = inverse_normal_cdf(grid)
-        assert np.all(np.diff(values) > 0)
-
-    def test_erf_round_trip(self):
-        # Phi(Phi^{-1}(p)) == p with Phi evaluated through math.erfc (exact in
-        # the tails, unlike the 1 - cdf subtraction); covers 300 decades.
-        p = np.logspace(-300, math.log10(0.5), 400)
-        z = inverse_normal_cdf(p)
-        back = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z])
-        np.testing.assert_allclose(back, p, rtol=5e-12)
-
-    def test_lognormal_closed_form_matches_bisection(self):
-        law = LogNormalFailure.from_mtbf(100.0, sigma=1.0)
-        # Compare against the generic bisection fallback in the range where
-        # the latter is itself accurate (its 1 - cdf cancellation degrades in
-        # the deep tail, which is precisely what AS241 fixes).
-        s = np.logspace(-6, -1e-4, 200)
-        closed = law._inverse_survival_batch(s)
-        bisect = FailureDistribution._inverse_survival_batch(law, s)
-        np.testing.assert_allclose(closed, bisect, rtol=1e-9)
-
-    def test_lognormal_closed_form_edges(self):
-        law = LogNormalFailure.from_mtbf(100.0, sigma=1.0)
-        out = law._inverse_survival_batch(np.array([1.0, 1.5, 0.0, -0.5]))
-        assert out[0] == 0.0 and out[1] == 0.0
-        assert out[2] == math.inf and out[3] == math.inf
-
-
 class TestRejuvenateAllPlatformField:
     """Platform.rejuvenate_all_on_failure reaches both engines."""
 
@@ -908,22 +752,32 @@ class TestRejuvenateAllPlatformField:
 
         source = failure_source_for(rejuvenating_platform, np.random.default_rng(0))
         assert isinstance(source, RenewalPlatformFailureSource)
-        assert source.rejuvenate_all_on_failure is True
-        # An explicit constructor argument still overrides the field.
-        override = RenewalPlatformFailureSource(
-            rejuvenating_platform, np.random.default_rng(0),
-            rejuvenate_all_on_failure=False,
+        # After a failure every processor restarts its clock from the failure
+        # time; with the field off only the failed one does.
+        keeping = RenewalPlatformFailureSource(
+            dataclasses.replace(rejuvenating_platform, rejuvenate_all_on_failure=False),
+            np.random.default_rng(0),
         )
-        assert override.rejuvenate_all_on_failure is False
+        first = source.time_to_next_failure(0.0)
+        assert keeping.time_to_next_failure(0.0) == first
+        survivors = set(sorted(source._next_failures)[1:])
+        source.register_failure(first)
+        keeping.register_failure(first)
+        assert survivors <= set(keeping._next_failures)
+        assert not survivors & set(source._next_failures)
 
     def test_platform_failure_times_inherits_the_field(self, rejuvenating_platform):
-        explicit = rejuvenating_platform.platform_failure_times(
-            np.random.default_rng(7), 500.0, rejuvenate_all_on_failure=True
+        keeping = dataclasses.replace(
+            rejuvenating_platform, rejuvenate_all_on_failure=False
         )
-        inherited = rejuvenating_platform.platform_failure_times(
+        rejuvenated = rejuvenating_platform.platform_failure_times(
             np.random.default_rng(7), 500.0
         )
-        assert explicit == inherited
+        kept = keeping.platform_failure_times(np.random.default_rng(7), 500.0)
+        # Same initial draws, so the first failure agrees; renewing every
+        # processor after it changes the rest of the sequence.
+        assert rejuvenated[0] == kept[0]
+        assert rejuvenated != kept
 
     def test_field_is_validated_and_defaults_off(self):
         assert Platform().rejuvenate_all_on_failure is False
