@@ -33,10 +33,10 @@ The simulation-heavy sub-commands (``simulate``, ``experiment``) accept
 ``--engine scalar|vectorized`` to pick how each chunk executes (Python event
 loop vs NumPy array program -- the two compose into a pool of vectorized
 chunks), and ``--cache`` (or ``--cache-dir PATH``) to memoise results on
-disk; see :mod:`repro.runtime`.  Any of these flags selects the chunked
-deterministic sampler: for a given seed its results are bit-identical for
-every ``N >= 1`` (they differ from the plain no-flag run, which keeps the
-historical single-stream sampler).
+disk; see :mod:`repro.runtime`.  For a given seed the results are
+bit-identical with or without ``--parallel N`` and ``--cache``;
+``--engine vectorized`` matches the default scalar engine bit for bit under
+memoryless failure models and statistically otherwise.
 
 The CLI is intentionally thin: every sub-command parses arguments, calls the
 corresponding library entry point, and prints a human-readable (or CSV)
@@ -48,10 +48,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
+from repro._validation import (
+    check_non_negative,
+    check_non_negative_int,
+    check_positive,
+    check_positive_int,
+)
 from repro.baselines.strategies import evaluate_chain_strategies
 from repro.core.chain_dp import optimal_chain_checkpoints, optimal_chain_checkpoints_budget
 from repro.core.dag_scheduling import schedule_dag
@@ -100,15 +104,28 @@ def _experiment_id(text: str) -> str:
     return key
 
 
-def _worker_count(text: str) -> int:
-    """argparse type for --parallel: a non-negative worker count."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"worker count must be >= 0, got {value}")
-    return value
+def _checked(convert: Callable[[str], object], check: Callable, name: str):
+    """argparse type: ``convert`` the text, then apply a :mod:`repro._validation`
+    ``check``, so a bad value is a usage error with the library's message."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}")
+        try:
+            return check(name, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
+
+
+_worker_count = _checked(int, check_non_negative_int, "worker count")
+_rate = _checked(float, check_positive, "rate")
+_downtime = _checked(float, check_non_negative, "downtime")
+_runs = _checked(int, check_positive_int, "num_runs")
+_max_checkpoints = _checked(int, check_non_negative_int, "max_checkpoints")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     runtime_group.add_argument(
         "--parallel", type=_worker_count, default=0, metavar="N",
         help="fan simulation chunks out over N worker processes; for a given "
-        "seed the results are bit-identical for every N >= 1 (0, the "
-        "default, keeps the historical serial sampler, whose draws differ)",
+        "seed the results are bit-identical for every N (0, the default, "
+        "runs the chunks serially)",
     )
     runtime_group.add_argument(
         "--cache", action="store_true",
@@ -150,19 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("scalar", "vectorized"), default=None,
         help="how each simulation chunk executes: 'scalar' (the Python event "
         "loop) or 'vectorized' (the NumPy array program, typically an order "
-        "of magnitude faster on a single core); either choice selects the "
-        "chunked deterministic sampler, and for memoryless failure models "
-        "the two engines produce bit-identical results",
+        "of magnitude faster on a single core; the default is 'scalar'); "
+        "for memoryless failure models the two engines produce "
+        "bit-identical results",
     )
 
     solve_chain = subparsers.add_parser(
         "solve-chain", help="optimal checkpoint placement for a linear chain (Algorithm 1)"
     )
     solve_chain.add_argument("chain", help="path to a repro-chain JSON file")
-    solve_chain.add_argument("--rate", type=float, required=True,
+    solve_chain.add_argument("--rate", type=_rate, required=True,
                              help="platform failure rate lambda")
-    solve_chain.add_argument("--downtime", type=float, default=0.0, help="downtime D per failure")
-    solve_chain.add_argument("--max-checkpoints", type=int, default=None,
+    solve_chain.add_argument("--downtime", type=_downtime, default=0.0, help="downtime D per failure")
+    solve_chain.add_argument("--max-checkpoints", type=_max_checkpoints, default=None,
                              help="optional upper bound on the number of checkpoints")
     solve_chain.add_argument("--no-final-checkpoint", action="store_true",
                              help="do not force a checkpoint after the last task")
@@ -173,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         "solve-dag", help="heuristic checkpoint scheduling for a workflow DAG"
     )
     solve_dag.add_argument("workflow", help="path to a repro-workflow JSON file")
-    solve_dag.add_argument("--rate", type=float, required=True)
-    solve_dag.add_argument("--downtime", type=float, default=0.0)
+    solve_dag.add_argument("--rate", type=_rate, required=True)
+    solve_dag.add_argument("--downtime", type=_downtime, default=0.0)
     solve_dag.add_argument("--seed", type=int, default=0, help="seed for the random linearisations")
     solve_dag.add_argument("--dot", action="store_true",
                            help="print a Graphviz DOT rendering with checkpoints highlighted")
@@ -184,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[runtime_options, engine_options],
     )
     simulate.add_argument("chain", help="path to a repro-chain JSON file")
-    simulate.add_argument("--rate", type=float, required=True)
-    simulate.add_argument("--downtime", type=float, default=0.0)
+    simulate.add_argument("--rate", type=_rate, required=True)
+    simulate.add_argument("--downtime", type=_downtime, default=0.0)
     simulate.add_argument("--checkpoint-after", type=str, default=None,
                           help="comma-separated 0-based positions; default: optimal placement")
-    simulate.add_argument("--runs", type=int, default=5000)
+    simulate.add_argument("--runs", type=_runs, default=5000)
     simulate.add_argument("--seed", type=int, default=0)
 
     experiment = subparsers.add_parser(
@@ -232,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chunk-size", type=int, default=None, metavar="N",
                        help="server-wide default replications per chunk for campaign "
                        "jobs (validated at startup; a submission may still override it)")
-    serve.add_argument("--otlp-endpoint", default=None, metavar="URL",
-                       help="export finished spans to an OTLP/HTTP collector at URL "
-                       "(e.g. http://collector:4318/v1/traces); off by default")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request and span (DEBUG-level JSON events)")
 
@@ -415,13 +429,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     backend, cache, engine = _runtime_from_args(args)
     estimator = MonteCarloEstimator(schedule, args.rate, args.downtime)
     try:
-        if backend is not None or cache is not None or engine is not None:
-            estimate = estimator.estimate(
-                args.runs, seed=args.seed, backend=backend, cache=cache, engine=engine
-            )
-        else:
-            rng = np.random.default_rng(args.seed)
-            estimate = estimator.estimate(args.runs, rng=rng)
+        estimate = estimator.estimate(
+            args.runs, seed=args.seed, backend=backend, cache=cache, engine=engine
+        )
     finally:
         if backend is not None:
             backend.close()
@@ -482,11 +492,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # exit with a clear message, not a traceback.
         store.close()
         raise SystemExit(f"error: {exc}")
-    exporter = None
-    if args.otlp_endpoint is not None:
-        from repro.obs.export import OtlpSpanExporter
-
-        exporter = OtlpSpanExporter(args.otlp_endpoint).start()
     where = args.db if args.db else "in-memory (lost on exit; use --db to persist)"
 
     def banner() -> None:
@@ -506,9 +511,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 if args.audit_max_bytes is not None else ""
             )
             print(f"audit trail        : {args.audit_log}{rotate}")
-        if exporter is not None:
-            print(f"otlp export        : {exporter.endpoint} "
-                  f"(instance {exporter.instance_id})")
         print("endpoints          : POST /v1/jobs  GET /v1/jobs[/{id}[/trace]]  "
               "DELETE /v1/jobs/{id}  GET /v1/jobs/{id}/events  GET /v1/scenarios  "
               "GET /v1/healthz  GET /v1/metrics  GET /v1/debug/flight", flush=True)
@@ -519,9 +521,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("shutting down (interrupted jobs are re-queued on the next "
               "start when using --db)")
     finally:
-        if exporter is not None:
-            # Flushes queued spans to the collector before the process exits.
-            exporter.shutdown()
         # A worker abandoned mid-job may still be using the backend and the
         # store; closing either would block on (or crash) that job, defeating
         # the bounded shutdown.  Threads, pool children and the sqlite handle

@@ -17,7 +17,7 @@ The watchdog is off by default and costs nothing when off:
 :func:`tracked_lock` -- the construction seam used by
 ``service/jobs.py``, ``service/gateway.py``, ``service/snapshot.py``,
 ``service/ratelimit.py``, ``service/queue.py``, ``service/audit.py``,
-``obs/metrics.py``, ``obs/export.py`` and ``obs/flight.py`` -- returns a raw
+``obs/metrics.py`` and ``obs/flight.py`` -- returns a raw
 ``threading.Lock`` unless a watchdog is active.  Activation happens either
 through the ``REPRO_LOCK_WATCHDOG=1`` environment variable (checked lazily,
 so worker processes inherit it) or programmatically via

@@ -47,7 +47,6 @@ THREADED_MODULES = (
     "repro.service.queue",
     "repro.service.audit",
     "repro.obs.metrics",
-    "repro.obs.export",
     "repro.obs.flight",
     "repro.obs.tracing",
 )

@@ -150,13 +150,11 @@ def experiment_e1_prop1_validation(
         (50.0, 0.0, 0.0, 0.0, 0.01),
         (20.0, 2.0, 3.0, 4.0, 0.02),
     ]
-    use_runtime = backend is not None or cache is not None or engine is not None
-    rng = None if use_runtime else np.random.default_rng(seed)
-    seeds = _spawn_int_seeds(seed, len(scenarios)) if use_runtime else [None] * len(scenarios)
+    seeds = _spawn_int_seeds(seed, len(scenarios))
     # Experiment-wide progress: each sub-estimate contributes its own chunk
-    # count (one chunk each on the serial path), reported as one monotone
-    # stream so the scenario service sees real per-chunk progress.
-    per_estimate = plan_chunks(num_runs, chunk_size).num_chunks if use_runtime else 1
+    # count, reported as one monotone stream so the scenario service sees
+    # real per-chunk progress.
+    per_estimate = plan_chunks(num_runs, chunk_size).num_chunks
     total_chunks = len(scenarios) * per_estimate
     for index, ((work, ckpt, downtime, recovery, rate), sub_seed) in enumerate(
         zip(scenarios, seeds)
@@ -164,7 +162,7 @@ def experiment_e1_prop1_validation(
         analytic = expected_completion_time(work, ckpt, downtime, recovery, rate)
         estimate = estimate_expected_completion_time(
             work, ckpt, downtime, recovery, rate, num_runs=num_runs,
-            rng=rng, seed=sub_seed, backend=backend, cache=cache,
+            seed=sub_seed, backend=backend, cache=cache,
             chunk_size=chunk_size, engine=engine,
             progress=_offset_progress(progress, index * per_estimate, total_chunks),
         )
@@ -550,9 +548,8 @@ def experiment_e8_general_failures(
             "mean_failures",
         ],
     )
-    rng = np.random.default_rng(seed)
     chain = uniform_random_chain(
-        n, work_range=(5.0, 15.0), checkpoint_range=(1.0, 2.0), rng=rng
+        n, work_range=(5.0, 15.0), checkpoint_range=(1.0, 2.0), seed=seed
     )
     laws = {
         "exponential": ExponentialFailure.from_mtbf(platform_mtbf),
@@ -560,13 +557,10 @@ def experiment_e8_general_failures(
         "weibull(k=1.5)": WeibullFailure.from_mtbf(platform_mtbf, shape=1.5),
         "lognormal(s=1.0)": LogNormalFailure.from_mtbf(platform_mtbf, sigma=1.0),
     }
-    use_runtime = backend is not None or cache is not None or engine is not None
-    # One independent child seed per (law, strategy) estimate on the runtime
-    # path; the serial default keeps consuming the single shared stream so
-    # historical tables stay bit-identical.
-    sub_seeds = iter(_spawn_int_seeds(seed, 4 * len(laws)) if use_runtime else [])
+    # One independent child seed per (law, strategy) estimate.
+    sub_seeds = iter(_spawn_int_seeds(seed, 4 * len(laws)))
     # 4 strategies per law, each one estimate; see E1 for the progress scheme.
-    per_estimate = plan_chunks(num_runs, chunk_size).num_chunks if use_runtime else 1
+    per_estimate = plan_chunks(num_runs, chunk_size).num_chunks
     total_chunks = 4 * len(laws) * per_estimate
     estimate_index = 0
     for law_name, law in laws.items():
@@ -585,13 +579,10 @@ def experiment_e8_general_failures(
                 progress, estimate_index * per_estimate, total_chunks
             )
             estimate_index += 1
-            if use_runtime:
-                estimate = estimator.estimate(
-                    num_runs, seed=next(sub_seeds), backend=backend, cache=cache,
-                    chunk_size=chunk_size, engine=engine, progress=hook,
-                )
-            else:
-                estimate = estimator.estimate(num_runs, rng=rng, progress=hook)
+            estimate = estimator.estimate(
+                num_runs, seed=next(sub_seeds), backend=backend, cache=cache,
+                chunk_size=chunk_size, engine=engine, progress=hook,
+            )
             table.add_row(
                 law=law_name,
                 strategy=strategy,

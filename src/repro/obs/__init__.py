@@ -10,15 +10,12 @@ Stdlib-only and pay-for-what-you-use.  The modules layer cleanly:
 * :mod:`repro.obs.logging` -- one-JSON-object-per-line structured events on
   the ``repro.*`` logger tree;
 * :mod:`repro.obs.flight` -- always-on bounded ring buffer of recent
-  span/error events for post-mortem dumps (``GET /v1/debug/flight``);
-* :mod:`repro.obs.export` -- opt-in stdlib-only OTLP/HTTP JSON span
-  exporter (``repro serve --otlp-endpoint URL``).
+  span/error events for post-mortem dumps (``GET /v1/debug/flight``).
 
 Instrumentation throughout the tree records into the process-global
 registry by default; tests swap in their own via ``use_registry``.
 """
 
-from repro.obs.export import OtlpSpanExporter, default_instance_id
 from repro.obs.flight import FlightRecorder, get_flight_recorder, set_flight_recorder
 from repro.obs.logging import JsonLineFormatter, configure_logging, get_logger, log_event
 from repro.obs.metrics import (
@@ -56,7 +53,6 @@ __all__ = [
     "Histogram",
     "JsonLineFormatter",
     "MetricsRegistry",
-    "OtlpSpanExporter",
     "Trace",
     "absorb_spans",
     "activate",
@@ -65,7 +61,6 @@ __all__ = [
     "context_snapshot",
     "current_correlation_id",
     "current_trace",
-    "default_instance_id",
     "get_flight_recorder",
     "get_logger",
     "get_registry",

@@ -18,8 +18,8 @@ result payload, where :func:`absorb_spans` folds them into the live trace
 job's *persisted* trace tree contains its pool workers' chunk spans.
 
 Finished span records also flow through a process-wide *sink* seam
-(:func:`add_span_sink`): the always-on flight recorder and the optional
-OTLP exporter both hang off it without the span path knowing either exists.
+(:func:`add_span_sink`): the always-on flight recorder hangs off it without
+the span path knowing it exists.
 
 Everything here is pay-for-what-you-use: with no active trace, no sinks
 beyond the flight recorder and DEBUG logging off, a span costs three clock
@@ -112,11 +112,10 @@ _SPAN_SINKS: List[Any] = []  # repro: noqa[module-state] - append-only at proces
 def add_span_sink(sink) -> None:
     """Register ``sink(record)`` to observe every finished span record.
 
-    This is the seam the flight recorder (always on) and the OTLP exporter
-    (opt-in) attach through: the span path stays ignorant of both.  Records
-    absorbed from pool workers via :func:`absorb_spans` flow through the
-    sinks of the *absorbing* process, so an exporter sees chunk spans even
-    though they finished in a child.
+    This is the seam the always-on flight recorder attaches through, so the
+    span path stays ignorant of it.  Records absorbed from pool workers via
+    :func:`absorb_spans` flow through the sinks of the *absorbing* process,
+    so a sink sees chunk spans even though they finished in a child.
     """
     if sink not in _SPAN_SINKS:
         _SPAN_SINKS.append(sink)
@@ -303,8 +302,8 @@ def span(
     finally:
         duration = time.perf_counter() - start
         record["duration_s"] = duration
-        # Wall-clock end time: perf_counter has no epoch, and exporters
-        # (OTLP start/end nanos) and the flight recorder need one.
+        # Wall-clock end time: perf_counter has no epoch, and the flight
+        # recorder needs one.
         record["ts"] = time.time()
         if trace is not None:
             trace._stack.pop()

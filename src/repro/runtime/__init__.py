@@ -28,8 +28,8 @@ turns that independence into throughput and reuse:
 The consumers are rewired rather than duplicated:
 :meth:`repro.simulation.monte_carlo.MonteCarloEstimator.estimate` and
 :meth:`repro.simulation.campaign.CampaignRunner.run` accept ``backend=``,
-``cache=`` and ``engine=`` keyword arguments (their serial defaults are
-bit-identical to the pre-runtime behaviour), and the CLI exposes the same
+``cache=`` and ``engine=`` keyword arguments (the backend and the cache never
+change a seeded run's samples), and the CLI exposes the same
 switches as ``repro experiment E6 --parallel 8 --engine vectorized --cache``.
 """
 

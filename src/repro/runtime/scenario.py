@@ -291,22 +291,15 @@ class ScenarioSpec:
         :meth:`CampaignRunner.run` -- the scenario service threads its
         job-progress and cancellation hook through here.
         """
-        from repro.runtime.backends import backend_scope
-
-        # Always resolve to an explicit backend so the campaign takes the
-        # chunked deterministic path even serially: a scenario's samples are
-        # defined by its spec (including its engine), never by where it
-        # happened to execute.
-        with backend_scope(backend) as executor:
-            return self.runner().run(
-                self.num_runs,
-                seed=self.seed,
-                backend=executor,
-                cache=cache,
-                chunk_size=chunk_size,
-                engine=self.engine,
-                progress=progress,
-            )
+        return self.runner().run(
+            self.num_runs,
+            seed=self.seed,
+            backend=backend,
+            cache=cache,
+            chunk_size=chunk_size,
+            engine=self.engine,
+            progress=progress,
+        )
 
 
 def expand_scenarios(base: ScenarioSpec, **axes: Sequence) -> List[ScenarioSpec]:

@@ -11,7 +11,7 @@ sampled failure trace, run after run, and compare the paired makespans.
 generator and the executor:
 
 * for each of ``num_runs`` rounds it draws one platform failure trace from the
-  configured law (or accepts a pre-generated list of traces);
+  configured law;
 * every candidate schedule is executed against that same trace;
 * the result is a :class:`CampaignResult` holding the per-strategy makespan
   samples, their summary statistics, and paired-difference statistics against
@@ -32,7 +32,7 @@ from repro.obs import tracing as _tracing
 from repro.core.schedule import Schedule, Segment
 from repro.experiments.reporting import ResultTable
 from repro.failures.distributions import FailureDistribution
-from repro.failures.traces import FailureTrace, generate_trace
+from repro.failures.traces import generate_trace
 from repro.runtime.backends import ExecutionBackend, backend_scope, resolve_engine
 from repro.runtime.cache import ResultCache
 from repro.runtime.chunking import plan_chunks
@@ -136,7 +136,7 @@ class CampaignRunner:
         schedules are replayed against the same traces.
     failure_law:
         Per-processor failure inter-arrival law used to generate the shared
-        traces (ignored when explicit ``traces`` are passed to :meth:`run`).
+        traces.
     num_processors:
         Platform size used for trace generation.
     downtime:
@@ -151,7 +151,7 @@ class CampaignRunner:
     def __init__(
         self,
         schedules: Mapping[str, Schedule],
-        failure_law: Optional[FailureDistribution] = None,
+        failure_law: FailureDistribution,
         *,
         num_processors: int = 1,
         downtime: float = 0.0,
@@ -173,9 +173,7 @@ class CampaignRunner:
         self,
         num_runs: int,
         *,
-        rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
-        traces: Optional[Sequence[FailureTrace]] = None,
         backend: Union[None, int, str, ExecutionBackend] = None,
         cache: Optional[ResultCache] = None,
         chunk_size: Optional[int] = None,
@@ -184,17 +182,13 @@ class CampaignRunner:
     ) -> CampaignResult:
         """Execute the campaign.
 
-        Either ``num_runs`` fresh traces are generated from the configured
-        failure law, or the explicit ``traces`` are replayed (``num_runs`` is
-        then capped to their number).
-
-        With ``backend``, ``cache`` and/or ``engine`` the rounds are cut into
-        deterministic chunks (each chunk draws its traces from an
-        independently spawned RNG stream, see :mod:`repro.runtime.chunking`)
-        and fanned out: the per-strategy makespans are bit-identical for a
-        given ``seed`` whatever the worker count, and a warm cache replays
-        the whole campaign from disk.  This path requires ``seed=`` and
-        generated traces (``rng=`` and explicit ``traces`` stay serial).
+        The ``num_runs`` rounds are cut into deterministic chunks, each of
+        which draws its shared traces from an independently spawned RNG
+        stream (see :mod:`repro.runtime.chunking`), and fanned out over
+        ``backend`` (serial by default).  The per-strategy makespans are
+        defined by ``(seed, chunk plan, engine)`` alone: bit-identical for a
+        given ``seed`` whatever the backend or worker count, and a warm
+        cache replays the whole campaign from disk.
 
         ``engine="vectorized"`` generates and replays each chunk's shared
         traces as one NumPy array program
@@ -210,71 +204,10 @@ class CampaignRunner:
         once with ``(0, total)`` before execution, then after every chunk (a
         cache hit reports ``(total, total)`` immediately).  Exceptions raised
         by the callback abort the campaign -- which is how the scenario
-        service implements cooperative cancellation.  On the serial
-        (non-chunked) path the whole run counts as a single chunk.
+        service implements cooperative cancellation.
         """
         check_positive_int("num_runs", num_runs)
-        if backend is not None or cache is not None or engine is not None:
-            if traces is not None:
-                raise ValueError(
-                    "explicit traces are replayed serially; drop backend=/cache= "
-                    "or let the campaign generate its traces"
-                )
-            if self.failure_law is None:
-                raise ValueError("provide a failure_law at construction or explicit traces")
-            if rng is not None:
-                raise ValueError(
-                    "the backend/cache execution path derives per-chunk RNG "
-                    "streams from a seed and cannot split a live generator; "
-                    "pass seed=... instead of rng=..."
-                )
-            return self._run_chunked(
-                num_runs, seed=seed, backend=backend, cache=cache,
-                chunk_size=chunk_size, engine=resolve_engine(engine),
-                progress=progress,
-            )
-        if progress is not None:
-            progress(0, 1)
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        if traces is None:
-            if self.failure_law is None:
-                raise ValueError("provide a failure_law at construction or explicit traces")
-            traces = [
-                generate_trace(
-                    self.failure_law,
-                    horizon=self._horizon,
-                    num_processors=self.num_processors,
-                    rng=rng,
-                )
-                for _ in range(num_runs)
-            ]
-        else:
-            traces = list(traces)[:num_runs]
-            if not traces:
-                raise ValueError("traces must not be empty")
-
-        makespans: Dict[str, List[float]] = {name: [] for name in self.schedules}
-        for trace in traces:
-            for name, segments in self._segments.items():
-                source = TraceFailureSource(trace)
-                result = simulate_segments(segments, source, self.downtime, rng=rng)
-                makespans[name].append(result.makespan)
-        if progress is not None:
-            progress(1, 1)
-        return CampaignResult(makespans=makespans, num_runs=len(traces))
-
-    def _run_chunked(
-        self,
-        num_runs: int,
-        *,
-        seed: Optional[int],
-        backend: Union[None, int, str, ExecutionBackend],
-        cache: Optional[ResultCache],
-        chunk_size: Optional[int],
-        engine: str = "scalar",
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> CampaignResult:
+        engine = resolve_engine(engine)
         plan = plan_chunks(num_runs, chunk_size)
         if progress is not None:
             progress(0, plan.num_chunks)

@@ -99,24 +99,13 @@ class MonteCarloEstimate:
         return abs(self.mean - reference) / abs(reference)
 
     @classmethod
-    def from_results(cls, results: Sequence[SimulationResult]) -> "MonteCarloEstimate":
-        """Aggregate a list of simulation results into an estimate."""
-        if not results:
-            raise ValueError("cannot build an estimate from zero runs")
-        return cls.from_samples(
-            np.asarray([r.makespan for r in results], dtype=float),
-            np.asarray([r.num_failures for r in results], dtype=float),
-            np.asarray([r.wasted_time for r in results], dtype=float),
-        )
-
-    @classmethod
     def from_samples(
         cls,
         makespans: np.ndarray,
         num_failures: np.ndarray,
         wasted_times: np.ndarray,
     ) -> "MonteCarloEstimate":
-        """Aggregate raw sample arrays (the chunked-execution form of the data)."""
+        """Aggregate per-run sample arrays into an estimate."""
         makespans = np.asarray(makespans, dtype=float)
         if makespans.size == 0:
             raise ValueError("cannot build an estimate from zero runs")
@@ -147,8 +136,8 @@ class MonteCarloEstimator:
         Anything accepted by
         :func:`repro.simulation.engine.failure_source_for`, or an explicit
         *list* of :class:`~repro.failures.traces.FailureTrace` objects.
-        Stochastic sources are re-created per run from the estimator's RNG so
-        runs are independent; a single trace is reset (every run replays the
+        Stochastic sources are re-created per run from the chunk's RNG stream
+        so runs are independent; a single trace is reset (every run replays the
         same trace -- pass a factory via ``failure_model_factory`` for
         independent random traces); with a trace list, run ``i`` replays
         trace ``i`` (``num_runs`` may not exceed the list length), which is
@@ -262,7 +251,6 @@ class MonteCarloEstimator:
         self,
         num_runs: int,
         *,
-        rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
         backend: Union[None, int, str, ExecutionBackend] = None,
         cache: Optional[ResultCache] = None,
@@ -272,17 +260,12 @@ class MonteCarloEstimator:
     ) -> MonteCarloEstimate:
         """Simulate ``num_runs`` independent runs and aggregate them.
 
-        Without ``backend``/``cache``/``engine`` this is the classic serial
-        path: one RNG stream consumed run after run (bit-identical to
-        historical results).
-
-        Any of those keywords selects the chunked deterministic sampler: the
-        budget is cut into deterministic chunks with independent spawned RNG
-        streams (:mod:`repro.runtime.chunking`), so the estimate is
-        bit-identical for a given ``seed`` *whatever the backend or worker
-        count*, and a warm :class:`~repro.runtime.cache.ResultCache` replays
-        it without simulating.  This path requires ``seed=`` (not ``rng=``),
-        because a live generator cannot be split reproducibly.
+        The budget is cut into deterministic chunks with independent spawned
+        RNG streams (:mod:`repro.runtime.chunking`), so the samples are
+        defined by ``(seed, chunk plan, engine)`` alone: bit-identical
+        *whatever the backend or worker count* (serial by default), and a
+        warm :class:`~repro.runtime.cache.ResultCache` replays them without
+        simulating.
 
         ``engine`` selects how each chunk executes: ``"scalar"`` (the Python
         event loop, the default) or ``"vectorized"`` (the NumPy array
@@ -304,8 +287,7 @@ class MonteCarloEstimator:
         it fires once with ``(0, total)`` before execution, then after every
         chunk (a cache hit reports ``(total, total)`` immediately), and
         exceptions it raises abort the estimation -- which is how the
-        scenario service implements cooperative cancellation.  On the serial
-        (non-chunked) path the whole run counts as a single chunk.
+        scenario service implements cooperative cancellation.
         """
         check_positive_int("num_runs", num_runs)
         if isinstance(self._failure_model, tuple) and num_runs > len(self._failure_model):
@@ -313,42 +295,7 @@ class MonteCarloEstimator:
                 f"num_runs={num_runs} exceeds the explicit trace list "
                 f"({len(self._failure_model)} traces); run i replays trace i"
             )
-        if backend is None and cache is None and engine is None:
-            if progress is not None:
-                progress(0, 1)
-            if rng is None:
-                rng = np.random.default_rng(seed)
-            results: List[SimulationResult] = []
-            for index in range(num_runs):
-                results.append(self.run_once(rng, run_index=index))
-            estimate = MonteCarloEstimate.from_results(results)
-            if progress is not None:
-                progress(1, 1)
-            return estimate
-        return self._estimate_chunked(
-            num_runs, rng=rng, seed=seed, backend=backend, cache=cache,
-            chunk_size=chunk_size, engine=resolve_engine(engine),
-            progress=progress,
-        )
-
-    def _estimate_chunked(
-        self,
-        num_runs: int,
-        *,
-        rng: Optional[np.random.Generator],
-        seed: Optional[int],
-        backend: Union[None, int, str, ExecutionBackend],
-        cache: Optional[ResultCache],
-        chunk_size: Optional[int],
-        engine: str = "scalar",
-        progress: Optional[Callable[[int, int], None]] = None,
-    ) -> MonteCarloEstimate:
-        if rng is not None:
-            raise ValueError(
-                "the backend/cache execution path derives per-chunk RNG streams "
-                "from a seed and cannot split a live generator; pass seed=... "
-                "instead of rng=..."
-            )
+        engine = resolve_engine(engine)
         plan = plan_chunks(num_runs, chunk_size)
         if progress is not None:
             progress(0, plan.num_chunks)
@@ -551,7 +498,6 @@ def estimate_expected_completion_time(
     rate: float,
     *,
     num_runs: int = 10_000,
-    rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
     backend: Union[None, int, str, ExecutionBackend] = None,
     cache: Optional[ResultCache] = None,
@@ -583,6 +529,6 @@ def estimate_expected_completion_time(
     )
     estimator = MonteCarloEstimator([segment], rate, downtime)
     return estimator.estimate(
-        num_runs, rng=rng, seed=seed, backend=backend, cache=cache,
+        num_runs, seed=seed, backend=backend, cache=cache,
         chunk_size=chunk_size, engine=engine, progress=progress,
     )

@@ -41,6 +41,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "E99"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve-chain", "{chain}", "--rate", "0"], "--rate"),
+            (["solve-chain", "{chain}", "--rate", "0.02", "--downtime", "-1"], "--downtime"),
+            (["solve-chain", "{chain}", "--rate", "0.02", "--max-checkpoints", "-1"],
+             "--max-checkpoints"),
+            (["solve-dag", "{workflow}", "--rate", "inf"], "--rate"),
+            (["simulate", "{chain}", "--rate", "0.02", "--runs", "0"], "--runs"),
+        ],
+        ids=["solve-chain-rate", "solve-chain-downtime", "solve-chain-max-checkpoints",
+             "solve-dag-rate", "simulate-runs"],
+    )
+    def test_bad_numeric_flags_are_usage_errors(
+        self, argv, flag, chain_file, workflow_file, capsys
+    ):
+        argv = [arg.format(chain=chain_file, workflow=workflow_file) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2  # argparse usage error, not a traceback
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}" in err
+        assert "Traceback" not in err
+
 
 class TestSolveChain:
     def test_basic_output(self, chain_file, capsys):
@@ -131,6 +155,13 @@ class TestSimulate:
             main(["simulate", str(chain_file), "--rate", "0.02", "--parallel", "-3"])
         assert excinfo.value.code == 2
         assert "worker count" in capsys.readouterr().err
+
+    def test_parallel_flag_does_not_change_the_answer(self, chain_file, capsys):
+        argv = ["simulate", str(chain_file), "--rate", "0.02", "--runs", "600", "--seed", "1"]
+        assert main(argv) == 0
+        flagless = capsys.readouterr().out
+        assert main(argv + ["--parallel", "2"]) == 0
+        assert capsys.readouterr().out == flagless
 
 
 class TestVersion:

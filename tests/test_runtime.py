@@ -218,17 +218,27 @@ class TestBackendEquivalence:
         b = estimator.estimate(60, seed=1, backend=SerialBackend(), chunk_size=30)
         assert a != b
 
-    def test_serial_legacy_path_unchanged_by_runtime_kwargs(self, estimator):
-        # backend=None, cache=None must keep consuming one rng stream.
-        legacy_a = estimator.estimate(80, seed=5)
-        legacy_b = estimator.estimate(80, seed=5)
-        assert legacy_a == legacy_b
+    def test_flagless_estimate_matches_pool(self, estimator):
+        # No backend, cache or engine: one seed still gives one answer.
+        flagless = estimator.estimate(600, seed=9)
+        with ProcessPoolBackend(2) as pool:
+            pooled = estimator.estimate(600, seed=9, backend=pool)
+        assert flagless == pooled
 
-    def test_chunked_path_rejects_live_rng(self, estimator):
-        with pytest.raises(ValueError, match="seed"):
-            estimator.estimate(
-                50, rng=np.random.default_rng(0), backend=SerialBackend()
-            )
+    def test_flagless_campaign_matches_pool(self, schedule):
+        runner = CampaignRunner(
+            {"optimal": schedule}, WeibullFailure.from_mtbf(80.0, shape=0.7),
+            downtime=0.5,
+        )
+        flagless = runner.run(300, seed=3)
+        with ProcessPoolBackend(2) as pool:
+            pooled = runner.run(300, seed=3, backend=pool)
+        assert flagless.makespans == pooled.makespans
+
+    def test_flagless_experiment_matches_pool(self):
+        flagless = run_experiment("E1", num_runs=500, seed=3)
+        pooled = run_experiment("E1", num_runs=500, seed=3, backend=2)
+        assert flagless.rows == pooled.rows
 
 
 class TestCachedExecution:
@@ -273,19 +283,6 @@ class TestCachedExecution:
         cold = runner.run(30, seed=8, cache=cache, chunk_size=10)
         warm = runner.run(30, seed=8, cache=cache, chunk_size=10)
         assert cold.makespans == warm.makespans
-
-    def test_campaign_rejects_explicit_traces_with_backend(self, schedule):
-        runner = CampaignRunner(
-            {"optimal": schedule}, ExponentialFailure(rate=0.02), downtime=0.5
-        )
-        from repro.failures.traces import FailureTrace
-
-        with pytest.raises(ValueError, match="traces"):
-            runner.run(
-                3,
-                traces=[FailureTrace(events=(), horizon=1e9)],
-                backend=SerialBackend(),
-            )
 
 
 class TestScenarioSpec:

@@ -1,29 +1,26 @@
-"""Tests for the trace pipeline: persisted per-job span trees, the OTLP
-exporter, the flight recorder, audit rotation, and bench perf history.
+"""Tests for the trace pipeline: persisted per-job span trees, the flight
+recorder, audit rotation, and bench perf history.
 
 The tentpole contract under test: a pool-backed job's chunk spans -- recorded
 inside worker processes -- travel back in the chunk result payloads, are
 folded into the job's live trace under ``job.run``, persisted in the job
 store's ``traces`` table, and served over ``GET /v1/jobs/{id}/trace`` by
 the HTTP gateway.  Around it: span-tree reconstruction and rendering,
-the per-trace span cap, the OTLP/HTTP exporter against an in-test fake
-collector, the always-on flight recorder ring, size-based audit-trail
-rotation, and the benchmark perf-history JSONL plus its regression checker.
+the per-trace span cap, the always-on flight recorder ring, size-based
+audit-trail rotation, and the benchmark perf-history JSONL plus its
+regression checker.
 """
 
 import importlib.util
 import json
 import os
 import sqlite3
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 from repro.obs import flight as obs_flight
 from repro.obs import metrics, tracing
-from repro.obs.export import OtlpSpanExporter, _trace_id, default_instance_id
 from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
 from repro.service.audit import AuditTrail
 from repro.service.client import ServiceClient, ServiceError
@@ -298,173 +295,6 @@ class TestTraceEndpoints:
 
 
 # ----------------------------------------------------------------------
-# OTLP exporter vs a fake collector
-# ----------------------------------------------------------------------
-
-
-class _FakeCollector:
-    """In-test OTLP/HTTP collector: records bodies, replays scripted statuses."""
-
-    def __init__(self, statuses=None):
-        self.requests = []
-        self.statuses = list(statuses or [])
-        collector = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length))
-                collector.requests.append(body)
-                status = collector.statuses.pop(0) if collector.statuses else 200
-                self.send_response(status)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-
-            def log_message(self, *args):
-                pass
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.endpoint = f"http://127.0.0.1:{self.server.server_port}/v1/traces"
-        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-        self._thread.start()
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-
-    def spans(self):
-        return [
-            span
-            for body in self.requests
-            for rs in body["resourceSpans"]
-            for ss in rs["scopeSpans"]
-            for span in ss["spans"]
-        ]
-
-
-@pytest.fixture
-def collector():
-    fake = _FakeCollector()
-    yield fake
-    fake.close()
-
-
-class TestOtlpExporter:
-    def test_batch_framing_and_resource_identity(self, registry, collector):
-        exporter = OtlpSpanExporter(
-            collector.endpoint, instance_id="test-host:1", flush_interval=0.1
-        )
-        batch = [
-            {"name": "job.run", "duration_s": 0.5, "ts": 1000.0,
-             "parent": None, "correlation_id": "deadbeefdeadbeef",
-             "attrs": {"kind": "campaign", "runs": 50, "hit": True,
-                       "ratio": 0.5}},
-            {"name": "campaign.chunk", "duration_s": 0.1, "ts": 999.0,
-             "parent": "job.run", "correlation_id": "deadbeefdeadbeef"},
-        ]
-        assert exporter._send_with_retry(batch)
-        assert len(collector.requests) == 1
-        body = collector.requests[0]
-        resource = body["resourceSpans"][0]["resource"]["attributes"]
-        assert {"key": "service.instance.id",
-                "value": {"stringValue": "test-host:1"}} in resource
-        spans = collector.spans()
-        assert [s["name"] for s in spans] == ["job.run", "campaign.chunk"]
-        root = spans[0]
-        assert root["traceId"] == "deadbeefdeadbeef".rjust(32, "0")
-        assert root["endTimeUnixNano"] == str(int(1000.0 * 1e9))
-        assert root["startTimeUnixNano"] == str(int(999.5 * 1e9))
-        values = {a["key"]: a["value"] for a in root["attributes"]}
-        assert values["kind"] == {"stringValue": "campaign"}
-        assert values["runs"] == {"intValue": "50"}
-        assert values["hit"] == {"boolValue": True}
-        assert values["ratio"] == {"doubleValue": 0.5}
-        # The child's parent name rides as an attribute (no span-id tracer).
-        child_attrs = {a["key"]: a["value"] for a in spans[1]["attributes"]}
-        assert child_attrs["repro.parent"] == {"stringValue": "job.run"}
-        assert registry.get("repro_otlp_spans_exported_total").total() == 2
-
-    def test_trace_id_mapping(self):
-        assert _trace_id("00000000deadbeef") == "0" * 16 + "00000000deadbeef"
-        assert len(_trace_id("not-hex!")) == 32  # random fallback
-        assert len(_trace_id(None)) == 32
-        assert ":" in default_instance_id()
-
-    def test_5xx_retries_with_backoff_then_succeeds(self, registry):
-        fake = _FakeCollector(statuses=[500, 503, 200])
-        try:
-            exporter = OtlpSpanExporter(
-                fake.endpoint, max_retries=3, backoff_s=0.25
-            )
-            sleeps = []
-            exporter._sleep = sleeps.append
-            assert exporter._send_with_retry([{"name": "s", "duration_s": 0.1}])
-            assert len(fake.requests) == 3
-            assert sleeps == [0.25, 0.5]  # exponential backoff per attempt
-            assert exporter.stats()["exported"] == 1
-            assert exporter.stats()["batches_failed"] == 0
-        finally:
-            fake.close()
-
-    def test_retries_exhausted_drops_and_counts(self, registry):
-        fake = _FakeCollector(statuses=[500, 500, 500])
-        try:
-            exporter = OtlpSpanExporter(fake.endpoint, max_retries=2, backoff_s=0.1)
-            exporter._sleep = lambda _: None
-            batch = [{"name": "a"}, {"name": "b"}]
-            assert not exporter._send_with_retry(batch)
-            assert len(fake.requests) == 3  # initial try + 2 retries
-            stats = exporter.stats()
-            assert stats["dropped_send_failed"] == 2
-            assert stats["batches_failed"] == 1
-            dropped = registry.get("repro_otlp_spans_dropped_total")
-            assert dropped.value(reason="send_failed") == 2
-        finally:
-            fake.close()
-
-    def test_4xx_drops_immediately_without_retry(self, registry):
-        fake = _FakeCollector(statuses=[400])
-        try:
-            exporter = OtlpSpanExporter(fake.endpoint, max_retries=5, backoff_s=0.1)
-            sleeps = []
-            exporter._sleep = sleeps.append
-            assert not exporter._send_with_retry([{"name": "bad"}])
-            assert len(fake.requests) == 1
-            assert sleeps == []
-            assert exporter.stats()["dropped_send_failed"] == 1
-        finally:
-            fake.close()
-
-    def test_queue_full_drops_are_counted_never_blocked(self, registry):
-        exporter = OtlpSpanExporter("http://127.0.0.1:1/v1/traces", max_queue=2)
-        # No background thread: the queue fills and overflow must drop fast.
-        for index in range(5):
-            exporter.export({"name": f"s{index}"})
-        stats = exporter.stats()
-        assert stats["queued"] == 2
-        assert stats["dropped_queue_full"] == 3
-        dropped = registry.get("repro_otlp_spans_dropped_total")
-        assert dropped.value(reason="queue_full") == 3
-
-    def test_shutdown_flushes_queued_spans(self, registry, collector):
-        exporter = OtlpSpanExporter(
-            collector.endpoint, flush_interval=0.05, batch_size=4
-        )
-        with exporter:
-            for _ in range(10):
-                with tracing.span("flush.me"):
-                    pass
-        names = [s["name"] for s in collector.spans() if s["name"] == "flush.me"]
-        assert len(names) == 10
-        assert exporter.stats()["exported"] >= 10
-        assert exporter.stats()["queued"] == 0
-        # The sink detached: further spans are not enqueued.
-        with tracing.span("after.shutdown"):
-            pass
-        assert all(s["name"] != "after.shutdown" for s in collector.spans())
-
-
-# ----------------------------------------------------------------------
 # Flight recorder
 # ----------------------------------------------------------------------
 
@@ -660,16 +490,13 @@ class TestBenchHistory:
 
 
 class TestBitIdentityWithTelemetry:
-    def test_persistence_and_export_do_not_perturb_samples(
-        self, tmp_path, collector
-    ):
+    def test_persistence_and_export_do_not_perturb_samples(self, tmp_path):
         from repro.runtime.cache import ResultCache
 
         spec = small_spec()
         plain = spec.run(cache=ResultCache(tmp_path / "plain"), chunk_size=30)
         with metrics.use_registry(metrics.MetricsRegistry()):
-            exporter = OtlpSpanExporter(collector.endpoint, flush_interval=0.05)
-            with exporter, JobStore() as store:
+            with JobStore() as store:
                 scheduler = JobScheduler(
                     store, backend=2, chunk_size=30,
                     cache=ResultCache(tmp_path / "telemetry"),
@@ -683,6 +510,3 @@ class TestBitIdentityWithTelemetry:
         plain_keys = sorted(p.name for p in (tmp_path / "plain").rglob("*.json"))
         telem_keys = sorted(p.name for p in (tmp_path / "telemetry").rglob("*.json"))
         assert plain_keys == telem_keys and plain_keys
-        # The exporter saw the job's spans, chunk spans included.
-        exported = [s["name"] for s in collector.spans()]
-        assert "job.run" in exported and "campaign.chunk" in exported

@@ -597,7 +597,7 @@ class TestTraceReplayBatch:
         assert batch[0, 0] == scalar.makespan == 15.0
 
 
-class TestVectorizedBackendAndEngineSpellings:
+class TestEngineSpellings:
     """Engine and backend spellings: the engine comes only from ``engine=``."""
 
     def test_resolve_backend_vectorized(self):
