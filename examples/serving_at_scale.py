@@ -2,31 +2,26 @@
 
 The earlier examples run scenarios in-process.  This one runs them the way a
 shared cluster-operations team would: a long-lived service that many users
-submit to concurrently, protected by a rate limiter, observed through an
-audit trail, and followed live over server-sent events instead of polling.
+submit to concurrently, followed live over server-sent events instead of
+polling.
 
 The example:
 
-* boots the asyncio gateway (``repro serve`` is the CLI twin of this) with a
-  per-client rate limit and an in-memory audit trail;
-* submits a burst of distinct scenario sweeps from two "users" -- one polite,
-  one hammering past their budget -- and shows the 429/``Retry-After``
-  contract: the throttled client backs off exactly as told and succeeds;
+* boots the asyncio gateway (``repro serve`` is the CLI twin of this);
 * follows one job's progress over the SSE event stream
   (``GET /v1/jobs/{id}/events``): every chunk transition is pushed, no
   status polling happens at all;
 * shows the dedupe guarantee under concurrency: identical submissions from
   different users collapse onto one computation;
-* closes with the operator's view: health counters and the audit trail.
+* closes with the operator's view: the health counters.
 
 Run with ``python examples/serving_at_scale.py``.
 """
 
 import threading
-import time
 
 from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
-from repro.service import GatewayServer, JobScheduler, JobStore, ServiceClient, ServiceError
+from repro.service import GatewayServer, JobScheduler, JobStore, ServiceClient
 
 
 def make_spec(mtbf: float, num_runs: int = 150) -> ScenarioSpec:
@@ -42,49 +37,10 @@ def make_spec(mtbf: float, num_runs: int = 150) -> ScenarioSpec:
     )
 
 
-def submissions_under_rate_limit(url: str) -> list:
-    """Two users submit sweeps; the impatient one hits the limiter."""
-    print("== Submitting under a 4 req/s per-client rate limit ==")
-    jobs = []
-
-    # Each user identifies itself with a client key: the limiter buckets per
-    # key, so one user's burst never throttles another.
-    polite = ServiceClient(url, client_key="user-a")
-    for mtbf in (25.0, 40.0):
-        job = polite.submit_campaign(make_spec(mtbf))
-        jobs.append(job["id"])
-        print(f"  [user-a] submitted {job['id']} (mtbf={mtbf:g})")
-        time.sleep(0.3)  # a human-ish pace stays under the limit
-
-    # user-b fires a burst: the bucket (burst=2) drains, the service answers
-    # 429 with the exact wait, and obeying it succeeds.
-    hammer = ServiceClient(url, client_key="user-b")
-    mtbfs = iter((60.0, 80.0, 120.0))
-    submitted = 0
-    while submitted < 3:
-        try:
-            job = hammer._request(
-                "POST", "/v1/jobs",
-                {"kind": "campaign", "scenario": make_spec(next(mtbfs)).to_dict()},
-            )["job"]
-        except ServiceError as exc:
-            if exc.status != 429:
-                raise
-            retry_after = exc.payload["retry_after"]
-            print(f"  [user-b] throttled: retry in {retry_after:.2f}s -- backing off")
-            time.sleep(retry_after + 0.01)
-            mtbfs = iter((60.0, 80.0, 120.0)[submitted:])  # resubmit the failed one
-            continue
-        jobs.append(job["id"])
-        submitted += 1
-        print(f"  [user-b] submitted {job['id']}")
-    return jobs
-
-
 def follow_via_sse(url: str) -> None:
     """Stream one job's life over SSE -- pushed transitions, zero polling."""
-    print("\n== Following a job over server-sent events ==")
-    client = ServiceClient(url, client_key="user-sse")
+    print("== Following a job over server-sent events ==")
+    client = ServiceClient(url)
     job = client.submit_campaign(make_spec(200.0, num_runs=600), chunk_size=100)
     print(f"  streaming /v1/jobs/{job['id']}/events")
     for event, data in client.events(job["id"]):
@@ -95,16 +51,8 @@ def follow_via_sse(url: str) -> None:
               f"chunks {data['chunks_done']}/{total}")
         if event == "end":
             break
-    # SSE frames never carry result payloads; one final fetch does.  The
-    # submit + stream-open already spent this user's burst, so be a good
-    # citizen about a possible 429 here too.
-    try:
-        record = client.job(job["id"])
-    except ServiceError as exc:
-        if exc.status != 429:
-            raise
-        time.sleep(exc.payload["retry_after"] + 0.01)
-        record = client.job(job["id"])
+    # SSE frames never carry result payloads; one final fetch does.
+    record = client.job(job["id"])
     result = ServiceClient.campaign_result(record)
     best = min(result.makespans, key=lambda s: sum(result.makespans[s]))
     print(f"  finished: best strategy over {result.num_runs} runs is {best!r}")
@@ -116,14 +64,12 @@ def concurrent_dedupe(url: str) -> None:
     ids = []
     lock = threading.Lock()
 
-    def submit(key):
-        job = ServiceClient(url, client_key=key).submit_campaign(make_spec(300.0))
+    def submit():
+        job = ServiceClient(url).submit_campaign(make_spec(300.0))
         with lock:
             ids.append((job["id"], job["deduplicated"]))
 
-    threads = [
-        threading.Thread(target=submit, args=(f"user-{index}",)) for index in range(4)
-    ]
+    threads = [threading.Thread(target=submit) for _ in range(4)]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -134,34 +80,26 @@ def concurrent_dedupe(url: str) -> None:
           f"{deduplicated} deduplicated")
 
 
-def operators_view(gateway: GatewayServer, url: str) -> None:
+def operators_view(url: str) -> None:
     print("\n== The operator's view ==")
-    client = ServiceClient(url, client_key="operator")
-    health = client.health()
+    health = ServiceClient(url).health()
+    stats = health["stats"]
     print(f"  health: {health['status']}, jobs={health['jobs']}")
-    print(f"  http requests served: {health['stats']['http_requests']:.0f}")
-    print("  audit trail (who did what):")
-    for entry in gateway.audit.tail(5):
-        who = entry.get("client", "?")
-        print(f"    {entry['action']:<12s} job={entry.get('job_id', '?')} "
-              f"client={who}")
+    print(f"  http requests served: {stats['http_requests']:.0f}")
+    print(f"  submissions: {stats['jobs_submitted']:.0f} enqueued, "
+          f"{stats['jobs_deduplicated']:.0f} deduplicated")
 
 
 def main() -> None:
     store = JobStore()  # use JobStore("jobs.db") to survive restarts
     scheduler = JobScheduler(store, num_workers=1)
-    gateway = GatewayServer(scheduler, port=0, rate_limit=4.0, burst=2)
+    gateway = GatewayServer(scheduler, port=0)
     gateway.start()
     print(f"gateway listening on {gateway.url}\n")
     try:
-        jobs = submissions_under_rate_limit(gateway.url)
-        client = ServiceClient(gateway.url, client_key="user-a")
-        for job_id in jobs:
-            client.wait(job_id, timeout=120, stream=True)
-        print(f"  all {len(jobs)} jobs finished")
         follow_via_sse(gateway.url)
         concurrent_dedupe(gateway.url)
-        operators_view(gateway, gateway.url)
+        operators_view(gateway.url)
     finally:
         gateway.shutdown()
         store.close()

@@ -18,55 +18,26 @@ it that way because smoke-mode timings on shared runners jitter well beyond
 any honest threshold.  ``--strict`` turns findings into a non-zero exit for
 local use on quiet machines.
 
+The history parsing is :mod:`repro.perf_history`'s, so the script runs with
+``src`` on the import path.
+
 Usage::
 
-    python scripts/check_bench_regression.py bench-history.jsonl
-    python scripts/check_bench_regression.py --threshold 1.5 --strict history.jsonl
+    PYTHONPATH=src python scripts/check_bench_regression.py bench-history.jsonl
+    PYTHONPATH=src python scripts/check_bench_regression.py --threshold 1.5 --strict history.jsonl
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
-Key = Tuple[str, str, str]
-
-
-def load_history(path: str) -> List[Dict[str, Any]]:
-    """Parse the JSONL history, skipping blank or malformed lines."""
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                print(f"{path}:{number}: skipping malformed line", file=sys.stderr)
-                continue
-            if isinstance(record, dict) and "bench" in record and "value" in record:
-                records.append(record)
-    return records
-
-
-def group_series(records: List[Dict[str, Any]]) -> Dict[Key, List[Dict[str, Any]]]:
-    """Group records by (bench, mode, metric), preserving append order."""
-    series: Dict[Key, List[Dict[str, Any]]] = {}
-    for record in records:
-        key = (
-            str(record.get("bench")),
-            str(record.get("mode", "full")),
-            str(record.get("metric", "seconds")),
-        )
-        series.setdefault(key, []).append(record)
-    return series
+from repro.perf_history import SeriesKey, group_series, load_history
 
 
 def find_regressions(
-    series: Dict[Key, List[Dict[str, Any]]],
+    series: Dict[SeriesKey, List[Dict[str, Any]]],
     *,
     threshold: float,
     min_history: int,

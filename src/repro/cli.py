@@ -51,6 +51,7 @@ import sys
 from typing import Callable, List, Optional, Sequence
 
 from repro._validation import (
+    check_in_range,
     check_non_negative,
     check_non_negative_int,
     check_positive,
@@ -126,6 +127,7 @@ _rate = _checked(float, check_positive, "rate")
 _downtime = _checked(float, check_non_negative, "downtime")
 _runs = _checked(int, check_positive_int, "num_runs")
 _max_checkpoints = _checked(int, check_non_negative_int, "max_checkpoints")
+_port = _checked(int, lambda name, value: int(check_in_range(name, value, 0, 65535)), "port")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="interface to bind (default: %(default)s)")
-    serve.add_argument("--port", type=int, default=8765,
+    serve.add_argument("--port", type=_port, default=8765,
                        help="port to bind; 0 picks an ephemeral port (default: %(default)s)")
     serve.add_argument("--db", default=None, metavar="PATH",
                        help="sqlite job database; jobs survive restarts "
@@ -232,20 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="concurrent job worker threads (default: %(default)s); "
                        "each job's chunks additionally fan out over --parallel")
-    serve.add_argument("--rate-limit", type=float, default=None, metavar="R",
-                       help="per-client request rate limit in requests/second "
-                            "(default: unlimited)")
-    serve.add_argument("--burst", type=int, default=None, metavar="B",
-                       help="rate-limit bucket capacity (default: one second's worth)")
-    serve.add_argument("--audit-log", default=None, metavar="PATH",
-                       help="append-only JSONL audit trail of submissions and "
-                            "cancellations (default: in-memory only)")
-    serve.add_argument("--audit-max-bytes", type=int, default=None, metavar="N",
-                       help="roll the audit trail over to PATH.1 once it would "
-                            "exceed N bytes (default: never rotate)")
-    serve.add_argument("--audit-max-files", type=int, default=5, metavar="K",
-                       help="rotated audit files to retain before deleting the "
-                            "oldest (default: %(default)s)")
     serve.add_argument("--chunk-size", type=int, default=None, metavar="N",
                        help="server-wide default replications per chunk for campaign "
                        "jobs (validated at startup; a submission may still override it)")
@@ -462,7 +450,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import logging
 
     from repro.obs.logging import configure_logging
-    from repro.service.audit import AuditTrail
     from repro.service.gateway import GatewayServer
     from repro.service.jobs import JobStore
     from repro.service.queue import JobScheduler
@@ -478,14 +465,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
         )
         server = GatewayServer(
-            scheduler, host=args.host, port=args.port,
-            rate_limit=args.rate_limit, burst=args.burst,
-            audit=AuditTrail(
-                args.audit_log,
-                max_bytes=args.audit_max_bytes,
-                max_files=args.audit_max_files,
-            ) if args.audit_log else None,
-            verbose=args.verbose,
+            scheduler, host=args.host, port=args.port, verbose=args.verbose
         )
     except (TypeError, ValueError) as exc:
         # Startup validation (e.g. --chunk-size over the service cap) must
@@ -501,16 +481,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if scheduler.recovered:
             print(f"recovered jobs     : {scheduler.recovered} (re-queued after restart)")
         print(f"workers            : {scheduler.num_workers} x {scheduler.backend!r}")
-        if args.rate_limit is not None:
-            burst = args.burst if args.burst is not None else max(1, round(args.rate_limit))
-            print(f"rate limit         : {args.rate_limit:g} req/s per client "
-                  f"(burst {burst})")
-        if args.audit_log is not None:
-            rotate = (
-                f" (rotate at {args.audit_max_bytes} B, keep {args.audit_max_files})"
-                if args.audit_max_bytes is not None else ""
-            )
-            print(f"audit trail        : {args.audit_log}{rotate}")
         print("endpoints          : POST /v1/jobs  GET /v1/jobs[/{id}[/trace]]  "
               "DELETE /v1/jobs/{id}  GET /v1/jobs/{id}/events  GET /v1/scenarios  "
               "GET /v1/healthz  GET /v1/metrics  GET /v1/debug/flight", flush=True)

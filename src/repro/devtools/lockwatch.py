@@ -16,8 +16,7 @@ ordering graph; an acquisition that would close a cycle in that graph is an
 The watchdog is off by default and costs nothing when off:
 :func:`tracked_lock` -- the construction seam used by
 ``service/jobs.py``, ``service/gateway.py``, ``service/snapshot.py``,
-``service/ratelimit.py``, ``service/queue.py``, ``service/audit.py``,
-``obs/metrics.py`` and ``obs/flight.py`` -- returns a raw
+``service/queue.py``, ``obs/metrics.py`` and ``obs/flight.py`` -- returns a raw
 ``threading.Lock`` unless a watchdog is active.  Activation happens either
 through the ``REPRO_LOCK_WATCHDOG=1`` environment variable (checked lazily,
 so worker processes inherit it) or programmatically via

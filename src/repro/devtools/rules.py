@@ -43,9 +43,7 @@ THREADED_MODULES = (
     "repro.service.jobs",
     "repro.service.gateway",
     "repro.service.snapshot",
-    "repro.service.ratelimit",
     "repro.service.queue",
-    "repro.service.audit",
     "repro.obs.metrics",
     "repro.obs.flight",
     "repro.obs.tracing",

@@ -1,4 +1,4 @@
-"""Trend tables for the bench perf-history JSONL (stdlib-only).
+"""Trend tables for the bench perf-history JSONL.
 
 ``benchmarks/harness.py --history PATH`` appends one flat JSON record per
 benchmark run (``bench``, ``mode``, ``metric``, ``value``, plus the
@@ -10,9 +10,9 @@ series -- run count, best and latest value, the latest-vs-best ratio, a
 unicode sparkline of the recent values, and the short commit of the latest
 record.  ``repro bench-history`` is the CLI over :func:`render_trends`.
 
-Only the standard library is used: the file is read on operator machines and
-CI log steps where NumPy may not be importable (matching
-``scripts/check_bench_regression.py``, which consumes the same file).
+The module itself uses only the standard library, but importing it runs
+``repro/__init__``, which imports NumPy.  ``scripts/check_bench_regression.py``
+reads the same file through :func:`load_history` and :func:`group_series`.
 """
 
 from __future__ import annotations

@@ -21,9 +21,7 @@ Four layers, each usable on its own:
   (:class:`~repro.service.gateway.GatewayServer`): ``/v1/jobs``,
   ``/v1/scenarios``, ``/v1/healthz``, ``/v1/metrics`` served from an
   in-memory :class:`~repro.service.snapshot.ServiceSnapshot`, plus SSE
-  progress streams (``/v1/jobs/{id}/events``), per-client
-  :class:`~repro.service.ratelimit.TokenBucketLimiter` rate limiting and an
-  :class:`~repro.service.audit.AuditTrail`;
+  progress streams (``/v1/jobs/{id}/events``);
 * :mod:`repro.service.client` -- the Python client
   (:class:`~repro.service.client.ServiceClient`) and result reconstruction.
 
@@ -34,25 +32,20 @@ instrumented through :mod:`repro.obs` (request/job counters and latency
 histograms, correlation-id tracing, structured JSON logs).
 """
 
-from repro.service.audit import AuditTrail
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import GatewayServer
 from repro.service.jobs import JOB_STATES, JobRecord, JobStore
 from repro.service.queue import JobCancelled, JobScheduler
-from repro.service.ratelimit import RateLimitDecision, TokenBucketLimiter
 from repro.service.snapshot import ServiceSnapshot
 
 __all__ = [
     "JOB_STATES",
-    "AuditTrail",
     "GatewayServer",
     "JobCancelled",
     "JobRecord",
     "JobScheduler",
     "JobStore",
-    "RateLimitDecision",
     "ServiceClient",
     "ServiceError",
     "ServiceSnapshot",
-    "TokenBucketLimiter",
 ]

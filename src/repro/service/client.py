@@ -52,59 +52,51 @@ class ServiceClient:
         Server address, e.g. ``"http://127.0.0.1:8765"``.
     timeout:
         Per-request socket timeout in seconds.
-    client_key:
-        Optional identity sent as the ``X-Client-Key`` header on every
-        request -- the key the gateway's per-client rate limiter buckets
-        by (defaults to the peer IP server-side, so clients sharing a NAT
-        or host should set distinct keys).
 
     Example::
 
-        >>> client = ServiceClient("http://127.0.0.1:8765", client_key="me")
+        >>> client = ServiceClient("http://127.0.0.1:8765")
         >>> job = client.submit_campaign(spec)            # doctest: +SKIP
         >>> done = client.wait(job["id"], stream=True)    # doctest: +SKIP
         >>> result = ServiceClient.campaign_result(done)  # doctest: +SKIP
 
     ``wait(stream=True)`` follows the gateway's SSE event stream instead of
-    polling; either way a 429 from the rate limiter is absorbed by sleeping
-    the server-announced ``retry_after`` -- a throttled wait is slowed,
-    never failed.
+    polling.
     """
 
     def __init__(
-        self,
-        base_url: str = "http://127.0.0.1:8765",
-        *,
-        timeout: float = 30.0,
-        client_key: Optional[str] = None,
+        self, base_url: str = "http://127.0.0.1:8765", *, timeout: float = 30.0
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.client_key = client_key
 
     # ------------------------------------------------------------------
     # Raw transport
     # ------------------------------------------------------------------
 
-    def _headers(self, **extra: str) -> Dict[str, str]:
-        headers = dict(extra)
-        if self.client_key is not None:
-            headers["X-Client-Key"] = self.client_key
-        return headers
+    def _open(
+        self,
+        method: str,
+        path: str,
+        *,
+        data: Optional[bytes] = None,
+        headers: Optional[Dict[str, str]] = None,
+        timeout: Optional[float] = None,
+    ):
+        """Open one request and return the response (the caller closes it).
 
-    def _request(
-        self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        data = json.dumps(payload).encode("utf-8") if payload is not None else None
+        Every endpoint opens its request here, so every HTTP error becomes the
+        same :class:`ServiceError`: an error status carries the server's
+        ``error`` message and payload, an unreachable server has ``status``
+        None.
+        """
         request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers=self._headers(**({"Content-Type": "application/json"} if data else {})),
+            self.base_url + path, data=data, method=method, headers=headers or {}
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+            return urllib.request.urlopen(
+                request, timeout=self.timeout if timeout is None else timeout
+            )
         except urllib.error.HTTPError as exc:
             try:
                 body = json.loads(exc.read().decode("utf-8"))
@@ -120,6 +112,14 @@ class ServiceClient:
                 f"cannot reach the scenario service at {self.base_url}: {exc.reason}"
             ) from exc
 
+    def _request(
+        self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        data = json.dumps(payload).encode("utf-8") if payload is not None else None
+        headers = {"Content-Type": "application/json"} if data else None
+        with self._open(method, path, data=data, headers=headers) as response:
+            return json.loads(response.read().decode("utf-8"))
+
     # ------------------------------------------------------------------
     # Endpoints
     # ------------------------------------------------------------------
@@ -134,20 +134,8 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """``GET /v1/metrics`` -- raw Prometheus text exposition."""
-        request = urllib.request.Request(
-            self.base_url + "/v1/metrics", method="GET", headers=self._headers()
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(
-                f"GET /v1/metrics failed ({exc.code})", status=exc.code
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach the scenario service at {self.base_url}: {exc.reason}"
-            ) from exc
+        with self._open("GET", "/v1/metrics") as response:
+            return response.read().decode("utf-8")
 
     def job_stats(self, job_id: str) -> Optional[Dict[str, float]]:
         """The per-phase timing breakdown of one job (None until executed).
@@ -272,29 +260,10 @@ class ServiceClient:
             ...     if event == "end":
             ...         break
         """
-        request = urllib.request.Request(
-            f"{self.base_url}/v1/jobs/{job_id}/events",
-            method="GET",
-            headers=self._headers(Accept="text/event-stream"),
+        response = self._open(
+            "GET", f"/v1/jobs/{job_id}/events",
+            headers={"Accept": "text/event-stream"}, timeout=timeout,
         )
-        try:
-            response = urllib.request.urlopen(
-                request, timeout=self.timeout if timeout is None else timeout
-            )
-        except urllib.error.HTTPError as exc:
-            try:
-                body = json.loads(exc.read().decode("utf-8"))
-                message = body.get("error", str(exc))
-            except Exception:  # noqa: BLE001  # repro: noqa[broad-except] - unreadable error body falls back to str(exc); the enclosing handler raises ServiceError
-                body, message = None, str(exc)
-            raise ServiceError(
-                f"GET /v1/jobs/{job_id}/events failed ({exc.code}): {message}",
-                status=exc.code, payload=body,
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach the scenario service at {self.base_url}: {exc.reason}"
-            ) from exc
         with response:
             event_name: str = "message"
             data_lines: List[str] = []
@@ -358,10 +327,6 @@ class ServiceClient:
         up to ``max_poll_interval``, so short jobs return promptly while
         long jobs do not hammer the service; any observed change resets the
         interval to ``poll_interval``.
-
-        A rate-limited service (429) never fails a ``wait``: the client
-        sleeps exactly the ``retry_after`` the server announced and retries,
-        within the same overall ``timeout``.
         """
         if stream:
             return self._wait_streaming(job_id, timeout=timeout, on_progress=on_progress)
@@ -369,7 +334,7 @@ class ServiceClient:
         interval = poll_interval
         last_seen: Optional[tuple] = None
         while True:
-            record = self._job_with_backoff(job_id, deadline)
+            record = self.job(job_id)
             observed = (record["state"], record["progress"]["chunks_done"],
                         record["progress"]["chunks_total"])
             if observed != last_seen:
@@ -390,18 +355,6 @@ class ServiceClient:
             # must not stretch the effective timeout.
             time.sleep(min(interval, remaining))
 
-    def _job_with_backoff(self, job_id: str, deadline: float) -> Dict[str, Any]:
-        """``job()`` that sleeps out 429 throttling instead of failing."""
-        while True:
-            try:
-                return self.job(job_id)
-            except ServiceError as exc:
-                if exc.status != 429 or time.monotonic() >= deadline:
-                    raise
-                retry = float((exc.payload or {}).get("retry_after") or 0.1)
-                remaining = max(deadline - time.monotonic(), 0.01)
-                time.sleep(min(retry + 0.01, remaining))
-
     def _wait_streaming(
         self,
         job_id: str,
@@ -415,51 +368,42 @@ class ServiceClient:
         record form the polling path delivers (``progress`` sub-dict) so
         ``on_progress`` callbacks work identically either way.  The deadline
         is enforced at every event *and* heartbeat, so a stalled job cannot
-        outlive ``timeout`` by more than one heartbeat interval.  A 429 when
-        opening the stream is slept out (``retry_after``) and retried.
+        outlive ``timeout`` by more than one heartbeat interval.
         """
         deadline = time.monotonic() + timeout
         last_seen: Optional[tuple] = None
         last_state = "unknown"
-        while True:
-            try:
-                for event, payload in self.events(job_id):
-                    if time.monotonic() > deadline:
-                        raise ServiceError(
-                            f"job {job_id} still {last_state!r} after {timeout:g}s"
-                        )
-                    if event == "heartbeat" or not isinstance(payload, dict):
-                        continue
-                    record_view = {
-                        "id": payload.get("id", job_id),
-                        "state": payload.get("state"),
-                        "error": payload.get("error"),
-                        "progress": {
-                            "chunks_done": payload.get("chunks_done", 0),
-                            "chunks_total": payload.get("chunks_total", 0),
-                        },
-                    }
-                    last_state = record_view["state"]
-                    observed = (record_view["state"],
-                                record_view["progress"]["chunks_done"],
-                                record_view["progress"]["chunks_total"])
-                    if observed != last_seen:
-                        if on_progress is not None:
-                            on_progress(record_view)
-                        last_seen = observed
-                    if event == "end" or last_state in ("done", "failed",
-                                                        "cancelled"):
-                        # The stream never carries result payloads (they can
-                        # be megabytes); one final fetch has the full record.
-                        return self._job_with_backoff(job_id, deadline)
+        for event, payload in self.events(job_id):
+            if time.monotonic() > deadline:
                 raise ServiceError(
-                    f"event stream for job {job_id} ended before the job finished"
+                    f"job {job_id} still {last_state!r} after {timeout:g}s"
                 )
-            except ServiceError as exc:
-                if exc.status != 429 or time.monotonic() >= deadline:
-                    raise
-                retry = float((exc.payload or {}).get("retry_after") or 0.1)
-                time.sleep(min(retry + 0.01, max(deadline - time.monotonic(), 0.01)))
+            if event == "heartbeat" or not isinstance(payload, dict):
+                continue
+            record_view = {
+                "id": payload.get("id", job_id),
+                "state": payload.get("state"),
+                "error": payload.get("error"),
+                "progress": {
+                    "chunks_done": payload.get("chunks_done", 0),
+                    "chunks_total": payload.get("chunks_total", 0),
+                },
+            }
+            last_state = record_view["state"]
+            observed = (record_view["state"],
+                        record_view["progress"]["chunks_done"],
+                        record_view["progress"]["chunks_total"])
+            if observed != last_seen:
+                if on_progress is not None:
+                    on_progress(record_view)
+                last_seen = observed
+            if event == "end" or last_state in ("done", "failed", "cancelled"):
+                # The stream never carries result payloads (they can be
+                # megabytes); one final fetch has the full record.
+                return self.job(job_id)
+        raise ServiceError(
+            f"event stream for job {job_id} ended before the job finished"
+        )
 
     # ------------------------------------------------------------------
     # Result reconstruction

@@ -17,14 +17,10 @@ sqlite read.  This module is that front end, on nothing but the stdlib:
   ``DELETE /v1/jobs/{id}``, ``POST /v1/scenarios/preview``) run on a small
   :class:`~concurrent.futures.ThreadPoolExecutor` against the *existing*
   :class:`~repro.service.queue.JobScheduler`/:class:`~repro.service.jobs.JobStore`,
-  which own validation, dedupe and bit-identical execution;
-* **rate limiting** -- a per-client-key
-  :class:`~repro.service.ratelimit.TokenBucketLimiter`; throttled requests
-  get ``429`` plus a ``Retry-After`` header (and the precise float in the
-  JSON body);
-* **audit trail** -- submissions and cancellations append to an
-  :class:`~repro.service.audit.AuditTrail` (JSONL), carrying the request's
-  correlation id;
+  which own validation, dedupe and bit-identical execution.  Submissions
+  and cancellations each open a correlation-id trace, so their
+  ``job.submitted`` / ``job.cancel_requested`` log events are the
+  control-plane record;
 * **SSE progress** -- ``GET /v1/jobs/{id}/events`` streams server-sent
   events (``progress`` per observed transition, a terminal ``end``), fed by
   the same store-listener seam as the snapshot, so
@@ -49,7 +45,6 @@ import asyncio
 import dataclasses
 import json
 import logging
-import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -63,10 +58,8 @@ from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
 from repro.runtime.backends import ENGINES
 from repro.runtime.scenario import ScenarioSpec, expand_scenarios
-from repro.service.audit import AuditTrail
 from repro.service.jobs import JobRecord
 from repro.service.queue import JobScheduler
-from repro.service.ratelimit import TokenBucketLimiter
 from repro.service.snapshot import ServiceSnapshot
 
 __all__ = ["GatewayServer", "catalog_payload", "sweep_preview_payload"]
@@ -80,15 +73,9 @@ _REASONS = {  # repro: noqa[module-state] - read-only HTTP reason table, never m
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
-
-#: Routes exempt from rate limiting: liveness and metrics scrapes are the
-#: operator's window into an overloaded service -- throttling them would
-#: blind exactly the person trying to diagnose the overload.
-_RATE_EXEMPT = ("/v1/healthz", "/v1/metrics")
 
 
 def _route_label(path: str) -> str:
@@ -254,13 +241,6 @@ class GatewayServer:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (read :attr:`port`
         after :meth:`start`).
-    rate_limit, burst:
-        Per-client-key admission rate (requests/second) and bucket capacity;
-        ``None`` disables limiting.  ``/v1/healthz`` and ``/v1/metrics`` are
-        always exempt.
-    audit:
-        An :class:`AuditTrail` for submissions/cancellations (defaults to an
-        in-memory trail; pass one with a path to persist JSONL).
     max_body_bytes:
         Largest accepted request body; larger submissions get ``413`` and
         the connection is closed.
@@ -287,9 +267,6 @@ class GatewayServer:
         *,
         host: str = "127.0.0.1",
         port: int = 8765,
-        rate_limit: Optional[float] = None,
-        burst: Optional[int] = None,
-        audit: Optional[AuditTrail] = None,
         max_body_bytes: int = 8 * 1024 * 1024,
         keepalive_timeout: float = 75.0,
         sse_heartbeat: float = 15.0,
@@ -297,10 +274,6 @@ class GatewayServer:
     ) -> None:
         self.scheduler = scheduler
         self.snapshot = ServiceSnapshot(scheduler.store)
-        self.limiter = (
-            TokenBucketLimiter(rate_limit, burst) if rate_limit is not None else None
-        )
-        self.audit = audit if audit is not None else AuditTrail()
         self.max_body_bytes = int(max_body_bytes)
         self.keepalive_timeout = float(keepalive_timeout)
         self.sse_heartbeat = float(sse_heartbeat)
@@ -440,7 +413,6 @@ class GatewayServer:
         log_event(
             _logger, "gateway.started",
             host=self.host, port=self.port, workers=self.scheduler.num_workers,
-            rate_limit=self.limiter.rate if self.limiter else None,
         )
         if on_ready is not None:
             on_ready()
@@ -521,13 +493,13 @@ class GatewayServer:
                     writer, 400, {"error": f"malformed request: {exc}"}, close=True
                 )
                 return
-            try:
-                length = int(headers.get("content-length") or 0)
-            except ValueError:
+            length_text = headers.get("content-length") or "0"
+            if not (length_text.isascii() and length_text.isdigit()):
                 await self._write_simple(
                     writer, 400, {"error": "invalid Content-Length"}, close=True
                 )
                 return
+            length = int(length_text)
             if length > self.max_body_bytes:
                 # The body is not read: closing is the only safe resync.
                 await self._write_simple(
@@ -539,7 +511,7 @@ class GatewayServer:
             body = await reader.readexactly(length) if length else b""
             keep_alive = self._keep_alive(version, headers)
             close = await self._handle_request(
-                writer, method, target, headers, body, client_host, keep_alive
+                writer, method, target, body, client_host, keep_alive
             )
             if close or not keep_alive:
                 return
@@ -560,7 +532,6 @@ class GatewayServer:
         writer: asyncio.StreamWriter,
         method: str,
         target: str,
-        headers: Dict[str, str],
         body: bytes,
         client_host: str,
         keep_alive: bool,
@@ -573,35 +544,13 @@ class GatewayServer:
         start = time.perf_counter()
         status = 500
         close = False
-        client_key = headers.get("x-client-key") or client_host
         try:
-            if self.limiter is not None and path not in _RATE_EXEMPT:
-                decision = self.limiter.check(client_key)
-                if not decision.allowed:
-                    status = 429
-                    _metrics.get_registry().counter(
-                        "repro_ratelimit_throttled_total",
-                        "Requests rejected by the rate limiter, by route.",
-                        labelnames=("route",),
-                    ).inc(route=route)
-                    await self._write_json(
-                        writer, 429,
-                        {
-                            "error": "rate limit exceeded; retry later",
-                            "retry_after": decision.retry_after,
-                        },
-                        keep_alive=keep_alive,
-                        extra_headers=(
-                            ("Retry-After", str(max(1, math.ceil(decision.retry_after)))),
-                        ),
-                    )
-                    return close
             if route == "/v1/jobs/{id}/events" and method == "GET":
                 status = await self._serve_events(writer, path[len("/v1/jobs/"):-len("/events")])
                 close = True  # an event stream uses up its connection
             else:
                 status, payload, content_type = await self._respond(
-                    method, path, query, body, client_key
+                    method, path, query, body
                 )
                 await self._write_payload(
                     writer, status, payload, content_type, keep_alive=keep_alive
@@ -641,7 +590,7 @@ class GatewayServer:
             log_event(
                 _logger, "http.request", level=logging.DEBUG,
                 method=method, path=path, status=status,
-                duration_s=round(duration, 6), client=client_key,
+                duration_s=round(duration, 6), client=client_host,
             )
         return close
 
@@ -651,7 +600,6 @@ class GatewayServer:
         path: str,
         query: Dict[str, list],
         body: bytes,
-        client_key: str,
     ) -> Tuple[int, bytes, str]:
         """Route one non-streaming request to (status, body bytes, content type)."""
         if method == "GET":
@@ -685,15 +633,13 @@ class GatewayServer:
             if isinstance(payload, str):  # decode error message
                 return _json_response(400, {"error": payload})
             if path == "/v1/jobs":
-                return await self._run_write(self._do_submit, payload, client_key)
+                return await self._run_write(self._do_submit, payload)
             if path == "/v1/scenarios/preview":
-                return await self._run_write(self._do_preview, payload, client_key)
+                return await self._run_write(self._do_preview, payload)
             return _json_response(404, {"error": f"no such path: {path}"})
         if method == "DELETE":
             if path.startswith("/v1/jobs/"):
-                return await self._run_write(
-                    self._do_cancel, path[len("/v1/jobs/"):], client_key
-                )
+                return await self._run_write(self._do_cancel, path[len("/v1/jobs/"):])
             return _json_response(404, {"error": f"no such path: {path}"})
         return _json_response(405, {"error": f"method {method} not allowed"})
 
@@ -758,12 +704,6 @@ class GatewayServer:
             "backend": repr(self.scheduler.backend),
             "cache": repr(cache) if cache is not None else None,
             "uptime_seconds": time.time() - self.started_at,
-            "rate_limit": (
-                {"rate_per_s": self.limiter.rate, "burst": self.limiter.burst}
-                if self.limiter is not None
-                else None
-            ),
-            "audit_log": self.audit.path,
             "stats": {
                 "http_requests": registry.total("repro_http_requests_total"),
                 "jobs_submitted": registry.total("repro_jobs_submitted_total"),
@@ -785,11 +725,8 @@ class GatewayServer:
         status, payload = await loop.run_in_executor(self._pool, fn, *args)
         return _json_response(status, payload)
 
-    def _do_submit(
-        self, body: Dict[str, Any], client_key: str
-    ) -> Tuple[int, Dict[str, Any]]:
-        correlation_id = _tracing.new_correlation_id()
-        with _tracing.start_trace(correlation_id, collect=False):
+    def _do_submit(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+        with _tracing.start_trace(_tracing.new_correlation_id(), collect=False):
             kind = body.get("kind", "campaign")
             try:
                 if kind == "campaign":
@@ -812,30 +749,19 @@ class GatewayServer:
                     )
             except (KeyError, TypeError, ValueError) as exc:
                 return 400, {"error": str(exc)}
-            self.audit.record(
-                "job.dedupe" if reused else "job.submit",
-                client=client_key,
-                job_id=record.id,
-                kind=record.kind,
-                spec_hash=record.dedupe_key,
-                correlation_id=correlation_id,
-            )
             return (
                 200 if reused else 201,
                 {"job": record.to_dict(include_result=False), "deduplicated": reused},
             )
 
-    def _do_preview(
-        self, body: Dict[str, Any], client_key: str
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _do_preview(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         try:
             return 200, sweep_preview_payload(body)
         except (KeyError, TypeError, ValueError) as exc:
             return 400, {"error": str(exc)}
 
-    def _do_cancel(self, job_id: str, client_key: str) -> Tuple[int, Dict[str, Any]]:
-        correlation_id = _tracing.new_correlation_id()
-        with _tracing.start_trace(correlation_id, collect=False):
+    def _do_cancel(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
+        with _tracing.start_trace(_tracing.new_correlation_id(), collect=False):
             store = self.scheduler.store
             record = store.get(job_id)
             if record is None:
@@ -848,15 +774,6 @@ class GatewayServer:
                     labelnames=("kind",),
                 ).inc(kind=record.kind)
                 self.scheduler._update_queue_depth()
-            self.audit.record(
-                "job.cancel",
-                client=client_key,
-                job_id=job_id,
-                kind=record.kind,
-                state=updated.state,
-                spec_hash=record.dedupe_key,
-                correlation_id=correlation_id,
-            )
             log_event(
                 _logger, "job.cancel_requested",
                 job_id=job_id, kind=record.kind, state=updated.state,
@@ -934,17 +851,14 @@ class GatewayServer:
         content_type: str,
         *,
         keep_alive: bool,
-        extra_headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         )
-        for name, value in extra_headers:
-            head += f"{name}: {value}\r\n"
-        writer.write(head.encode("latin-1") + b"\r\n" + body)
+        writer.write(head.encode("latin-1") + body)
         await writer.drain()
 
     async def _write_json(
@@ -954,12 +868,10 @@ class GatewayServer:
         payload: Dict[str, Any],
         *,
         keep_alive: bool,
-        extra_headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
         await self._write_payload(
-            writer, status, body, "application/json",
-            keep_alive=keep_alive, extra_headers=extra_headers,
+            writer, status, body, "application/json", keep_alive=keep_alive
         )
 
     async def _write_simple(

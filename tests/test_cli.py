@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -50,9 +53,11 @@ class TestParser:
              "--max-checkpoints"),
             (["solve-dag", "{workflow}", "--rate", "inf"], "--rate"),
             (["simulate", "{chain}", "--rate", "0.02", "--runs", "0"], "--runs"),
+            (["serve", "--port", "70000"], "--port"),
+            (["serve", "--port", "-1"], "--port"),
         ],
         ids=["solve-chain-rate", "solve-chain-downtime", "solve-chain-max-checkpoints",
-             "solve-dag-rate", "simulate-runs"],
+             "solve-dag-rate", "simulate-runs", "serve-port-high", "serve-port-negative"],
     )
     def test_bad_numeric_flags_are_usage_errors(
         self, argv, flag, chain_file, workflow_file, capsys
@@ -64,6 +69,30 @@ class TestParser:
         err = capsys.readouterr().err
         assert f"error: argument {flag}" in err
         assert "Traceback" not in err
+
+    def test_documented_flags_exist(self):
+        """Every ``repro <command> ... --flag`` in README.md and docs/*.md parses."""
+        root = Path(__file__).resolve().parent.parent
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        # A command runs to the end of its code span, line or shell statement;
+        # a trailing backslash continues it on the next line.
+        invocation = re.compile(r"\brepro(?:\.cli)?\s+([a-z][a-z-]*)([^`|#;&\n]*)")
+        documented, unknown = 0, []
+        for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+            text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+            for match in invocation.finditer(text):
+                command = match.group(1)
+                if command not in commands:
+                    continue  # "repro" the package, not the CLI
+                for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", match.group(2)):
+                    documented += 1
+                    if flag not in commands[command]._option_string_actions:
+                        unknown.append(f"{path.name}: repro {command} {flag}")
+        assert documented > 20  # the scan finds the documented commands
+        assert unknown == []
 
 
 class TestSolveChain:

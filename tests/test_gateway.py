@@ -7,30 +7,26 @@ The load-bearing guarantees:
   different computation);
 * **freshness** -- the in-memory snapshot answering read endpoints reflects
   every job-state transition (push-refreshed, no polling, no stale cache);
-* **admission** -- the token-bucket limiter enforces its rolling window
-  per client key, reports exact ``Retry-After`` values, and a throttled
-  client that backs off as told succeeds;
 * **streaming** -- SSE progress events arrive in monotone order and end with
   a terminal event, frames survive being split across TCP segments, and a
   client that disconnects mid-stream is cleaned up server-side.
 """
 
+import io
 import json
+import logging
 import socket
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
+from repro.obs.logging import configure_logging
 from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
-from repro.service.audit import AuditTrail
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import GatewayServer
 from repro.service.jobs import JobStore
 from repro.service.queue import JobScheduler
-from repro.service.ratelimit import TokenBucketLimiter
 from repro.service.snapshot import ServiceSnapshot
 
 
@@ -47,134 +43,6 @@ def small_spec(**overrides) -> ScenarioSpec:
     )
     base.update(overrides)
     return ScenarioSpec(**base)
-
-
-class FakeClock:
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
-
-
-# ----------------------------------------------------------------------
-# Rate limiter
-# ----------------------------------------------------------------------
-
-
-class TestTokenBucketLimiter:
-    def test_burst_then_drain(self):
-        clock = FakeClock()
-        limiter = TokenBucketLimiter(rate=1.0, burst=3, clock=clock)
-        decisions = [limiter.check("k") for _ in range(4)]
-        assert [d.allowed for d in decisions] == [True, True, True, False]
-        assert [d.remaining for d in decisions[:3]] == [2, 1, 0]
-
-    def test_window_boundary_refill_is_exact(self):
-        """A token exists exactly when the rolling window says it should."""
-        clock = FakeClock()
-        limiter = TokenBucketLimiter(rate=2.0, burst=1, clock=clock)
-        assert limiter.check("k").allowed
-        # One token every 0.5 s: just before the boundary there is none...
-        clock.advance(0.498)
-        blocked = limiter.check("k")
-        assert not blocked.allowed
-        # 0.996 tokens accumulated; the missing 0.004 arrive in 2 ms.
-        assert blocked.retry_after == pytest.approx(0.002)
-        # ...and exactly at the boundary there is one.
-        clock.advance(0.002)
-        assert limiter.check("k").allowed
-
-    def test_retry_after_math(self):
-        clock = FakeClock()
-        limiter = TokenBucketLimiter(rate=0.5, burst=1, clock=clock)
-        assert limiter.check("k").allowed
-        blocked = limiter.check("k")
-        assert blocked.retry_after == pytest.approx(2.0)  # one token per 2 s
-        clock.advance(1.0)  # half a token accumulated
-        assert limiter.check("k").retry_after == pytest.approx(1.0)
-
-    def test_rejections_do_not_consume(self):
-        """Hammering while empty never pushes the client further into debt."""
-        clock = FakeClock()
-        limiter = TokenBucketLimiter(rate=1.0, burst=1, clock=clock)
-        assert limiter.check("k").allowed
-        for _ in range(50):
-            assert limiter.check("k").retry_after == pytest.approx(1.0)
-        clock.advance(1.0)
-        assert limiter.check("k").allowed
-
-    def test_per_key_isolation(self):
-        clock = FakeClock()
-        limiter = TokenBucketLimiter(rate=1.0, burst=1, clock=clock)
-        assert limiter.check("alice").allowed
-        assert not limiter.check("alice").allowed
-        assert limiter.check("bob").allowed  # alice's drain never hits bob
-
-    def test_refill_caps_at_burst(self):
-        clock = FakeClock()
-        limiter = TokenBucketLimiter(rate=10.0, burst=2, clock=clock)
-        assert limiter.check("k").allowed
-        clock.advance(3600.0)  # an hour idle does not bank an hour of tokens
-        results = [limiter.check("k").allowed for _ in range(3)]
-        assert results == [True, True, False]
-
-    def test_default_burst_is_one_second(self):
-        assert TokenBucketLimiter(rate=7.0).burst == 7
-        assert TokenBucketLimiter(rate=0.25).burst == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="rate"):
-            TokenBucketLimiter(rate=0.0)
-        with pytest.raises(ValueError, match="burst"):
-            TokenBucketLimiter(rate=1.0, burst=0)
-
-    def test_prune_drops_only_full_buckets(self):
-        clock = FakeClock()
-        limiter = TokenBucketLimiter(rate=1.0, burst=2, clock=clock, max_keys=2)
-        limiter.check("a")
-        clock.advance(5.0)  # "a" is full again -> prunable
-        limiter.check("b")
-        limiter.check("c")  # hits max_keys, prunes "a", keeps active "b"
-        assert len(limiter) == 2
-        # "b" kept its spent-token state through the prune.
-        assert limiter.check("b").remaining == 0
-
-
-# ----------------------------------------------------------------------
-# Audit trail
-# ----------------------------------------------------------------------
-
-
-class TestAuditTrail:
-    def test_in_memory_records_and_drops_none(self):
-        trail = AuditTrail()
-        entry = trail.record("job.submit", client="c1", job_id="j1", spec_hash=None)
-        assert entry["action"] == "job.submit"
-        assert "spec_hash" not in entry
-        assert entry["ts"] > 0
-        assert trail.entries() == [entry]
-        assert trail.path is None
-
-    def test_file_backed_jsonl_appends_across_reopen(self, tmp_path):
-        path = tmp_path / "audit" / "trail.jsonl"  # parent dir gets created
-        with AuditTrail(path) as trail:
-            trail.record("job.submit", job_id="a")
-        with AuditTrail(path) as trail:
-            trail.record("job.cancel", job_id="a")
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["action"] for line in lines] == ["job.submit", "job.cancel"]
-
-    def test_retention_cap(self):
-        trail = AuditTrail(keep_in_memory=3)
-        for index in range(10):
-            trail.record("job.submit", job_id=str(index))
-        assert [entry["job_id"] for entry in trail.entries()] == ["7", "8", "9"]
-        assert [entry["job_id"] for entry in trail.tail(2)] == ["8", "9"]
-        assert len(trail) == 3
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +147,19 @@ def gateway():
     store.close()
 
 
+@pytest.fixture()
+def restore_repro_logging():
+    """Undo ``configure_logging`` afterwards, so later tests keep a quiet stderr."""
+    root = logging.getLogger("repro")
+    propagate = root.propagate
+    yield
+    for handler in list(root.handlers):
+        if getattr(handler, "_repro_obs_handler", False):
+            root.removeHandler(handler)
+    root.setLevel(logging.NOTSET)
+    root.propagate = propagate
+
+
 def _raw_exchange(host, port, payload: bytes, *, expect: int = 1) -> bytes:
     """Send raw bytes, read until the peer closes or `expect` responses seen."""
     with socket.create_connection((host, port), timeout=10) as sock:
@@ -377,6 +258,14 @@ class TestGatewayHTTP:
         raw = _raw_exchange(gateway.host, gateway.port, huge)
         assert raw.startswith(b"HTTP/1.1 431 ")
 
+    def test_negative_content_length_is_400_and_closes(self, gateway):
+        head = (b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: -5\r\n\r\n")
+        raw = _raw_exchange(gateway.host, gateway.port, head)
+        assert raw.startswith(b"HTTP/1.1 400 ")
+        assert b"invalid Content-Length" in raw
+        assert b"Connection: close" in raw
+
     def test_bad_submit_is_400(self, gateway):
         client = ServiceClient(gateway.url)
         with pytest.raises(ServiceError) as exc_info:
@@ -384,17 +273,26 @@ class TestGatewayHTTP:
         assert exc_info.value.status == 400
         assert "scenario" in str(exc_info.value)
 
-    def test_cancel_queued_job_and_audit_trail(self, gateway):
+    def test_cancel_queued_job_is_logged(self, gateway, restore_repro_logging):
         gateway.scheduler.stop()  # park the workers: the job stays queued
+        stream = io.StringIO()
+        configure_logging(stream=stream)
         client = ServiceClient(gateway.url)
         job = client.submit_campaign(small_spec(num_runs=130))
         cancelled = client.cancel(job["id"])
         assert cancelled["state"] == "cancelled"
-        actions = [entry["action"] for entry in gateway.audit.entries()]
-        assert actions == ["job.submit", "job.cancel"]
-        by_action = {entry["action"]: entry for entry in gateway.audit.entries()}
-        assert by_action["job.cancel"]["job_id"] == job["id"]
-        assert by_action["job.submit"]["correlation_id"]
+        # The JSON log is the control-plane record: each write is one event
+        # carrying the correlation id of the request that made it.
+        events = {
+            event["event"]: event
+            for event in map(json.loads, stream.getvalue().splitlines())
+            if event.get("job_id") == job["id"]
+        }
+        submitted = events["job.submitted"]
+        cancel = events["job.cancel_requested"]
+        assert submitted["correlation_id"] and cancel["correlation_id"]
+        assert not submitted["reused"]
+        assert cancel["state"] == "cancelled"
 
     def test_list_limit_is_validated(self, gateway):
         gateway.scheduler.stop()  # park the workers: listing needs no results
@@ -422,66 +320,6 @@ class TestGatewayHTTP:
         with pytest.raises(OSError):
             other.start()
         store.close()
-
-
-class TestGatewayRateLimit:
-    @pytest.fixture()
-    def limited(self):
-        store = JobStore()
-        scheduler = JobScheduler(store, num_workers=1)
-        server = GatewayServer(scheduler, port=0, rate_limit=5.0, burst=2)
-        server.start()
-        yield server
-        server.shutdown()
-        store.close()
-
-    def test_429_retry_after_then_success_after_backoff(self, limited):
-        """The e2e contract: throttled, told how long, obeying works."""
-        client = ServiceClient(limited.url)
-        assert client.scenarios() and client.scenarios()  # burst of 2
-        with pytest.raises(ServiceError) as exc_info:
-            client.scenarios()
-        error = exc_info.value
-        assert error.status == 429
-        retry_after = error.payload["retry_after"]
-        assert 0.0 < retry_after <= 0.2 + 1e-6  # 5 req/s -> next token < 200 ms
-        time.sleep(retry_after + 0.02)
-        assert client.scenarios()  # backing off as told succeeds
-
-    def test_retry_after_header_is_ceiled_seconds(self, limited):
-        for _ in range(2):
-            ServiceClient(limited.url).scenarios()
-        with pytest.raises(urllib.error.HTTPError) as exc_info:
-            urllib.request.urlopen(limited.url + "/v1/scenarios")
-        assert exc_info.value.code == 429
-        assert int(exc_info.value.headers["Retry-After"]) >= 1
-
-    def test_per_client_key_isolation(self, limited):
-        def hit(key):
-            request = urllib.request.Request(
-                limited.url + "/v1/scenarios", headers={"X-Client-Key": key}
-            )
-            return urllib.request.urlopen(request).status
-
-        assert [hit("alice") for _ in range(2)] == [200, 200]
-        with pytest.raises(urllib.error.HTTPError):
-            hit("alice")
-        assert hit("bob") == 200  # alice's exhaustion never throttles bob
-
-    def test_health_and_metrics_are_exempt(self, limited):
-        from repro.obs.metrics import get_registry
-
-        client = ServiceClient(limited.url)
-        for _ in range(2):
-            client.scenarios()
-        # The process-global registry is shared with the in-process server.
-        throttled_before = get_registry().total("repro_ratelimit_throttled_total")
-        for _ in range(5):  # far past the burst: still served
-            assert client.health()["status"] == "ok"
-        assert "repro_http_requests_total" in client.metrics_text()
-        # Exempt routes never count a rejection.
-        after = get_registry().total("repro_ratelimit_throttled_total")
-        assert after == throttled_before
 
 
 # ----------------------------------------------------------------------
@@ -617,20 +455,33 @@ class TestServerSentEvents:
         assert events[-1][1] == {"state": "done", "chunks_done": 2}
 
 
+# ----------------------------------------------------------------------
+# Client error reporting
+# ----------------------------------------------------------------------
+
+
+class TestServiceClientErrors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda client: client.health(),
+            lambda client: client.metrics_text(),
+            lambda client: next(client.events("x")),
+        ],
+        ids=["health", "metrics_text", "events"],
+    )
+    def test_unreachable_service_is_service_error(self, call):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]  # closed on exit: nothing listens
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=5)
+        with pytest.raises(ServiceError, match="cannot reach") as exc_info:
+            call(client)
+        assert exc_info.value.status is None
+
+
+# _cmd_serve configures the structured log stream before its validation fires.
+@pytest.mark.usefixtures("restore_repro_logging")
 class TestGatewayCLI:
-    @pytest.fixture(autouse=True)
-    def _restore_log_handlers(self):
-        # _cmd_serve configures the structured log stream before its
-        # validation fires; undo it so later tests keep a quiet stderr.
-        import logging
-
-        yield
-        root = logging.getLogger("repro")
-        for handler in list(root.handlers):
-            if getattr(handler, "_repro_obs_handler", False):
-                root.removeHandler(handler)
-        root.setLevel(logging.NOTSET)
-
     def test_serve_validation_error_exits_cleanly(self):
         from repro.cli import main
 

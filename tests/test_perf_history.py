@@ -137,6 +137,7 @@ class TestMain:
         assert cli_main(["bench-history", str(path)]) == 0
         out = capsys.readouterr().out
         assert "bench_a" in out and "bench_b" in out
+        assert "1.50x" in out  # bench_a: latest 1.5 vs best 1.0
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert cli_main(["bench-history", str(tmp_path / "absent.jsonl")]) == 1
@@ -150,19 +151,6 @@ class TestMain:
         ) == 0
         out = capsys.readouterr().out
         assert "bench_b" in out and "bench_a" not in out
-
-
-class TestCliSubcommand:
-    def test_bench_history_subcommand(self, tmp_path, capsys):
-        path = tmp_path / "history.jsonl"
-        _write_history(path, RECORDS)
-        assert cli_main(["bench-history", str(path), "--bench", "_a"]) == 0
-        out = capsys.readouterr().out
-        assert "bench_a" in out and "1.50x" in out
-
-    def test_bench_history_missing_file(self, tmp_path, capsys):
-        assert cli_main(["bench-history", str(tmp_path / "gone.jsonl")]) == 1
-        assert "cannot read" in capsys.readouterr().err
 
 
 def test_harness_provenance_fields():

@@ -1,19 +1,17 @@
 """Tests for the trace pipeline: persisted per-job span trees, the flight
-recorder, audit rotation, and bench perf history.
+recorder, and bench perf history.
 
 The tentpole contract under test: a pool-backed job's chunk spans -- recorded
 inside worker processes -- travel back in the chunk result payloads, are
 folded into the job's live trace under ``job.run``, persisted in the job
 store's ``traces`` table, and served over ``GET /v1/jobs/{id}/trace`` by
 the HTTP gateway.  Around it: span-tree reconstruction and rendering,
-the per-trace span cap, the always-on flight recorder ring, size-based
-audit-trail rotation, and the benchmark perf-history JSONL plus its
-regression checker.
+the per-trace span cap, the always-on flight recorder ring, and the
+benchmark perf-history JSONL plus its regression checker.
 """
 
 import importlib.util
 import json
-import os
 import sqlite3
 from pathlib import Path
 
@@ -22,7 +20,6 @@ import pytest
 from repro.obs import flight as obs_flight
 from repro.obs import metrics, tracing
 from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
-from repro.service.audit import AuditTrail
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import GatewayServer
 from repro.service.jobs import JobStore
@@ -343,69 +340,6 @@ class TestFlightRecorder:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
             obs_flight.FlightRecorder(capacity=0)
-
-
-# ----------------------------------------------------------------------
-# Audit rotation
-# ----------------------------------------------------------------------
-
-
-class TestAuditRotation:
-    def test_rollover_keeps_files_under_cap(self, tmp_path, registry):
-        path = tmp_path / "audit.jsonl"
-        with AuditTrail(path, max_bytes=200, max_files=2) as trail:
-            for index in range(30):
-                trail.record("job.submit", job_id=f"j{index:02d}")
-            assert trail.rotations > 0
-        files = sorted(os.listdir(tmp_path))
-        assert set(files) <= {"audit.jsonl", "audit.jsonl.1", "audit.jsonl.2"}
-        for name in files:
-            assert os.path.getsize(tmp_path / name) <= 200
-        # The newest entry is in the active file; ordering is preserved
-        # across the rollover boundary (active continues where .1 ended).
-        active = [json.loads(line) for line in path.read_text().splitlines()]
-        assert active[-1]["job_id"] == "j29"
-        rotated_1 = [
-            json.loads(line)
-            for line in (tmp_path / "audit.jsonl.1").read_text().splitlines()
-        ]
-        assert rotated_1[-1]["job_id"] < active[0]["job_id"]
-        assert registry.get("repro_audit_rotations_total").total() == trail.rotations
-
-    def test_no_rotation_without_max_bytes(self, tmp_path):
-        path = tmp_path / "audit.jsonl"
-        with AuditTrail(path) as trail:
-            for index in range(50):
-                trail.record("job.submit", job_id=f"j{index}")
-        assert os.listdir(tmp_path) == ["audit.jsonl"]
-        assert trail.rotations == 0
-
-    def test_rotated_paths_listing(self, tmp_path):
-        path = tmp_path / "audit.jsonl"
-        with AuditTrail(path, max_bytes=120, max_files=3) as trail:
-            for index in range(20):
-                trail.record("job.submit", job_id=f"j{index:02d}")
-            expected = [
-                str(path) + f".{n}"
-                for n in range(1, 4)
-                if os.path.exists(str(path) + f".{n}")
-            ]
-            assert trail.rotated_paths() == expected
-        assert AuditTrail().rotated_paths() == []
-
-    def test_max_bytes_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="max_bytes"):
-            AuditTrail(tmp_path / "a.jsonl", max_bytes=0)
-
-    def test_oversized_single_entry_still_lands(self, tmp_path):
-        path = tmp_path / "audit.jsonl"
-        with AuditTrail(path, max_bytes=50, max_files=1) as trail:
-            trail.record("job.submit", blob="x" * 200)
-            trail.record("job.submit", blob="y" * 200)
-        active = path.read_text().splitlines()
-        assert len(active) == 1
-        assert json.loads(active[0])["blob"] == "y" * 200
-        assert trail.rotations == 1
 
 
 # ----------------------------------------------------------------------
