@@ -91,9 +91,13 @@ def _submitted_job(server_url: str, spec: ScenarioSpec) -> str:
 
 
 def _assert_bit_identical(response: bytes, direct) -> None:
-    served = json.loads(response.split(b"\r\n\r\n", 1)[1])["job"]["result"]
+    from repro.service.client import ServiceClient
+
+    served = ServiceClient.campaign_result(
+        json.loads(response.split(b"\r\n\r\n", 1)[1])["job"]
+    )
     expected = {name: list(samples) for name, samples in direct.makespans.items()}
-    if served["makespans"] != expected:
+    if served.makespans != expected:
         raise AssertionError("served campaign result differs from a direct run")
 
 

@@ -3,8 +3,9 @@
 A thin, dependency-free (urllib) wrapper over the HTTP API of
 :mod:`repro.service.gateway`, plus the one non-trivial conversion: rebuilding
 a :class:`~repro.simulation.campaign.CampaignResult` from a finished job's
-payload (bit-identical to the samples the server computed, because JSON
-round-trips IEEE-754 doubles exactly).
+payload.  The server ships each strategy's samples as base64 of their
+little-endian float64 bytes, so the rebuilt samples are bit-identical to the
+ones it computed.
 
 >>> client = ServiceClient("http://127.0.0.1:8765")   # doctest: +SKIP
 >>> job = client.submit_campaign(spec)                # doctest: +SKIP
@@ -14,11 +15,14 @@ round-trips IEEE-754 doubles exactly).
 
 from __future__ import annotations
 
+import base64
 import json
 import time
 import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Union
+
+import numpy as np
 
 from repro.runtime.scenario import ScenarioSpec
 from repro.simulation.campaign import CampaignResult
@@ -415,7 +419,14 @@ class ServiceClient:
 
         The makespan samples are bit-identical to what a direct
         :meth:`ScenarioSpec.run` with the same spec produces: the server
-        serialises the raw doubles and JSON round-trips them exactly.
+        ships each strategy's raw doubles as base64 of their little-endian
+        float64 bytes, decoded here with ``np.frombuffer``.  The payload
+        comes from outside the process, so a sample string that is not valid
+        base64, whose length is not a whole number of float64 values, or
+        that does not hold ``num_runs`` values raises :exc:`ValueError`.  A
+        plain float list -- a ``done`` row stored before the byte encoding,
+        which dedupe can still answer with on a ``--db`` server -- is
+        accepted as it is.
         """
         if job.get("state") != "done":
             raise ValueError(
@@ -425,7 +436,32 @@ class ServiceClient:
         result = job["result"]
         if not result or result.get("type") != "campaign":
             raise ValueError(f"job {job.get('id')!r} did not produce a campaign result")
+        num_runs = int(result["num_runs"])
         return CampaignResult(
-            makespans={name: list(samples) for name, samples in result["makespans"].items()},
-            num_runs=int(result["num_runs"]),
+            makespans={
+                name: _decode_samples(name, samples, num_runs)
+                for name, samples in result["makespans"].items()
+            },
+            num_runs=num_runs,
         )
+
+
+def _decode_samples(name: str, samples: Any, num_runs: int) -> List[float]:
+    """One strategy's makespans from a campaign payload, checked against ``num_runs``."""
+    if isinstance(samples, list):
+        values = list(samples)
+    else:
+        try:
+            raw = base64.b64decode(samples, validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise ValueError(f"samples of {name!r} are not valid base64: {exc}") from None
+        if len(raw) % 8:
+            raise ValueError(
+                f"samples of {name!r} hold {len(raw)} bytes, not a whole number of float64 values"
+            )
+        values = np.frombuffer(raw, dtype="<f8").tolist()
+    if len(values) != num_runs:
+        raise ValueError(
+            f"samples of {name!r} hold {len(values)} values, expected num_runs = {num_runs}"
+        )
+    return values

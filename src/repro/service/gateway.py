@@ -110,7 +110,8 @@ def sweep_preview_payload(body: Dict[str, Any]) -> Dict[str, Any]:
     """Expand a ``{scenario, axes}`` preview request into its response payload.
 
     Raises :exc:`ValueError` / :exc:`TypeError` / :exc:`KeyError` for
-    malformed requests (the HTTP layer renders those as a 400).
+    malformed requests (the HTTP layer renders those as a 400): an unknown
+    top-level field, a missing ``scenario`` object or an invalid sweep.
 
     Example::
 
@@ -123,7 +124,14 @@ def sweep_preview_payload(body: Dict[str, Any]) -> Dict[str, Any]:
         >>> payload["count"]
         2
     """
-    base = ScenarioSpec.from_dict(body.get("scenario", {}))
+    unknown = sorted(set(body) - {"scenario", "axes"})
+    if unknown:
+        raise ValueError(
+            f"unknown preview field(s) {unknown}; accepted fields: 'scenario', 'axes'"
+        )
+    if not isinstance(body.get("scenario"), dict):
+        raise ValueError('a sweep preview needs a "scenario" object')
+    base = ScenarioSpec.from_dict(body["scenario"])
     axes = body.get("axes", {})
     if not isinstance(axes, dict):
         raise ValueError('"axes" must map field names to value lists')

@@ -3,9 +3,16 @@
 The scenario service must remember submitted jobs across process restarts --
 a coordinator that forgets its queue on redeploy cannot serve long-running
 campaigns.  :class:`JobStore` persists every job (its submitted spec, state,
-progress, timings, result and error) in a single-file sqlite3 database, the
-stdlib's crash-safe embedded store; passing no path keeps the same schema in
-a private in-memory database for tests and throwaway servers.
+timings, result and error) in a single-file sqlite3 database, the stdlib's
+crash-safe embedded store; passing no path keeps the same schema in a
+private in-memory database for tests and throwaway servers.
+
+sqlite is written only when a job changes state: submit, claim, a cancel
+request and the terminal write.  While a job runs, its chunk progress and
+cancel flag live in the store's in-memory record of that job, which
+:meth:`JobStore.get` and the listeners see; the terminal write persists the
+final progress together with the state, the result or error, the phase
+breakdown and the span tree, in one transaction.
 
 The store is deliberately dumb: it knows nothing about scenarios, engines or
 HTTP.  It offers the five primitives the scheduler needs --
@@ -16,8 +23,9 @@ HTTP.  It offers the five primitives the scheduler needs --
   submission idempotent even under concurrent identical requests,
 * :meth:`JobStore.claim_next` to atomically move the oldest ``queued`` job to
   ``running`` (safe against concurrent worker threads),
-* :meth:`JobStore.update_progress` / :meth:`JobStore.finish` /
-  :meth:`JobStore.fail` / :meth:`JobStore.mark_cancelled` to record outcomes,
+* :meth:`JobStore.update_progress` (in memory) and :meth:`JobStore.finish` /
+  :meth:`JobStore.fail` / :meth:`JobStore.mark_cancelled` (one commit each)
+  to record outcomes,
 * :meth:`JobStore.request_cancel` for cooperative cancellation (queued jobs
   cancel immediately; running jobs get a flag their progress hook polls),
 * :meth:`JobStore.recover_interrupted` to re-queue jobs that were ``running``
@@ -40,7 +48,7 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.devtools.lockwatch import tracked_lock
@@ -143,7 +151,15 @@ class JobStore:
 
     One connection is shared across threads behind a lock: the store's
     operations are short transactions, and a single writer sidesteps
-    sqlite's writer-starvation corner cases without WAL tuning.
+    sqlite's writer-starvation corner cases.  A file-backed store journals
+    in WAL mode, where a commit appends to the log instead of rewriting a
+    rollback journal; ``synchronous`` keeps sqlite's default (FULL), so a
+    committed job is as durable as in the default journal mode.
+
+    The store keeps the record of every job it claimed while that job runs
+    (at most one per worker): progress and the cancel flag change there,
+    not in sqlite.  This assumes one process owns a database file, which
+    ``repro serve`` guarantees and restart recovery already relies on.
 
     Every mutation notifies listeners registered with :meth:`subscribe`
     (the gateway's read snapshot and SSE hub are both fed this way), with
@@ -167,11 +183,14 @@ class JobStore:
             os.makedirs(parent, exist_ok=True)
         self._lock = tracked_lock("service.jobs.store", threading.RLock)
         self._listeners: List[Callable[[JobRecord], None]] = []
+        self._running: Dict[str, JobRecord] = {}
         self._conn = sqlite3.connect(
             self.path if self.path is not None else ":memory:",
             check_same_thread=False,
         )
         self._conn.row_factory = sqlite3.Row
+        if self.path is not None:
+            self._conn.execute("PRAGMA journal_mode=WAL")
         with self._lock, self._conn:
             self._conn.executescript(_SCHEMA)
             # Schema migration for databases created before the per-job
@@ -206,9 +225,10 @@ class JobStore:
         This is the seam the asyncio gateway's in-memory snapshot and its SSE
         progress streams hang off: instead of polling sqlite, read models are
         *pushed* every state transition (submit, claim, progress, finalize,
-        cancel, recovery).  Listeners run synchronously on whichever thread
-        performed the mutation -- they must be fast, must not raise, and must
-        never call back into the store (deadlock by re-entrancy).
+        cancel, recovery).  Listeners run synchronously, with the store lock
+        held, on whichever thread performed the mutation -- they must be
+        fast, must not raise, and must never call back into the store
+        (deadlock by re-entrancy).
 
         Example::
 
@@ -230,20 +250,25 @@ class JobStore:
             if listener in self._listeners:
                 self._listeners.remove(listener)
 
-    def _notify(self, job_id: str) -> None:
-        """Push the current record for ``job_id`` to every listener."""
-        if not self._listeners:
-            return
-        record = self.get(job_id)
-        if record is None:  # pragma: no cover - row deleted underneath us
-            return
+    def _publish(self, record: JobRecord) -> JobRecord:
+        """Push ``record`` to every listener (called with the store lock held).
+
+        Holding the lock keeps listeners in step with the store: two threads
+        changing one job can never deliver their records out of order.
+        """
         for listener in list(self._listeners):
             try:
                 listener(record)
             except Exception:  # noqa: BLE001 - a read model must not kill writers
                 logging.getLogger("repro.service.jobs").exception(
-                    "job-store listener failed for job %s", job_id
+                    "job-store listener failed for job %s", record.id
                 )
+        return record
+
+    def _notify(self, job_id: str) -> Optional[JobRecord]:
+        """Push the current record for ``job_id`` to every listener."""
+        record = self.get(job_id)
+        return self._publish(record) if record is not None else None
 
     # ------------------------------------------------------------------
     # Submission and lookup
@@ -259,14 +284,14 @@ class JobStore:
         """Append a new ``queued`` job and return its record."""
         job_id = uuid.uuid4().hex[:16]
         now = time.time()
-        with self._timed_op("submit"), self._lock, self._conn:
-            self._conn.execute(
-                "INSERT INTO jobs (id, kind, spec, dedupe_key, state, submitted_at)"
-                " VALUES (?, ?, ?, ?, 'queued', ?)",
-                (job_id, kind, json.dumps(spec), dedupe_key, now),
-            )
-        self._notify(job_id)
-        return self.get(job_id)
+        with self._lock:
+            with self._timed_op("submit"), self._conn:
+                self._conn.execute(
+                    "INSERT INTO jobs (id, kind, spec, dedupe_key, state, submitted_at)"
+                    " VALUES (?, ?, ?, ?, 'queued', ?)",
+                    (job_id, kind, json.dumps(spec), dedupe_key, now),
+                )
+            return self._notify(job_id)
 
     def submit_or_reuse(
         self, kind: str, spec: Dict[str, Any], dedupe_key: str
@@ -286,8 +311,15 @@ class JobStore:
             return self.submit(kind, spec, dedupe_key=dedupe_key), False
 
     def get(self, job_id: str) -> Optional[JobRecord]:
-        """The record for ``job_id``, or None when unknown."""
+        """The record for ``job_id``, or None when unknown.
+
+        A job this store is running is answered from memory, with its live
+        progress and cancel flag.
+        """
         with self._lock:
+            running = self._running.get(job_id)
+            if running is not None:
+                return running
             row = self._conn.execute(
                 "SELECT * FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
@@ -306,7 +338,9 @@ class JobStore:
                 " ORDER BY submitted_at DESC LIMIT 1",
                 (dedupe_key,),
             ).fetchone()
-        return self._record(row) if row is not None else None
+            if row is None:
+                return None
+            return self._running.get(row["id"]) or self._record(row)
 
     def list_jobs(self) -> List[JobRecord]:
         """Every job, newest first.
@@ -318,18 +352,15 @@ class JobStore:
             rows = self._conn.execute(
                 "SELECT * FROM jobs ORDER BY submitted_at DESC"
             ).fetchall()
-        return [self._record(row) for row in rows]
+            return [self._running.get(row["id"]) or self._record(row) for row in rows]
 
-    def counts(self) -> Dict[str, int]:
-        """Number of jobs per state (states with no jobs included as 0)."""
+    def count(self, state: str) -> int:
+        """Number of jobs in ``state`` (an index search: its cost does not grow with history)."""
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
-            ).fetchall()
-        counts = {state: 0 for state in JOB_STATES}
-        for row in rows:
-            counts[row["state"]] = row["n"]
-        return counts
+            row = self._conn.execute(
+                "SELECT COUNT(*) FROM jobs WHERE state = ?", (state,)
+            ).fetchone()
+        return row[0]
 
     # ------------------------------------------------------------------
     # Scheduler primitives
@@ -341,67 +372,41 @@ class JobStore:
         Returns the claimed record, or None when the queue is empty.  The
         select-then-update pair runs under the store lock and in one sqlite
         transaction, so two worker threads can never claim the same job.
+        The store keeps the claimed record in memory until the job's
+        terminal write.
         """
-        with self._timed_op("claim_next"), self._lock, self._conn:
-            row = self._conn.execute(
-                "SELECT id FROM jobs WHERE state = 'queued'"
-                " ORDER BY submitted_at LIMIT 1"
-            ).fetchone()
-            if row is None:
-                return None
-            claimed = self._conn.execute(
-                "UPDATE jobs SET state = 'running', started_at = ?"
-                " WHERE id = ? AND state = 'queued'",
-                (time.time(), row["id"]),
-            ).rowcount
-            if not claimed:  # pragma: no cover - only under external writers
-                return None
-        self._notify(row["id"])
-        return self.get(row["id"])
+        with self._lock:
+            with self._timed_op("claim_next"), self._conn:
+                row = self._conn.execute(
+                    "SELECT id FROM jobs WHERE state = 'queued'"
+                    " ORDER BY submitted_at LIMIT 1"
+                ).fetchone()
+                if row is None:
+                    return None
+                claimed = self._conn.execute(
+                    "UPDATE jobs SET state = 'running', started_at = ?"
+                    " WHERE id = ? AND state = 'queued'",
+                    (time.time(), row["id"]),
+                ).rowcount
+                if not claimed:  # pragma: no cover - only under external writers
+                    return None
+            record = self.get(row["id"])
+            self._running[record.id] = record
+            return self._publish(record)
 
     def update_progress(self, job_id: str, done: int, total: int) -> None:
-        """Record chunk progress for a running job."""
-        with self._timed_op("update_progress"), self._lock, self._conn:
-            self._conn.execute(
-                "UPDATE jobs SET chunks_done = ?, chunks_total = ? WHERE id = ?",
-                (int(done), int(total), job_id),
-            )
-        self._notify(job_id)
+        """Record chunk progress for a job this store is running (others are ignored).
 
-    def record_phases(self, job_id: str, phases: Dict[str, float]) -> None:
-        """Persist a job's wall-time phase breakdown (seconds per phase).
-
-        Written by the scheduler when execution finishes (whatever the
-        outcome); surfaced through :meth:`JobRecord.to_dict` under
-        ``timings.phases`` and by ``repro jobs --stats``.
+        Only the in-memory record changes -- no sqlite write or read -- and
+        listeners get it; the terminal write persists the final counts.
         """
-        with self._timed_op("record_phases"), self._lock, self._conn:
-            self._conn.execute(
-                "UPDATE jobs SET phases = ? WHERE id = ?",
-                (json.dumps({k: float(v) for k, v in phases.items()}), job_id),
-            )
-        self._notify(job_id)
-
-    def record_trace(self, job_id: str, trace: Dict[str, Any]) -> None:
-        """Persist a job's finished span-record tree payload.
-
-        ``trace`` is the plain-dict form the scheduler builds from the job's
-        :class:`~repro.obs.tracing.Trace` -- ``{"correlation_id", "dropped",
-        "spans": [...]}`` -- stored as one JSON blob in the ``traces`` table
-        (created by ``_SCHEMA`` on every connect, the table analogue of the
-        ``phases`` column migration, so pre-trace databases upgrade in
-        place).  Re-recording replaces the previous trace (a recovered,
-        re-executed job keeps only its final attempt's tree).  Traces are not
-        pushed to listeners: the read models track job *state*, traces are
-        fetched on demand.
-        """
-        with self._timed_op("record_trace"), self._lock, self._conn:
-            self._conn.execute(
-                "INSERT INTO traces (job_id, trace, recorded_at) VALUES (?, ?, ?)"
-                " ON CONFLICT (job_id) DO UPDATE SET trace = excluded.trace,"
-                " recorded_at = excluded.recorded_at",
-                (job_id, json.dumps(trace), time.time()),
-            )
+        with self._lock:
+            record = self._running.get(job_id)
+            if record is None:
+                return
+            record = replace(record, chunks_done=int(done), chunks_total=int(total))
+            self._running[job_id] = record
+            self._publish(record)
 
     def get_trace(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The persisted trace payload for ``job_id``, or None when absent."""
@@ -411,17 +416,45 @@ class JobStore:
             ).fetchone()
         return json.loads(row["trace"]) if row is not None else None
 
-    def finish(self, job_id: str, result: Dict[str, Any]) -> None:
-        """Mark a job ``done`` with its result payload."""
-        self._finalize(job_id, "done", result=result)
+    def finish(
+        self,
+        job_id: str,
+        result: Dict[str, Any],
+        *,
+        phases: Optional[Dict[str, float]] = None,
+        trace: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Mark a job ``done`` with its result payload: the terminal write.
 
-    def fail(self, job_id: str, error: str) -> None:
-        """Mark a job ``failed`` with an error message."""
-        self._finalize(job_id, "failed", error=error)
+        One transaction stores the state, the result (or error), the final
+        progress of a job this store runs, the wall-time ``phases`` (seconds
+        per phase, shown by ``repro jobs --stats``) and the span-tree
+        ``trace`` (``{"correlation_id", "dropped", "spans": [...]}``, read
+        back with :meth:`get_trace`; a second write replaces it); listeners
+        are notified once.  ``phases`` or ``trace`` None keeps the stored value.
+        """
+        self._finalize(job_id, "done", result=result, phases=phases, trace=trace)
 
-    def mark_cancelled(self, job_id: str) -> None:
-        """Mark a job ``cancelled`` (its execution was abandoned)."""
-        self._finalize(job_id, "cancelled")
+    def fail(
+        self,
+        job_id: str,
+        error: str,
+        *,
+        phases: Optional[Dict[str, float]] = None,
+        trace: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Mark a job ``failed`` with an error (a terminal write like :meth:`finish`)."""
+        self._finalize(job_id, "failed", error=error, phases=phases, trace=trace)
+
+    def mark_cancelled(
+        self,
+        job_id: str,
+        *,
+        phases: Optional[Dict[str, float]] = None,
+        trace: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Mark a job ``cancelled`` (a terminal write like :meth:`finish`)."""
+        self._finalize(job_id, "cancelled", phases=phases, trace=trace)
 
     def _finalize(
         self,
@@ -430,20 +463,38 @@ class JobStore:
         *,
         result: Optional[Dict[str, Any]] = None,
         error: Optional[str] = None,
+        phases: Optional[Dict[str, float]] = None,
+        trace: Optional[Dict[str, Any]] = None,
     ) -> None:
-        with self._timed_op("finalize"), self._lock, self._conn:
-            self._conn.execute(
-                "UPDATE jobs SET state = ?, result = ?, error = ?, finished_at = ?"
-                " WHERE id = ?",
-                (
-                    state,
-                    json.dumps(result) if result is not None else None,
-                    error,
-                    time.time(),
-                    job_id,
-                ),
-            )
-        self._notify(job_id)
+        with self._lock:
+            running = self._running.get(job_id)
+            with self._timed_op("finalize"), self._conn:
+                self._conn.execute(
+                    "UPDATE jobs SET state = ?, result = ?, error = ?, finished_at = ?,"
+                    " chunks_done = COALESCE(?, chunks_done),"
+                    " chunks_total = COALESCE(?, chunks_total),"
+                    " phases = COALESCE(?, phases) WHERE id = ?",
+                    (
+                        state,
+                        json.dumps(result) if result is not None else None,
+                        error,
+                        time.time(),
+                        running.chunks_done if running is not None else None,
+                        running.chunks_total if running is not None else None,
+                        json.dumps({k: float(v) for k, v in phases.items()})
+                        if phases is not None else None,
+                        job_id,
+                    ),
+                )
+                if trace is not None:
+                    self._conn.execute(
+                        "INSERT INTO traces (job_id, trace, recorded_at) VALUES (?, ?, ?)"
+                        " ON CONFLICT (job_id) DO UPDATE SET trace = excluded.trace,"
+                        " recorded_at = excluded.recorded_at",
+                        (job_id, json.dumps(trace), time.time()),
+                    )
+            self._running.pop(job_id, None)
+            self._notify(job_id)
 
     def request_cancel(self, job_id: str) -> Optional[JobRecord]:
         """Ask for a job to be cancelled; returns the updated record.
@@ -451,32 +502,35 @@ class JobStore:
         A ``queued`` job is cancelled on the spot.  A ``running`` job gets
         its ``cancel_requested`` flag set and keeps running until its
         progress hook notices (cooperative cancellation between chunks).
-        Terminal jobs are returned unchanged; unknown ids return None.
+        The flag is committed, so a job re-queued by restart recovery stays
+        cancelled.  Terminal jobs are returned unchanged; unknown ids return
+        None.
         """
-        with self._lock, self._conn:
+        with self._lock:
             record = self.get(job_id)
             if record is None or record.is_terminal:
                 return record
-            if record.state == "queued":
-                self._conn.execute(
-                    "UPDATE jobs SET state = 'cancelled', cancel_requested = 1,"
-                    " finished_at = ? WHERE id = ? AND state = 'queued'",
-                    (time.time(), job_id),
-                )
-            else:
-                self._conn.execute(
-                    "UPDATE jobs SET cancel_requested = 1 WHERE id = ?", (job_id,)
-                )
-        self._notify(job_id)
-        return self.get(job_id)
+            with self._conn:
+                if record.state == "queued":
+                    self._conn.execute(
+                        "UPDATE jobs SET state = 'cancelled', cancel_requested = 1,"
+                        " finished_at = ? WHERE id = ? AND state = 'queued'",
+                        (time.time(), job_id),
+                    )
+                else:
+                    self._conn.execute(
+                        "UPDATE jobs SET cancel_requested = 1 WHERE id = ?", (job_id,)
+                    )
+            if job_id in self._running:
+                record = replace(record, cancel_requested=True)
+                self._running[job_id] = record
+                return self._publish(record)
+            return self._notify(job_id)
 
     def cancel_requested(self, job_id: str) -> bool:
-        """True when cancellation has been requested for this job."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT cancel_requested FROM jobs WHERE id = ?", (job_id,)
-            ).fetchone()
-        return bool(row["cancel_requested"]) if row is not None else False
+        """True when cancellation was requested (from memory while this store runs the job)."""
+        record = self.get(job_id)
+        return record is not None and record.cancel_requested
 
     def recover_interrupted(self) -> int:
         """Re-queue jobs left ``running`` by a dead server process.
@@ -486,19 +540,21 @@ class JobStore:
         returned to the queue with its progress reset.  Returns the number of
         recovered jobs.
         """
-        with self._lock, self._conn:
-            interrupted = [
-                row["id"]
-                for row in self._conn.execute(
-                    "SELECT id FROM jobs WHERE state = 'running'"
-                ).fetchall()
-            ]
-            self._conn.execute(
-                "UPDATE jobs SET state = 'queued', started_at = NULL,"
-                " chunks_done = 0, chunks_total = 0 WHERE state = 'running'"
-            )
-        for job_id in interrupted:
-            self._notify(job_id)
+        with self._lock:
+            with self._conn:
+                interrupted = [
+                    row["id"]
+                    for row in self._conn.execute(
+                        "SELECT id FROM jobs WHERE state = 'running'"
+                    ).fetchall()
+                ]
+                self._conn.execute(
+                    "UPDATE jobs SET state = 'queued', started_at = NULL,"
+                    " chunks_done = 0, chunks_total = 0 WHERE state = 'running'"
+                )
+            for job_id in interrupted:
+                self._running.pop(job_id, None)
+                self._notify(job_id)
         return len(interrupted)
 
     # ------------------------------------------------------------------

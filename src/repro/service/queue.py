@@ -21,17 +21,21 @@ HTTP half lives in :mod:`repro.service.gateway`).  It owns
   inside the backend (a :class:`~repro.runtime.backends.ProcessPoolBackend`
   fans each job's chunks out) -- the workers only coordinate;
 * progress and cancellation -- each campaign's per-chunk
-  ``progress(done, total)`` callback writes live progress into the store and
-  polls the job's ``cancel_requested`` flag, raising :class:`JobCancelled`
-  between chunks when an abort was requested.
+  ``progress(done, total)`` callback updates the store's in-memory record of
+  the running job and polls its ``cancel_requested`` flag, raising
+  :class:`JobCancelled` between chunks when an abort was requested.  Only
+  the job's terminal write reaches sqlite.
 """
 
 from __future__ import annotations
 
+import base64
 import logging
 import threading
 import time
 from typing import Any, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.core.expected_time import ANALYTIC_NUMERICS
 from repro.devtools.lockwatch import tracked_condition
@@ -57,16 +61,20 @@ class JobCancelled(RuntimeError):
 def campaign_result_payload(result) -> Dict[str, Any]:
     """JSON-compatible form of a :class:`~repro.simulation.campaign.CampaignResult`.
 
-    The full per-strategy makespan samples are included: JSON serialises
-    floats via ``repr``, which round-trips IEEE-754 doubles exactly, so a
-    client can rebuild a bit-identical ``CampaignResult`` from the payload
-    (the acceptance test of the service pins this down).
+    Each strategy's full makespan samples travel under ``makespans`` as one
+    string: base64 of their little-endian float64 bytes.  The bytes are the
+    doubles themselves, so :meth:`ServiceClient.campaign_result
+    <repro.service.client.ServiceClient.campaign_result>` rebuilds a
+    bit-identical ``CampaignResult`` (the acceptance test of the service
+    pins this down), and every JSON pass over the payload handles one string
+    per strategy instead of ``num_runs`` floats.  ``num_runs``, ``summary``,
+    ``ranking`` (and the scheduler's ``scenario_key``) stay plain JSON.
     """
     return {
         "type": "campaign",
         "num_runs": result.num_runs,
         "makespans": {
-            name: [float(x) for x in samples]
+            name: base64.b64encode(np.asarray(samples, dtype="<f8").tobytes()).decode("ascii")
             for name, samples in result.makespans.items()
         },
         "summary": {
@@ -309,7 +317,7 @@ class JobScheduler:
     def _update_queue_depth(self) -> None:
         _metrics.get_registry().gauge(
             "repro_job_queue_depth", "Jobs currently waiting in the queue."
-        ).set(self.store.counts()["queued"])
+        ).set(self.store.count("queued"))
 
     # ------------------------------------------------------------------
     # Worker loop
@@ -398,7 +406,8 @@ class JobScheduler:
         id, so every span (cache lookups, chunks -- even in pool workers) and
         log line it produces can be grepped by the id a client already
         holds.  On completion the wall-time is decomposed into the
-        queue-wait / compute / cache phases and persisted next to the job.
+        queue-wait / compute / cache phases, which the terminal write
+        persists with the outcome and the span tree in one transaction.
         """
         registry = _metrics.get_registry()
         queue_wait = max((job.started_at or time.time()) - job.submitted_at, 0.0)
@@ -432,23 +441,24 @@ class JobScheduler:
         # cache), so the trace's cache.* spans account the job's cache time
         # exactly; the remainder of the wall-time is compute.
         cache_s = min(trace.durations("cache."), run_s)
-        self.store.record_phases(job.id, {
+        phases = {
             "queue_wait_s": queue_wait,
             "compute_s": max(run_s - cache_s, 0.0),
             "cache_s": cache_s,
-        })
+        }
         # Persist the span tree whatever the outcome -- a failed job's trace
         # is the one an operator most wants to read.  Chunk spans recorded in
         # pool workers were absorbed into this trace during the merge, so the
         # stored tree covers the whole execution.
+        span_tree = None
         if trace.spans or trace.dropped:
-            self.store.record_trace(job.id, {
+            span_tree = {
                 "correlation_id": trace.correlation_id,
                 "dropped": trace.dropped,
                 "spans": trace.spans,
-            })
+            }
         if outcome == "cancelled":
-            self.store.mark_cancelled(job.id)
+            self.store.mark_cancelled(job.id, phases=phases, trace=span_tree)
             registry.counter(
                 "repro_jobs_cancelled_total",
                 "Jobs cancelled, by kind.",
@@ -460,14 +470,14 @@ class JobScheduler:
             )
         elif outcome == "failed":
             message = f"{type(error).__name__}: {error}"
-            self.store.fail(job.id, message)
+            self.store.fail(job.id, message, phases=phases, trace=span_tree)
             log_event(
                 _logger, "job.failed", level=logging.ERROR,
                 job_id=job.id, kind=job.kind, error=message,
                 exc_info=error, correlation_id=job.id,
             )
         else:
-            self.store.finish(job.id, result)
+            self.store.finish(job.id, result, phases=phases, trace=span_tree)
             log_event(
                 _logger, "job.completed",
                 job_id=job.id, kind=job.kind, duration_s=round(run_s, 6),

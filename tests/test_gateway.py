@@ -312,6 +312,20 @@ class TestGatewayHTTP:
         preview = client.preview_sweep(small_spec(), {"num_runs": [10, 20]})
         assert preview["count"] == 2
 
+    def test_preview_rejects_unknown_fields_and_a_missing_scenario(self, gateway):
+        client = ServiceClient(gateway.url)
+        with pytest.raises(ServiceError) as exc_info:
+            client._request("POST", "/v1/scenarios/preview", {
+                "scenario": small_spec().to_dict(), "sweep": {"num_runs": [10, 20, 30]},
+            })
+        assert exc_info.value.status == 400
+        message = exc_info.value.payload["error"]
+        assert "'sweep'" in message and "'scenario'" in message and "'axes'" in message
+        with pytest.raises(ServiceError) as exc_info:
+            client._request("POST", "/v1/scenarios/preview", {"axes": {"seed": [1, 2]}})
+        assert exc_info.value.status == 400
+        assert exc_info.value.payload["error"] == 'a sweep preview needs a "scenario" object'
+
     def test_port_conflict_raises_on_start(self, gateway):
         store = JobStore()
         other = GatewayServer(

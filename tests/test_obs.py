@@ -543,8 +543,8 @@ class TestJobPhases:
         try:
             legacy = store.get("legacy01")
             assert legacy.phases is None
-            store.record_phases("legacy01", {"queue_wait_s": 0.5, "compute_s": 2.0,
-                                             "cache_s": 0.1})
+            store.finish("legacy01", {"type": "table"},
+                         phases={"queue_wait_s": 0.5, "compute_s": 2.0, "cache_s": 0.1})
             assert store.get("legacy01").phases == {
                 "queue_wait_s": 0.5, "compute_s": 2.0, "cache_s": 0.1,
             }

@@ -13,19 +13,25 @@ The load-bearing guarantees:
   cooperatively between chunks via the progress hook.
 """
 
+import base64
 import json
+import sqlite3
+import sys
 import threading
 import urllib.request
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.obs import metrics
 from repro.obs.flight import FlightRecorder, set_flight_recorder
 from repro.runtime.cache import ResultCache
 from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import GatewayServer
 from repro.service.jobs import JobStore
-from repro.service.queue import JobCancelled, JobScheduler
+from repro.service.queue import JobCancelled, JobScheduler, campaign_result_payload
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -51,7 +57,7 @@ class TestJobStore:
             assert store.get(a.id).state == "queued"
             assert store.get("nope") is None
             assert {job.id for job in store.list_jobs()} == {a.id, b.id}
-            assert store.counts()["queued"] == 2
+            assert store.count("queued") == 2
 
     def test_claim_next_is_fifo_and_exclusive(self):
         with JobStore() as store:
@@ -140,7 +146,7 @@ class TestJobScheduler:
             job = store.get(record.id)
             assert job.state == "done", job.error
             direct = spec.run()
-            assert job.result["makespans"] == {
+            assert ServiceClient.campaign_result(job.to_dict()).makespans == {
                 name: list(samples) for name, samples in direct.makespans.items()
             }
             assert job.result["scenario_key"] == spec.cache_key()
@@ -153,7 +159,7 @@ class TestJobScheduler:
                 scheduler.submit_campaign({"name": "broken"})
             with pytest.raises(KeyError):
                 scheduler.submit_experiment("E99")
-            assert store.counts()["queued"] == 0
+            assert store.count("queued") == 0
 
     def test_dedupe_by_scenario_hash(self):
         spec = small_spec()
@@ -227,7 +233,7 @@ class TestJobScheduler:
         job = restarted.get(record.id)
         assert job.state == "done", job.error
         direct = spec.run()
-        assert job.result["makespans"] == {
+        assert ServiceClient.campaign_result(job.to_dict()).makespans == {
             name: list(samples) for name, samples in direct.makespans.items()
         }
         restarted.close()
@@ -554,7 +560,7 @@ class TestChunkSizeBounds:
                 scheduler.submit_campaign(spec, chunk_size=2.5)
             with pytest.raises(TypeError, match="integer"):
                 scheduler.submit_campaign(spec, chunk_size=True)
-            assert store.counts()["queued"] == 0  # nothing slipped in
+            assert store.count("queued") == 0  # nothing slipped in
 
     def test_oversized_chunk_is_clamped_to_num_runs(self):
         # chunk_size above the budget is a sample-preserving rewrite: every
@@ -576,8 +582,9 @@ class TestChunkSizeBounds:
             done = store.get(record.id)
             assert done.state == "done"
             direct = spec.run(chunk_size=10_000)
+            served = ServiceClient.campaign_result(done.to_dict())
             for name, samples in direct.makespans.items():
-                assert done.result["makespans"][name] == list(samples)
+                assert served.makespans[name] == list(samples)
 
     def test_experiment_chunk_size_params_are_validated(self):
         with JobStore() as store:
@@ -744,3 +751,239 @@ class TestClientWaitProgress:
             )
         assert clock["t"] == pytest.approx(1.0)  # raised at the deadline
         assert max(sleeps) <= 1.0
+
+
+def _begins(statements):
+    """How many write transactions a list of traced SQL statements opened."""
+    return sum(1 for sql in statements if sql.startswith("BEGIN"))
+
+
+class TestStateChangeWrites:
+    """sqlite is written when a job changes state, never per chunk."""
+
+    def test_update_progress_writes_nothing_to_sqlite(self):
+        seen = []
+        with JobStore() as store:
+            job = store.submit("campaign", {})
+            store.claim_next()
+            queued = store.submit("campaign", {})
+            store.update_progress(queued.id, 1, 5)  # not running here: ignored
+            assert store.get(queued.id).chunks_done == 0
+            store.subscribe(seen.append)
+            changes = store._conn.total_changes
+            store.update_progress(job.id, 2, 5)
+            assert store._conn.total_changes == changes
+            assert (store.get(job.id).chunks_done, store.get(job.id).chunks_total) == (2, 5)
+            assert [(r.chunks_done, r.chunks_total) for r in seen] == [(2, 5)]
+
+    def test_campaign_job_commits_submit_claim_and_terminal_only(self):
+        spec = small_spec(num_runs=120)
+        with JobStore() as store:
+            scheduler = JobScheduler(store, chunk_size=30)
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            record, _ = scheduler.submit_campaign(spec.to_dict())
+            assert scheduler.run_pending() == 1
+            store._conn.set_trace_callback(None)
+            done = store.get(record.id)
+            assert done.state == "done"
+            assert (done.chunks_done, done.chunks_total) == (4, 4)
+            assert _begins(statements) == 3, statements
+
+    def test_finished_job_keeps_progress_phases_and_trace_across_restart(self, tmp_path):
+        db = tmp_path / "jobs.sqlite"
+        store = JobStore(db)
+        scheduler = JobScheduler(store, chunk_size=30)
+        record, _ = scheduler.submit_campaign(small_spec(num_runs=120).to_dict())
+        assert scheduler.run_pending() == 1
+        store.close()
+        with JobStore(db) as reopened:
+            done = reopened.get(record.id)
+            assert (done.state, done.chunks_done, done.chunks_total) == ("done", 4, 4)
+            assert set(done.phases) == {"queue_wait_s", "compute_s", "cache_s"}
+            assert reopened.get_trace(record.id)["correlation_id"] == record.id
+
+    def test_running_job_cancel_flag_is_committed_and_live(self, tmp_path):
+        db = tmp_path / "jobs.sqlite"
+        store = JobStore(db)
+        job = store.submit("campaign", {})
+        store.claim_next()
+        store.update_progress(job.id, 1, 4)
+        flagged = store.request_cancel(job.id)
+        assert flagged.cancel_requested and flagged.chunks_done == 1
+        assert store.cancel_requested(job.id)
+        store.close()
+        # The flag survives the process; restart recovery re-queues the job
+        # and a worker would cancel it before its first chunk.
+        with JobStore(db) as reopened:
+            assert reopened.recover_interrupted() == 1
+            assert reopened.cancel_requested(job.id)
+
+    def test_concurrent_progress_and_cancels_lose_no_update(self):
+        # Workers replace the in-memory record per chunk while cancels land
+        # from other threads: every job must end with its last progress and
+        # its cancel flag, and listeners must have seen that final record.
+        with JobStore() as store:
+            jobs = [store.submit("campaign", {"n": n}) for n in range(8)]
+            for _ in jobs:
+                store.claim_next()
+            last_seen = {}
+            store.subscribe(lambda r: last_seen.__setitem__(
+                r.id, (r.chunks_done, r.cancel_requested)))
+
+            def work(job_id):
+                for done in range(1, 201):
+                    store.update_progress(job_id, done, 200)
+
+            threads = [threading.Thread(target=work, args=(job.id,)) for job in jobs]
+            threads += [
+                threading.Thread(target=store.request_cancel, args=(job.id,)) for job in jobs
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            for job in jobs:
+                record = store.get(job.id)
+                assert (record.chunks_done, record.cancel_requested) == (200, True)
+                assert last_seen[job.id] == (200, True)
+
+    def test_file_backed_store_journals_in_wal_mode(self, tmp_path):
+        db = tmp_path / "jobs.sqlite"
+        with JobStore(db):
+            probe = sqlite3.connect(db)
+            try:
+                assert probe.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+            finally:
+                probe.close()
+        with JobStore() as memory:
+            mode = memory._conn.execute("PRAGMA journal_mode").fetchone()[0]
+            assert mode == "memory"
+
+
+class TestSampleWireFormat:
+    """Campaign samples travel as base64 float64 bytes; the client checks them."""
+
+    @staticmethod
+    def _done_job(result):
+        return {"id": "j1", "state": "done", "error": None, "result": result}
+
+    def test_payload_is_base64_of_little_endian_float64(self):
+        direct = small_spec().run()
+        payload = campaign_result_payload(direct)
+        for name, samples in direct.makespans.items():
+            raw = base64.b64decode(payload["makespans"][name])
+            assert raw == np.asarray(samples, dtype="<f8").tobytes()
+        rebuilt = ServiceClient.campaign_result(self._done_job(payload))
+        assert rebuilt.makespans == direct.makespans
+
+    def test_done_row_with_float_lists_still_rebuilds(self):
+        # A --db server keeps answering resubmissions with done rows written
+        # before the byte encoding: those hold plain float lists.
+        spec = small_spec(name="legacy", seed=17)
+        direct = spec.run()
+        legacy = dict(
+            campaign_result_payload(direct),
+            makespans={name: list(samples) for name, samples in direct.makespans.items()},
+        )
+        with JobStore() as store:
+            scheduler = JobScheduler(store)
+            record, _ = scheduler.submit_campaign(spec.to_dict())
+            store.claim_next()
+            store.finish(record.id, legacy)
+            again, reused = scheduler.submit_campaign(spec.to_dict())
+            assert reused and again.id == record.id
+            rebuilt = ServiceClient.campaign_result(again.to_dict())
+        assert rebuilt.makespans == direct.makespans
+
+    def test_malformed_sample_strings_raise_value_error(self):
+        payload = campaign_result_payload(small_spec().run())
+        good = payload["makespans"]["optimal_dp"]
+        short = base64.b64encode(np.zeros(payload["num_runs"] - 1, dtype="<f8").tobytes())
+        for bad, message in (
+            (good[:-3], "not valid base64"),  # truncated mid-quantum
+            ("not base64!", "not valid base64"),
+            (base64.b64encode(b"12345678abcd").decode("ascii"), "whole number"),
+            (short.decode("ascii"), "expected num_runs"),
+            (12, "not valid base64"),
+        ):
+            broken = dict(payload, makespans=dict(payload["makespans"], optimal_dp=bad))
+            with pytest.raises(ValueError, match=message):
+                ServiceClient.campaign_result(self._done_job(broken))
+
+
+class TestQueueDepthGauge:
+    def test_gauge_query_is_an_index_search(self):
+        with JobStore() as store:
+            scheduler = JobScheduler(store)
+            for n in range(3):
+                store.submit("campaign", {"n": n})
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            scheduler._update_queue_depth()
+            store._conn.set_trace_callback(None)
+            assert statements
+            for sql in statements:
+                plan = store._conn.execute("EXPLAIN QUERY PLAN " + sql).fetchall()
+                details = [row[-1] for row in plan]
+                assert not any(detail.startswith("SCAN") for detail in details), details
+
+    def test_gauge_equals_queued_count_through_submit_claim_and_cancel(self):
+        registry = metrics.MetricsRegistry()
+        with metrics.use_registry(registry):
+            store = JobStore()
+            scheduler = JobScheduler(store)
+            server = GatewayServer(scheduler, port=0)
+            server.start()
+            try:
+                scheduler.stop()  # jobs stay queued until this test claims them
+                client = ServiceClient(server.url, timeout=10.0)
+
+                def depth():
+                    return registry.get("repro_job_queue_depth").value()
+
+                ids = [
+                    client.submit_campaign(
+                        small_spec(name=f"depth-{n}", seed=200 + n, num_runs=30)
+                    )["id"]
+                    for n in range(3)
+                ]
+                assert depth() == store.count("queued") == 3
+                assert scheduler.run_pending(max_jobs=1) == 1
+                assert depth() == store.count("queued") == 2
+                assert client.cancel(ids[2])["state"] == "cancelled"
+                assert depth() == store.count("queued") == 1
+            finally:
+                server.shutdown()
+                store.close()
+
+
+class TestApiDocJobRecord:
+    def test_documented_job_record_has_the_keys_of_a_finished_job(self):
+        text = (Path(__file__).resolve().parents[1] / "docs" / "api.md").read_text(
+            encoding="utf-8"
+        )
+        after = text[text.index("Job-bearing responses wrap the record"):]
+        block = after[after.index("```json") + len("```json"):]
+        documented = json.loads(block[:block.index("```")])
+        with JobStore() as store:
+            scheduler = JobScheduler(store)
+            record, _ = scheduler.submit_campaign(small_spec(name="doc").to_dict())
+            assert scheduler.run_pending() == 1
+            finished = store.get(record.id).to_dict()
+
+        def key_paths(job):
+            return {
+                "top": set(job),
+                "progress": set(job["progress"]),
+                "timings": set(job["timings"]),
+                "timings.phases": set(job["timings"]["phases"]),
+            }
+
+        assert key_paths(documented) == key_paths(finished)

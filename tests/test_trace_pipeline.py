@@ -183,10 +183,10 @@ class TestJobStoreTraces:
             record = store.submit("campaign", {"x": 1})
             payload = {"correlation_id": record.id, "dropped": 0,
                        "spans": [{"name": "job.run", "duration_s": 0.5}]}
-            store.record_trace(record.id, payload)
+            store.fail(record.id, "boom", trace=payload)
             assert store.get_trace(record.id) == payload
             updated = dict(payload, dropped=3)
-            store.record_trace(record.id, updated)
+            store.fail(record.id, "boom", trace=updated)
             assert store.get_trace(record.id)["dropped"] == 3
 
     def test_get_trace_missing_returns_none(self):
@@ -216,7 +216,8 @@ class TestJobStoreTraces:
         with JobStore(path) as store:
             assert store.get("old-1").state == "done"
             assert store.get_trace("old-1") is None
-            store.record_trace("old-1", {"correlation_id": "old-1", "spans": []})
+            store.finish("old-1", {"type": "table"},
+                         trace={"correlation_id": "old-1", "spans": []})
             assert store.get_trace("old-1")["correlation_id"] == "old-1"
 
     def test_scheduler_persists_pool_chunk_spans(self, registry):
@@ -440,7 +441,7 @@ class TestBitIdentityWithTelemetry:
                 done = store.get(record.id)
                 assert done.state == "done"
                 assert store.get_trace(record.id) is not None
-        assert done.result["makespans"] == plain.makespans
+        assert ServiceClient.campaign_result(done.to_dict()).makespans == plain.makespans
         plain_keys = sorted(p.name for p in (tmp_path / "plain").rglob("*.json"))
         telem_keys = sorted(p.name for p in (tmp_path / "telemetry").rglob("*.json"))
         assert plain_keys == telem_keys and plain_keys
