@@ -22,12 +22,18 @@ in-bench so CI fails if an optimisation regresses below its claim:
 * ``local_search_cache`` -- the incremental local search with per-group cost
   columns cached across rounds vs the same kernel re-evaluating every group
   each round, gated at >= 2x with bit-identical partitions.
+* ``chain_schedules`` -- the schedules of the four campaign strategies on one
+  chain, each built, cut into segments and evaluated (failure-free time and
+  expected makespan): the workflow-backed ``Schedule(...)`` constructor vs
+  ``Schedule.for_chain``, which reads the chain's arrays and builds no graph;
+  gated at >= 3x with bit-identical segments and values.
 """
 
 import time
 
 import numpy as np
 
+from repro.baselines.strategies import evaluate_chain_strategies
 from repro.core.chain_dp import (
     optimal_chain_checkpoints,
     optimal_chain_checkpoints_budget,
@@ -38,12 +44,15 @@ from repro.core.independent import (
     balanced_grouping,
     schedule_independent_tasks,
 )
+from repro.core.schedule import CheckpointPlan, Schedule
 from repro.experiments.reporting import ResultTable
 from repro.models.checkpoint import FrontierCheckpointCost
 from repro.workflows.generators import uniform_random_chain
 
 DOWNTIME = 0.5
 RATE = 0.01
+#: The strategies every perfbench campaign compares.
+CAMPAIGN_STRATEGIES = ("optimal_dp", "checkpoint_all", "checkpoint_none", "daly_period")
 
 
 def _best_of(repeats, fn):
@@ -67,6 +76,7 @@ def run_analytic_solver_benchmarks(
     cache_n: int = 400,
     cache_groups: int = 64,
     cache_iterations: int = 300,
+    schedule_n: int = 200,
     seed: int = 3,
 ) -> ResultTable:
     """Time reference vs vectorized for every analytic solver, checking equality."""
@@ -205,6 +215,46 @@ def run_analytic_solver_benchmarks(
         min_speedup=2.0,
         repeats=3,
     )
+
+    # Chain schedules: what a campaign builds per strategy before it
+    # simulates.  The reference path builds each schedule over a networkx
+    # Workflow of validated Tasks; Schedule.for_chain reads the chain's
+    # arrays.  Both run the same segment loop, so segments, failure-free
+    # times and expected makespans must be bit-identical.
+    schedule_chain = uniform_random_chain(schedule_n, seed=seed + 7)
+    placements = [
+        result.checkpoint_after
+        for result in evaluate_chain_strategies(
+            schedule_chain, DOWNTIME, RATE, only=CAMPAIGN_STRATEGIES
+        ).values()
+    ]
+
+    def evaluated(schedule):
+        return (
+            schedule.segments(),
+            schedule.failure_free_time(),
+            schedule.expected_makespan(DOWNTIME, RATE),
+        )
+
+    add_row(
+        "chain_schedules", schedule_n,
+        lambda: [
+            evaluated(Schedule(
+                schedule_chain.to_workflow(),
+                list(schedule_chain.names),
+                CheckpointPlan.from_positions(schedule_n, positions),
+                initial_recovery=schedule_chain.initial_recovery,
+            ))
+            for positions in placements
+        ],
+        lambda: [
+            evaluated(Schedule.for_chain(schedule_chain, positions))
+            for positions in placements
+        ],
+        lambda a, b: a == b,
+        min_speedup=3.0,
+        repeats=5,
+    )
     return table
 
 
@@ -214,6 +264,7 @@ def test_analytic_solver_speedups(benchmark, print_table):
         chain_n=300, budget_n=120, budget_cap=30, dag_n=150, independent_n=40,
         frontier_n=70,
         cache_n=320, cache_groups=48, cache_iterations=250,
+        schedule_n=200,
     )
     print_table(table)
     assert all(row["exact_match"] for row in table.rows)
@@ -225,12 +276,13 @@ def test_analytic_solver_speedups(benchmark, print_table):
 #: quick set keeps the 500-task chain: the acceptance claim is >= 5x on a
 #: 500-task chain DP in a 1-core container.  The hot-kernel rows shrink in
 #: quick mode but stay above their gates (frontier >= 2x, cache >= 2x) with
-#: measured headroom.
+#: measured headroom; the chain-schedule row (>= 3x) uses n = 200 there.
 FULL_PARAMS = {
     "chain_n": 500, "budget_n": 200, "budget_cap": 50,
     "dag_n": 300, "independent_n": 50,
     "frontier_n": 160,
     "cache_n": 400, "cache_groups": 64, "cache_iterations": 300,
+    "schedule_n": 1000,
     "seed": 3,
 }
 QUICK_PARAMS = {
@@ -238,6 +290,7 @@ QUICK_PARAMS = {
     "dag_n": 150, "independent_n": 32,
     "frontier_n": 70,
     "cache_n": 320, "cache_groups": 48, "cache_iterations": 250,
+    "schedule_n": 200,
     "seed": 3,
 }
 

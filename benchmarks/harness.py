@@ -54,8 +54,7 @@ def provenance() -> Dict[str, Any]:
 
     A timing is only comparable to another timing from the same code and
     platform, so each record carries the commit, interpreter, NumPy build and
-    core count it was measured under -- enough for
-    ``repro bench-history`` and ``scripts/check_bench_regression.py``
+    core count it was measured under -- enough for ``repro bench-history``
     to group like with like instead of averaging across machines.
     """
     return {
@@ -70,8 +69,8 @@ def append_history(path: str, record: Mapping[str, Any]) -> None:
     """Append one perf record to the JSONL history file at ``path``.
 
     The file is the bench suite's perf memory across runs: one flat JSON
-    object per line, so ``scripts/check_bench_regression.py`` (and plain
-    ``jq``) can compare the latest run against earlier ones.  Parent
+    object per line, so ``repro bench-history`` (and plain ``jq``) can
+    compare the latest run against earlier ones.  Parent
     directories are created; concurrent appenders rely on POSIX O_APPEND
     line atomicity for these short lines.
     """

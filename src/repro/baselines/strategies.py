@@ -128,8 +128,6 @@ def daly_period_chain(
             accumulated = 0.0
     if final_checkpoint and (chain.n - 1) not in positions:
         positions.append(chain.n - 1)
-    if not positions:
-        positions = [chain.n - 1]
     return _placement_result(chain, positions, downtime, rate)
 
 

@@ -24,7 +24,8 @@ Python:
 * ``repro debug``         -- operator debugging: ``repro debug flight``
   dumps a running service's flight recorder (recent spans and errors);
 * ``repro bench-history`` -- per-benchmark trend table from the JSONL perf
-  history the bench harness appends (see :mod:`repro.perf_history`);
+  history the bench harness appends, plus the series whose latest value
+  regressed (``--check`` exits 1 on one; see :mod:`repro.perf_history`);
 * ``repro lint``          -- repo-native static analysis enforcing the
   determinism and concurrency contracts (see :mod:`repro.devtools`).
 
@@ -128,6 +129,8 @@ _downtime = _checked(float, check_non_negative, "downtime")
 _runs = _checked(int, check_positive_int, "num_runs")
 _max_checkpoints = _checked(int, check_non_negative_int, "max_checkpoints")
 _port = _checked(int, lambda name, value: int(check_in_range(name, value, 0, 65535)), "port")
+_threshold = _checked(float, check_positive, "threshold")
+_min_history = _checked(int, check_positive_int, "min_history")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_history = subparsers.add_parser(
         "bench-history", help="render the bench perf-history JSONL as a "
-        "per-benchmark trend table (see benchmarks/harness.py --history)"
+        "per-benchmark trend table (see benchmarks/harness.py --history) and "
+        "flag series whose latest value regressed"
     )
     bench_history.add_argument(
         "history", help="path to the JSONL history file"
@@ -317,6 +321,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench_history.add_argument(
         "--last", type=int, default=20, metavar="N",
         help="sparkline length: the N most recent values (default 20)",
+    )
+    bench_history.add_argument(
+        "--threshold", type=_threshold, default=1.5, metavar="R",
+        help="flag a series whose latest value is > R x its best earlier "
+        "value (default %(default)s)",
+    )
+    bench_history.add_argument(
+        "--min-history", type=_min_history, default=3, metavar="N",
+        help="skip series with fewer than N records (default %(default)s)",
+    )
+    bench_history.add_argument(
+        "--check", action="store_true",
+        help="exit 1 on a regression (default: advisory, exit 0)",
     )
 
     lint = subparsers.add_parser(
@@ -702,7 +719,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_bench_history(args: argparse.Namespace) -> int:
     # Lazy import: developer tooling, like `repro lint`.
-    from repro.perf_history import load_history, render_trends
+    from repro.perf_history import find_regressions, group_series, load_history, render_trends
 
     try:
         records = load_history(args.history)
@@ -710,7 +727,19 @@ def _cmd_bench_history(args: argparse.Namespace) -> int:
         print(f"cannot read {args.history}: {error}", file=sys.stderr)
         return 1
     print(render_trends(records, bench=args.bench, mode=args.mode, last=args.last))
-    return 0
+    series = group_series(records, bench=args.bench, mode=args.mode)
+    findings = find_regressions(
+        series, threshold=args.threshold, min_history=args.min_history
+    )
+    print()
+    for finding in findings:
+        print(f"REGRESSION: {finding}")
+    comparable = sum(1 for entries in series.values() if len(entries) >= args.min_history)
+    print(
+        f"checked {len(series)} series ({comparable} with >= {args.min_history} "
+        f"records): {len(findings)} regression(s)"
+    )
+    return 1 if findings and args.check else 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

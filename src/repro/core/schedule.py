@@ -8,8 +8,12 @@ workflow amounts to choosing
 2. after which task completions to take a checkpoint.
 
 A :class:`Schedule` captures both decisions for a given
-:class:`~repro.workflows.dag.Workflow`.  The decision "checkpoint after
-position k" is held in a :class:`CheckpointPlan`.  The schedule can be cut
+:class:`~repro.workflows.dag.Workflow`, or for a
+:class:`~repro.workflows.chain.LinearChain` (Section 5), whose order is
+forced: a chain schedule is its order plus the per-position arrays
+``w_i``, ``C_i`` and ``R_i``, with no graph behind it.  The decision
+"checkpoint after position k" is held in a :class:`CheckpointPlan`.  The
+schedule can be cut
 into :class:`Segment` objects -- maximal blocks of tasks separated by
 checkpoints -- and its exact expected makespan under Exponential failures is
 the sum of the Proposition 1 expectations of its segments
@@ -143,6 +147,12 @@ class Segment:
 class Schedule:
     """A linearised execution order plus a checkpoint plan for a workflow.
 
+    The schedule holds, for each position of ``order``, the work, checkpoint
+    cost and recovery cost of the task there; :meth:`segments` reads only
+    those per-position values.  It cuts its segments on first use and keeps
+    the cut, so ``order``, ``plan``, ``initial_recovery`` and
+    ``checkpoint_model`` are read-only after construction.
+
     Parameters
     ----------
     workflow:
@@ -171,15 +181,42 @@ class Schedule:
         initial_recovery: float = 0.0,
         checkpoint_model: Optional[FrontierCheckpointCost] = None,
     ) -> None:
-        self.workflow = workflow
-        self.order = workflow.validate_order(order)
-        if len(plan) != len(self.order):
+        names = workflow.validate_order(order)
+        tasks = [workflow.task(name) for name in names]
+        self._setup(
+            names,
+            plan,
+            tuple(task.work for task in tasks),
+            tuple(task.checkpoint_cost for task in tasks),
+            tuple(task.recovery_cost for task in tasks),
+            initial_recovery,
+            checkpoint_model,
+        )
+        self._workflow: Optional[Workflow] = workflow
+        self._chain: Optional[LinearChain] = None
+
+    def _setup(
+        self,
+        order: List[str],
+        plan: CheckpointPlan,
+        works: Tuple[float, ...],
+        checkpoint_costs: Tuple[float, ...],
+        recovery_costs: Tuple[float, ...],
+        initial_recovery: float,
+        checkpoint_model: Optional[FrontierCheckpointCost],
+    ) -> None:
+        if len(plan) != len(order):
             raise ValueError(
-                f"plan covers {len(plan)} positions but the order has {len(self.order)} tasks"
+                f"plan covers {len(plan)} positions but the order has {len(order)} tasks"
             )
+        self.order = order
         self.plan = plan
         self.initial_recovery = check_non_negative("initial_recovery", initial_recovery)
         self.checkpoint_model = checkpoint_model
+        self._works = works
+        self._checkpoint_costs = checkpoint_costs
+        self._recovery_costs = recovery_costs
+        self._segments: Optional[Tuple[Segment, ...]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -193,21 +230,38 @@ class Schedule:
         *,
         checkpoint_model: Optional[FrontierCheckpointCost] = None,
     ) -> "Schedule":
-        """Build a schedule for a linear chain from 0-based checkpoint positions."""
-        workflow = chain.to_workflow()
-        order = workflow.chain_order()
-        plan = CheckpointPlan.from_positions(len(order), checkpoint_after)
-        return cls(
-            workflow,
-            order,
+        """Build a schedule for a linear chain from 0-based checkpoint positions.
+
+        A chain's order is forced (its index order), so the schedule takes
+        ``w_i``, ``C_i`` and ``R_i`` straight from the chain's arrays: no
+        :class:`Workflow` is built and no order is validated.
+        :class:`LinearChain` has already checked every value.
+        """
+        plan = CheckpointPlan.from_positions(chain.n, checkpoint_after)
+        schedule = cls.__new__(cls)
+        schedule._setup(
+            list(chain.names),
             plan,
-            initial_recovery=chain.initial_recovery,
-            checkpoint_model=checkpoint_model,
+            chain.works,
+            chain.checkpoint_costs,
+            chain.recovery_costs,
+            chain.initial_recovery,
+            checkpoint_model,
         )
+        schedule._workflow = None
+        schedule._chain = chain
+        return schedule
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
+
+    @property
+    def workflow(self) -> Workflow:
+        """The scheduled workflow; a chain schedule builds it on first read."""
+        if self._workflow is None:
+            self._workflow = self._chain.to_workflow()
+        return self._workflow
 
     def __len__(self) -> int:
         return len(self.order)
@@ -220,28 +274,36 @@ class Schedule:
     def _checkpoint_cost_at(self, position: int, last_checkpoint: int) -> float:
         if self.checkpoint_model is not None:
             return self.checkpoint_model.cost(self.order, last_checkpoint, position)
-        return self.workflow.task(self.order[position]).checkpoint_cost
+        return self._checkpoint_costs[position]
 
     def _recovery_cost_at(self, checkpoint_position: int) -> float:
         if self.checkpoint_model is not None:
             return self.checkpoint_model.recovery(self.order, checkpoint_position)
-        return self.workflow.task(self.order[checkpoint_position]).recovery_cost
+        return self._recovery_costs[checkpoint_position]
 
     def segments(self) -> List[Segment]:
-        """Cut the schedule into maximal blocks separated by checkpoints."""
+        """Cut the schedule into maximal blocks separated by checkpoints.
+
+        The cut is made once; every call returns a new list of it.
+        """
+        return list(self._cut())
+
+    def _cut(self) -> Tuple[Segment, ...]:
+        if self._segments is not None:
+            return self._segments
         segments: List[Segment] = []
-        block: List[str] = []
+        start = 0
         block_work = 0.0
         last_checkpoint = -1
         current_recovery = self.initial_recovery
-        for position, name in enumerate(self.order):
-            task = self.workflow.task(name)
-            block.append(name)
-            block_work += task.work
-            if self.plan[position]:
+        for position, (work, checkpointed) in enumerate(zip(self._works, self.plan.flags)):
+            # Left-to-right accumulation: sum() over a slice is compensated
+            # on Python >= 3.12 and would change the last bits.
+            block_work += work
+            if checkpointed:
                 segments.append(
                     Segment(
-                        tasks=tuple(block),
+                        tasks=tuple(self.order[start : position + 1]),
                         work=block_work,
                         checkpoint_cost=self._checkpoint_cost_at(position, last_checkpoint),
                         recovery_cost=current_recovery,
@@ -250,19 +312,20 @@ class Schedule:
                 )
                 current_recovery = self._recovery_cost_at(position)
                 last_checkpoint = position
-                block = []
+                start = position + 1
                 block_work = 0.0
-        if block:
+        if start < len(self.order):
             segments.append(
                 Segment(
-                    tasks=tuple(block),
+                    tasks=tuple(self.order[start:]),
                     work=block_work,
                     checkpoint_cost=0.0,
                     recovery_cost=current_recovery,
                     checkpointed=False,
                 )
             )
-        return segments
+        self._segments = tuple(segments)
+        return self._segments
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -276,16 +339,16 @@ class Schedule:
         """
         check_non_negative("downtime", downtime)
         check_positive("rate", rate)
-        return sum(seg.expected_time(downtime, rate) for seg in self.segments())
+        return sum(seg.expected_time(downtime, rate) for seg in self._cut())
 
     def failure_free_time(self) -> float:
         """Makespan when no failure ever strikes: total work plus checkpoint costs."""
-        return sum(seg.work + seg.checkpoint_cost for seg in self.segments())
+        return sum(seg.work + seg.checkpoint_cost for seg in self._cut())
 
     def describe(self) -> str:
         """Multi-line human-readable description of the schedule."""
         lines = [f"Schedule over {len(self)} tasks, {self.num_checkpoints} checkpoint(s):"]
-        for index, segment in enumerate(self.segments()):
+        for index, segment in enumerate(self._cut()):
             suffix = "checkpoint" if segment.checkpointed else "no checkpoint"
             lines.append(
                 f"  segment {index}: {', '.join(segment.tasks)} "
@@ -294,9 +357,11 @@ class Schedule:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
+        # A chain schedule's workflow, once built, is named "chain".
+        workflow_name = "chain" if self._workflow is None else self._workflow.name
         return (
             f"Schedule(tasks={len(self)}, checkpoints={self.num_checkpoints}, "
-            f"workflow={self.workflow.name!r})"
+            f"workflow={workflow_name!r})"
         )
 
 

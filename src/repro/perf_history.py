@@ -1,4 +1,4 @@
-"""Trend tables for the bench perf-history JSONL.
+"""Trend tables and regression findings for the bench perf-history JSONL.
 
 ``benchmarks/harness.py --history PATH`` appends one flat JSON record per
 benchmark run (``bench``, ``mode``, ``metric``, ``value``, plus the
@@ -8,11 +8,16 @@ pushes it holds a per-benchmark timing series.  This module turns that file
 into a human-readable trend table with one row per ``(bench, mode, metric)``
 series -- run count, best and latest value, the latest-vs-best ratio, a
 unicode sparkline of the recent values, and the short commit of the latest
-record.  ``repro bench-history`` is the CLI over :func:`render_trends`.
+record -- and flags every series whose latest value exceeds a threshold
+times the best of its earlier values (:func:`find_regressions`).
+
+``repro bench-history`` is the CLI over both: it prints the table, then the
+findings.  The check is advisory unless ``--check`` is given, which exits 1
+on a finding; CI runs it advisory, because smoke-mode timings on shared
+runners jitter well beyond any honest threshold.
 
 The module itself uses only the standard library, but importing it runs
-``repro/__init__``, which imports NumPy.  ``scripts/check_bench_regression.py``
-reads the same file through :func:`load_history` and :func:`group_series`.
+``repro/__init__``, which imports NumPy.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "group_series",
     "sparkline",
     "render_trends",
+    "find_regressions",
 ]
 
 SeriesKey = Tuple[str, str, str]
@@ -57,8 +63,17 @@ def load_history(path: str) -> List[Dict[str, Any]]:
     return records
 
 
-def group_series(records: Sequence[Dict[str, Any]]) -> Dict[SeriesKey, List[Dict[str, Any]]]:
-    """Group records by (bench, mode, metric), preserving append order."""
+def group_series(
+    records: Sequence[Dict[str, Any]],
+    *,
+    bench: Optional[str] = None,
+    mode: Optional[str] = None,
+) -> Dict[SeriesKey, List[Dict[str, Any]]]:
+    """Group records by (bench, mode, metric), preserving append order.
+
+    ``bench`` keeps only series whose benchmark name contains it; ``mode``
+    keeps only series recorded in that mode (``quick``/``full``).
+    """
     series: Dict[SeriesKey, List[Dict[str, Any]]] = {}
     for record in records:
         key = (
@@ -66,6 +81,8 @@ def group_series(records: Sequence[Dict[str, Any]]) -> Dict[SeriesKey, List[Dict
             str(record.get("mode", "full")),
             str(record.get("metric", "seconds")),
         )
+        if (bench and bench not in key[0]) or (mode and key[1] != mode):
+            continue
         series.setdefault(key, []).append(record)
     return series
 
@@ -109,13 +126,9 @@ def render_trends(
     sparkline (and the latest-vs-best window is always the whole series, so
     an old regression stays visible however long the tail grows).
     """
-    series = group_series(records)
+    series = group_series(records, bench=bench, mode=mode)
     rows: List[Tuple[str, ...]] = []
     for (name, run_mode, metric), entries in sorted(series.items()):
-        if bench and bench not in name:
-            continue
-        if mode and run_mode != mode:
-            continue
         try:
             values = [float(entry["value"]) for entry in entries]
         except (TypeError, ValueError):
@@ -154,3 +167,40 @@ def render_trends(
             "  ".join(row[i].ljust(widths[i]) for i in range(len(header))).rstrip()
         )
     return "\n".join(lines)
+
+
+def find_regressions(
+    series: Dict[SeriesKey, List[Dict[str, Any]]],
+    *,
+    threshold: float,
+    min_history: int,
+) -> List[str]:
+    """Human-readable findings: each series' latest value vs its best earlier value.
+
+    Comparing against the historical best rather than the immediately
+    preceding run keeps the check monotone: a slow CI runner cannot ratchet
+    the baseline upward, and a real regression stays flagged until it is
+    fixed.  Series with fewer than ``min_history`` records are skipped -- a
+    single timing on shared CI hardware is noise, not a baseline.
+    """
+    findings: List[str] = []
+    for (bench, mode, metric), records in sorted(series.items()):
+        if len(records) < max(min_history, 2):  # the latest needs an earlier value
+            continue
+        try:
+            values = [float(record["value"]) for record in records]
+        except (TypeError, ValueError):
+            continue
+        latest = values[-1]
+        best_earlier = min(values[:-1])
+        if best_earlier <= 0:
+            continue
+        ratio = latest / best_earlier
+        if ratio > threshold:
+            sha = str(records[-1].get("git_sha") or "unknown")[:12]
+            findings.append(
+                f"{bench} [{mode}/{metric}]: latest {latest:.4f} is "
+                f"{ratio:.2f}x the best of {len(records) - 1} earlier runs "
+                f"({best_earlier:.4f}) at {sha}"
+            )
+    return findings

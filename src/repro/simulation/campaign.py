@@ -143,9 +143,10 @@ class CampaignRunner:
         Downtime applied after every failure.
     horizon_factor:
         Each generated trace covers ``horizon_factor`` times the largest
-        failure-free makespan among the schedules, so that even heavily
-        delayed runs stay inside the trace.  Runs that exhaust the trace see
-        no further failures; a warning margin of 10x is the default.
+        failure-free makespan among the schedules (default 10).  A run that
+        outlives its trace sees no further failures, so in high-failure
+        regimes its makespan is biased low; such truncated runs are neither
+        counted nor reported.
     """
 
     def __init__(

@@ -4,8 +4,10 @@ Linear chains ``T1 -> T2 -> ... -> Tn`` are the workflow class for which the
 paper gives a polynomial-time optimal algorithm (Section 5).  The
 :class:`LinearChain` class is a light, array-oriented view of such a workflow:
 it exposes the weights ``w_i``, checkpoint costs ``C_i`` and recovery costs
-``R_i`` as aligned lists, together with prefix sums of work, which is the
-representation the dynamic program consumes.
+``R_i`` as aligned tuples, together with prefix sums of work, which is the
+representation the dynamic program consumes.  A chain's execution order is
+forced (its index order), so :meth:`repro.core.schedule.Schedule.for_chain`
+reads the same tuples and never builds the :class:`Workflow` graph.
 """
 
 from __future__ import annotations
@@ -50,7 +52,12 @@ class LinearChain:
         Recovery cost ``R_0`` to restart before any checkpoint exists
         (defaults to 0).
     names:
-        Optional task names (defaults to ``"T1".."Tn"``).
+        Optional task names: unique, non-empty strings (defaults to
+        ``"T1".."Tn"``).
+
+    Construction checks everything a :class:`Workflow` of the chain's tasks
+    would: positive works, non-negative costs and ``R_0``, equal lengths,
+    and unique non-empty string names.
     """
 
     works: Sequence[float]
@@ -76,6 +83,9 @@ class LinearChain:
             raise ValueError(
                 f"names must have the same length as works, got {len(names)} vs {len(works)}"
             )
+        for name in names:
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"task name must be a non-empty string, got {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("task names must be unique")
         object.__setattr__(self, "works", tuple(works))

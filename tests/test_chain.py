@@ -36,6 +36,11 @@ class TestLinearChainConstruction:
                 names=["A", "A"],
             )
 
+    @pytest.mark.parametrize("bad", ["", 7, None])
+    def test_non_string_or_empty_names_rejected(self, bad):
+        with pytest.raises(ValueError, match="task name must be a non-empty string"):
+            LinearChain(works=[1.0], checkpoint_costs=[0.1], recovery_costs=[0.1], names=[bad])
+
     def test_zero_work_rejected(self):
         with pytest.raises(ValueError):
             LinearChain(works=[0.0], checkpoint_costs=[0.1], recovery_costs=[0.1])

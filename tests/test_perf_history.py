@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main as cli_main
 from repro.perf_history import (
     group_series,
@@ -151,6 +153,19 @@ class TestMain:
         ) == 0
         out = capsys.readouterr().out
         assert "bench_b" in out and "bench_a" not in out
+
+    def test_check_follows_threshold_filters_and_min_history(self, tmp_path, capsys):
+        path = tmp_path / "history.jsonl"
+        _write_history(path, RECORDS)  # bench_a ends at 1.5x its best earlier value
+        base = ["bench-history", "--check", str(path)]
+        assert cli_main(base) == 0
+        assert cli_main(base + ["--threshold", "1.4"]) == 1
+        assert "REGRESSION: bench_a" in capsys.readouterr().out
+        assert cli_main(base + ["--threshold", "1.4", "--bench", "_b"]) == 0
+        assert cli_main(base + ["--threshold", "1.4", "--min-history", "4"]) == 0
+        for bad in (["--threshold", "0"], ["--min-history", "0"]):
+            with pytest.raises(SystemExit):
+                cli_main(base + bad)
 
 
 def test_harness_provenance_fields():

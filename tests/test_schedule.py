@@ -1,10 +1,15 @@
 """Tests for CheckpointPlan, Segment and Schedule."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.expected_time import expected_completion_time
 from repro.core.schedule import CheckpointPlan, Schedule, Segment, expected_makespan
 from repro.models.checkpoint import FrontierCheckpointCost
+from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
+from repro.workflows import dag
+from repro.workflows.chain import LinearChain
 from repro.workflows.dag import Workflow
 from repro.workflows.task import Task
 
@@ -202,3 +207,115 @@ class TestScheduleDescription:
     def test_repr(self, small_chain):
         schedule = Schedule.for_chain(small_chain, [1])
         assert "checkpoints=1" in repr(schedule)
+
+
+# ----------------------------------------------------------------------
+# Chain schedules without a graph
+# ----------------------------------------------------------------------
+
+_costs = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))
+
+
+@st.composite
+def _chains_with_positions(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    chain = LinearChain(
+        works=column(st.floats(min_value=0.01, max_value=10.0)),
+        checkpoint_costs=column(_costs),
+        recovery_costs=column(_costs),
+        initial_recovery=draw(_costs),
+    )
+    positions = draw(st.one_of(
+        st.just([]),
+        st.just(list(range(n))),
+        st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2 * n),
+    ))
+    return chain, positions
+
+
+def _graph_schedule(chain, positions):
+    """The workflow-backed reference for ``Schedule.for_chain``."""
+    return Schedule(
+        chain.to_workflow(),
+        list(chain.names),
+        CheckpointPlan.from_positions(chain.n, positions),
+        initial_recovery=chain.initial_recovery,
+    )
+
+
+class TestChainScheduleWithoutGraph:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_chains_with_positions(),
+        downtime=st.floats(min_value=0.0, max_value=5.0),
+        rate=st.floats(min_value=1e-4, max_value=0.5),
+    )
+    def test_for_chain_equals_workflow_schedule(self, case, downtime, rate):
+        chain, positions = case
+        fast = Schedule.for_chain(chain, positions)
+        reference = _graph_schedule(chain, positions)
+        assert fast.order == reference.order
+        assert fast.plan == reference.plan
+        assert fast.segments() == reference.segments()
+        assert fast.failure_free_time().hex() == reference.failure_free_time().hex()
+        assert (
+            fast.expected_makespan(downtime, rate).hex()
+            == reference.expected_makespan(downtime, rate).hex()
+        )
+
+    @pytest.mark.parametrize("engine", [None, "vectorized"])
+    def test_campaign_path_builds_no_graph(self, monkeypatch, engine):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Workflow graph was built on the campaign path")
+
+        monkeypatch.setattr(dag.Workflow, "__init__", refuse)
+        spec = ScenarioSpec(
+            name="no-graph",
+            chain=ChainSpec(n=12, seed=5),
+            failure=FailureSpec(kind="exponential", mtbf=60.0),
+            strategies=("optimal_dp", "checkpoint_all", "checkpoint_none", "daly_period"),
+            num_runs=40,
+            downtime=0.5,
+            seed=9,
+            engine=engine,
+        )
+        result = spec.run()
+        assert sorted(result.makespans) == sorted(spec.strategies)
+        assert all(len(samples) == 40 for samples in result.makespans.values())
+
+    def test_mutating_returned_segments_leaves_schedule_intact(self, small_chain):
+        schedule = Schedule.for_chain(small_chain, [1, 3])
+        before = schedule.segments()
+        free_time = schedule.failure_free_time()
+        returned = schedule.segments()
+        returned.reverse()
+        returned.append(returned[0])
+        returned[0] = Segment(
+            tasks=("X",), work=1e9, checkpoint_cost=0.0, recovery_cost=0.0, checkpointed=False
+        )
+        assert schedule.segments() == before
+        assert schedule.segments() is not schedule.segments()
+        assert schedule.failure_free_time() == free_time
+
+    def test_workflow_is_built_on_demand(self, small_chain):
+        schedule = Schedule.for_chain(small_chain, [1])
+        assert "workflow='chain'" in repr(schedule)
+        workflow = schedule.workflow
+        assert isinstance(workflow, Workflow)
+        assert workflow is schedule.workflow
+        assert workflow.task_names() == list(small_chain.names)
+        assert len(workflow.dependences()) == small_chain.n - 1
+        assert workflow.chain_order() == schedule.order
+        for name, work in zip(small_chain.names, small_chain.works):
+            assert workflow.task(name).work == work
+        assert "workflow='chain'" in repr(schedule)
+
+    def test_describe_does_not_build_the_workflow(self, small_chain, monkeypatch):
+        schedule = Schedule.for_chain(small_chain, [1, 3])
+        monkeypatch.setattr(LinearChain, "to_workflow", None)
+        assert "segment 1" in schedule.describe()
+        assert "checkpoints=2" in repr(schedule)

@@ -72,6 +72,17 @@ class TestDalyPeriodChain:
         result = daly_period_chain(chain, 0.0, 1e-9)
         assert result.checkpoint_after == (4,)
 
+    def test_rare_failures_no_final_checkpoint(self):
+        # The chain's total work (3.0) stays below the Daly period, so the
+        # placement is empty and no final checkpoint cost is charged.
+        chain = LinearChain.uniform(3, work=1.0, checkpoint_cost=0.5)
+        result = daly_period_chain(chain, 0.1, 1e-4, final_checkpoint=False)
+        assert result.checkpoint_after == ()
+        none = checkpoint_none_chain(chain, 0.1, 1e-4, final_checkpoint=False)
+        assert none.checkpoint_after == ()
+        assert result.expected_makespan == none.expected_makespan
+        assert result.to_schedule().failure_free_time() == chain.total_work()
+
     def test_young_variant_runs(self):
         chain = LinearChain.uniform(8, work=5.0, checkpoint_cost=1.0)
         result = daly_period_chain(chain, 0.0, 0.01, use_higher_order=False)

@@ -17,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.obs import flight as obs_flight
 from repro.obs import metrics, tracing
+from repro.perf_history import find_regressions
 from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import GatewayServer
@@ -344,7 +346,7 @@ class TestFlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# Bench perf history + regression checker
+# Bench perf history + `repro bench-history` regression check
 # ----------------------------------------------------------------------
 
 
@@ -373,9 +375,6 @@ class TestBenchHistory:
         assert "appended perf record" in capsys.readouterr().out
 
     def test_regression_checker_flags_and_exit_codes(self, tmp_path, capsys):
-        checker = _load_module(
-            "check_bench_regression_under_test", "scripts/check_bench_regression.py"
-        )
         history = tmp_path / "history.jsonl"
         rows = [
             {"bench": "b1", "mode": "quick", "metric": "seconds", "value": 1.0},
@@ -385,36 +384,30 @@ class TestBenchHistory:
             {"bench": "b2", "mode": "quick", "metric": "seconds", "value": 9.0},
         ]
         history.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        assert checker.main([str(history)]) == 0  # advisory by default
+        assert cli_main(["bench-history", str(history)]) == 0  # advisory by default
         out = capsys.readouterr().out
         assert "REGRESSION: b1" in out and "5.00x" in out
-        assert checker.main(["--strict", str(history)]) == 1
+        assert cli_main(["bench-history", "--check", str(history)]) == 1
         # Under threshold: clean.
         ok_rows = rows[:2] + [dict(rows[0], value=1.2)]
         history.write_text("".join(json.dumps(r) + "\n" for r in ok_rows))
         capsys.readouterr()
-        assert checker.main(["--strict", str(history)]) == 0
+        assert cli_main(["bench-history", "--check", str(history)]) == 0
         assert "0 regression(s)" in capsys.readouterr().out
 
     def test_regression_checker_skips_malformed_lines(self, tmp_path, capsys):
-        checker = _load_module(
-            "check_bench_regression_malformed", "scripts/check_bench_regression.py"
-        )
         history = tmp_path / "history.jsonl"
         history.write_text('not json\n{"bench": "b", "value": 1.0}\n\n')
-        assert checker.main([str(history)]) == 0
+        assert cli_main(["bench-history", str(history)]) == 0
         assert "skipping malformed line" in capsys.readouterr().err
 
     def test_compares_against_best_not_latest(self, tmp_path):
-        checker = _load_module(
-            "check_bench_regression_best", "scripts/check_bench_regression.py"
-        )
         series = {
             ("b", "quick", "seconds"): [
                 {"value": 1.0}, {"value": 4.0}, {"value": 4.1},
             ]
         }
-        findings = checker.find_regressions(series, threshold=1.5, min_history=3)
+        findings = find_regressions(series, threshold=1.5, min_history=3)
         # 4.1 vs best-earlier 1.0, not vs the immediately preceding 4.0.
         assert len(findings) == 1 and "4.10x" in findings[0]
 
