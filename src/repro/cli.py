@@ -133,6 +133,27 @@ _threshold = _checked(float, check_positive, "threshold")
 _min_history = _checked(int, check_positive_int, "min_history")
 
 
+def _positions(text: str) -> List[int]:
+    """argparse type for ``--checkpoint-after``: comma-separated integers."""
+    try:
+        return [int(piece) for piece in text.split(",") if piece.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid position list: {text!r}")
+
+
+def _read(load: Callable, kind: str, path: str):
+    """``load(path)``, or None after one ``error: cannot read`` line on stderr.
+
+    A missing file, a non-JSON file and a document the loader rejects are all
+    input errors, reported the way ``repro submit`` reports a bad spec.
+    """
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read {kind} {path!r}: {exc}", file=sys.stderr)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -208,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("chain", help="path to a repro-chain JSON file")
     simulate.add_argument("--rate", type=_rate, required=True)
     simulate.add_argument("--downtime", type=_downtime, default=0.0)
-    simulate.add_argument("--checkpoint-after", type=str, default=None,
+    simulate.add_argument("--checkpoint-after", type=_positions, default=None,
                           help="comma-separated 0-based positions; default: optimal placement")
     simulate.add_argument("--runs", type=_runs, default=5000)
     simulate.add_argument("--seed", type=int, default=0)
@@ -354,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve_chain(args: argparse.Namespace) -> int:
-    chain = load_chain(args.chain)
+    chain = _read(load_chain, "chain", args.chain)
+    if chain is None:
+        return 1
     final_checkpoint = not args.no_final_checkpoint
     if args.max_checkpoints is not None:
         result = optimal_chain_checkpoints_budget(
@@ -379,7 +402,9 @@ def _cmd_solve_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_dag(args: argparse.Namespace) -> int:
-    workflow = load_workflow(args.workflow)
+    workflow = _read(load_workflow, "workflow", args.workflow)
+    if workflow is None:
+        return 1
     result = schedule_dag(workflow, args.downtime, args.rate, seed=args.seed)
     print(f"workflow           : {args.workflow} ({len(workflow)} tasks)")
     print(f"linearisation      : {result.strategy}")
@@ -389,21 +414,6 @@ def _cmd_solve_dag(args: argparse.Namespace) -> int:
     if args.dot:
         print(workflow_to_dot(workflow, checkpoint_after=checkpoint_names))
     return 0
-
-
-def _parse_positions(text: Optional[str], n: int) -> Optional[List[int]]:
-    if text is None:
-        return None
-    positions = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        value = int(piece)
-        if not 0 <= value < n:
-            raise SystemExit(f"checkpoint position {value} out of range 0..{n - 1}")
-        positions.append(value)
-    return positions
 
 
 def _runtime_from_args(args: argparse.Namespace):
@@ -423,13 +433,18 @@ def _runtime_from_args(args: argparse.Namespace):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    chain = load_chain(args.chain)
-    positions = _parse_positions(args.checkpoint_after, chain.n)
+    chain = _read(load_chain, "chain", args.chain)
+    if chain is None:
+        return 1
+    positions = args.checkpoint_after
     if positions is None:
         dp = optimal_chain_checkpoints(chain, args.downtime, args.rate)
         positions = list(dp.checkpoint_after)
         print(f"using optimal placement: {positions}")
-    schedule = Schedule.for_chain(chain, positions)
+    try:
+        schedule = Schedule.for_chain(chain, positions)
+    except ValueError as exc:  # a position outside the chain
+        raise SystemExit(f"error: {exc}")
     analytic = schedule.expected_makespan(args.downtime, args.rate)
     backend, cache, engine = _runtime_from_args(args)
     estimator = MonteCarloEstimator(schedule, args.rate, args.downtime)

@@ -20,7 +20,6 @@ from repro.failures.traces import (
     FailureTrace,
     TraceStatistics,
     generate_trace,
-    merge_traces,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "FailureTrace",
     "TraceStatistics",
     "generate_trace",
-    "merge_traces",
 ]

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro._validation import check_positive, check_non_negative, check_positive_int
+from repro._validation import check_positive, check_positive_int
 
 __all__ = [
     "FailureDistribution",
@@ -74,15 +74,6 @@ class FailureDistribution(ABC):
         if s <= 0.0:
             return math.inf
         return self.pdf(t) / s
-
-    def conditional_survival(self, t: float, age: float) -> float:
-        """P(no failure in the next ``t`` units | the processor has age ``age``)."""
-        t = check_non_negative("t", t)
-        age = check_non_negative("age", age)
-        s_age = self.survival(age)
-        if s_age <= 0.0:
-            return 0.0
-        return self.survival(age + t) / s_age
 
     def mtbf(self) -> float:
         """Alias for :meth:`mean` using the usual resilience-community acronym."""

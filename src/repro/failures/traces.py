@@ -2,43 +2,36 @@
 
 The paper's companion work [13] evaluates heuristics "using either synthetic
 traces or failure logs of production clusters" from the Failure Trace Archive
-[21].  Production logs are not redistributable here, so this module provides a
-faithful synthetic substitute: traces are generated from any
+[21].  Production logs are not redistributable here, so every trace the
+simulators replay is generated from a
 :class:`~repro.failures.distributions.FailureDistribution` (Exponential,
 Weibull with shape < 1 as reported by Schroeder & Gibson, or log-normal as
-advocated by Heien et al.) and can be replayed deterministically by the
-discrete-event simulator, exactly as archived logs would be.
+advocated by Heien et al.) and replayed deterministically by the
+discrete-event simulator.
 
 A :class:`FailureTrace` is simply a sorted sequence of absolute failure
 timestamps for a whole platform, together with per-event metadata (which
 processor failed).  :class:`TraceStatistics` computes the usual summary
-statistics (MTBF, coefficient of variation, empirical hazard behaviour) used
-to sanity-check that generated traces have the intended characteristics, and
-offers simple moment-based fitting back to each supported law.
+statistics (MTBF, coefficient of variation, extreme gaps) used to
+sanity-check that generated traces have the intended characteristics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro._validation import check_positive, check_positive_int
-from repro.failures.distributions import (
-    ExponentialFailure,
-    FailureDistribution,
-    LogNormalFailure,
-    WeibullFailure,
-)
+from repro.failures.distributions import FailureDistribution
 
 __all__ = [
     "FailureEvent",
     "FailureTrace",
     "TraceStatistics",
     "generate_trace",
-    "merge_traces",
 ]
 
 
@@ -101,31 +94,6 @@ class FailureTrace:
         deltas.extend(b - a for a, b in zip(times, times[1:]))
         return deltas
 
-    def failures_in(self, start: float, end: float) -> List[FailureEvent]:
-        """Events with ``start <= time < end``."""
-        if end < start:
-            raise ValueError(f"end ({end}) must be >= start ({start})")
-        return [e for e in self.events if start <= e.time < end]
-
-    def next_failure_after(self, t: float) -> Optional[FailureEvent]:
-        """First event strictly after time ``t``, or None if the trace is exhausted."""
-        for event in self.events:
-            if event.time > t:
-                return event
-        return None
-
-    def shifted(self, offset: float) -> "FailureTrace":
-        """Return a copy of the trace with all timestamps shifted by ``offset``."""
-        if offset < 0 and self.events and self.events[0].time + offset < 0:
-            raise ValueError("shift would produce negative timestamps")
-        events = tuple(
-            FailureEvent(time=e.time + offset, processor=e.processor) for e in self.events
-        )
-        return FailureTrace(
-            events=events, horizon=self.horizon + max(offset, 0.0),
-            num_processors=self.num_processors,
-        )
-
     def statistics(self) -> "TraceStatistics":
         """Summary statistics of the trace."""
         return TraceStatistics.from_trace(self)
@@ -175,49 +143,6 @@ class TraceStatistics:
             max_gap=float(arr.max()),
         )
 
-    def fit_exponential(self) -> ExponentialFailure:
-        """Moment-fit an Exponential law to the trace (rate = 1 / MTBF)."""
-        if not math.isfinite(self.mtbf) or self.mtbf <= 0:
-            raise ValueError("cannot fit a law to an empty trace")
-        return ExponentialFailure(rate=1.0 / self.mtbf)
-
-    def fit_weibull(self) -> WeibullFailure:
-        """Moment-fit a Weibull law (matching mean and coefficient of variation).
-
-        Uses a bisection on the shape parameter: the Weibull CV is a strictly
-        decreasing function of the shape.
-        """
-        if not math.isfinite(self.mtbf) or self.mtbf <= 0:
-            raise ValueError("cannot fit a law to an empty trace")
-        if self.cv <= 0:
-            # Degenerate trace (constant gaps): return a high-shape Weibull.
-            return WeibullFailure.from_mtbf(self.mtbf, shape=10.0)
-        target_cv = self.cv
-
-        def weibull_cv(shape: float) -> float:
-            g1 = math.gamma(1.0 + 1.0 / shape)
-            g2 = math.gamma(1.0 + 2.0 / shape)
-            return math.sqrt(max(g2 / (g1 * g1) - 1.0, 0.0))
-
-        lo, hi = 0.05, 50.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if weibull_cv(mid) > target_cv:
-                lo = mid
-            else:
-                hi = mid
-        shape = 0.5 * (lo + hi)
-        return WeibullFailure.from_mtbf(self.mtbf, shape=shape)
-
-    def fit_lognormal(self) -> LogNormalFailure:
-        """Moment-fit a log-normal law (matching mean and coefficient of variation)."""
-        if not math.isfinite(self.mtbf) or self.mtbf <= 0:
-            raise ValueError("cannot fit a law to an empty trace")
-        sigma2 = math.log(1.0 + self.cv * self.cv) if self.cv > 0 else 1e-6
-        sigma = math.sqrt(sigma2)
-        mu = math.log(self.mtbf) - 0.5 * sigma2
-        return LogNormalFailure(mu=mu, sigma=sigma)
-
 
 def generate_trace(
     law: FailureDistribution,
@@ -263,27 +188,3 @@ def generate_trace(
                     "reduce the horizon or the failure rate"
                 )
     return FailureTrace(events=tuple(events), horizon=horizon, num_processors=num_processors)
-
-
-def merge_traces(traces: Iterable[FailureTrace]) -> FailureTrace:
-    """Merge several traces into a single platform trace (superposition).
-
-    The merged horizon is the minimum of the input horizons (beyond which at
-    least one input trace carries no information), and processor indices are
-    re-numbered to remain unique.
-    """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("merge_traces requires at least one trace")
-    horizon = min(t.horizon for t in traces)
-    events: List[FailureEvent] = []
-    offset = 0
-    total_procs = 0
-    for trace in traces:
-        for event in trace.events:
-            if event.time < horizon:
-                proc = event.processor + offset if event.processor >= 0 else -1
-                events.append(FailureEvent(time=event.time, processor=proc))
-        offset += trace.num_processors
-        total_procs += trace.num_processors
-    return FailureTrace(events=tuple(events), horizon=horizon, num_processors=total_procs)

@@ -1,7 +1,7 @@
 """Discrete-event simulation of checkpointed executions under failures.
 
 The simulator is deliberately independent of the analytic formulas of
-:mod:`repro.core.expected_time`: it replays sampled (or traced) failure times
+:mod:`repro.core.expected_time`: it replays failure times drawn from a law
 against a schedule, applying the paper's execution model -- work, checkpoint,
 failure, downtime, recovery, rollback -- event by event.  Averaging many runs
 therefore provides an unbiased estimate of the expected makespan, which is how
@@ -15,7 +15,6 @@ from repro.simulation.engine import (
     TraceFailureSource,
     failure_source_for,
 )
-from repro.simulation.events import EventType, ExecutionLog, SimulationEvent
 from repro.simulation.executor import SimulationResult, simulate_schedule, simulate_segments
 from repro.simulation.monte_carlo import (
     MonteCarloEstimate,
@@ -39,9 +38,6 @@ __all__ = [
     "RenewalPlatformFailureSource",
     "TraceFailureSource",
     "failure_source_for",
-    "EventType",
-    "SimulationEvent",
-    "ExecutionLog",
     "SimulationResult",
     "simulate_schedule",
     "simulate_segments",

@@ -15,7 +15,7 @@ provided:
   processor keeps its own age, and only the processor that failed is renewed
   (the paper criticises the "rejuvenate everybody" assumption of [12], which
   a platform with ``rejuvenate_all_on_failure=True`` reproduces).
-* :class:`TraceFailureSource` -- deterministic replay of a
+* :class:`TraceFailureSource` -- deterministic replay of a generated
   :class:`~repro.failures.traces.FailureTrace` (synthetic stand-in for the
   Failure Trace Archive logs the paper's companion work uses).
 """
@@ -160,7 +160,7 @@ class RenewalPlatformFailureSource(FailureSource):
 
 
 class TraceFailureSource(FailureSource):
-    """Deterministic replay of a recorded (or synthetic) failure trace.
+    """Deterministic replay of a synthetic failure trace.
 
     Once the trace is exhausted, no further failure ever strikes
     (``time_to_next_failure`` returns ``inf``); experiments should use traces

@@ -14,8 +14,7 @@ The executor applies the paper's execution model (Section 2) literally:
 
 The executor works at the granularity of the :class:`~repro.core.schedule.Segment`
 decomposition, which is exact: within a segment every failure rolls back to
-the same point, so the internal task boundaries only matter for logging, and
-they are logged when a log is requested.
+the same point, so the internal task boundaries never matter.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 from repro._validation import check_non_negative
 from repro.core.schedule import Schedule, Segment
 from repro.simulation.engine import FailureSource, failure_source_for
-from repro.simulation.events import EventType, ExecutionLog
 
 __all__ = ["SimulationResult", "simulate_schedule", "simulate_segments"]
 
@@ -57,8 +55,6 @@ class SimulationResult:
     num_recovery_attempts:
         Number of recovery attempts (a single failure can trigger several if
         recoveries themselves fail).
-    log:
-        Optional detailed event log (None unless requested).
     """
 
     makespan: float
@@ -66,7 +62,6 @@ class SimulationResult:
     wasted_time: float
     useful_time: float
     num_recovery_attempts: int
-    log: Optional[ExecutionLog] = None
 
     def __post_init__(self) -> None:
         if self.makespan < 0 or self.wasted_time < 0 or self.useful_time < 0:
@@ -80,7 +75,6 @@ def simulate_segments(
     *,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    record_log: bool = False,
 ) -> SimulationResult:
     """Simulate the execution of a sequence of segments under failures.
 
@@ -98,14 +92,11 @@ def simulate_segments(
     rng, seed:
         Randomness used both to build stochastic failure sources and by those
         sources; ``seed`` is ignored when ``rng`` is given.
-    record_log:
-        When True, a full :class:`ExecutionLog` is attached to the result.
     """
     check_non_negative("downtime", downtime)
     if rng is None:
         rng = np.random.default_rng(seed)
     source = failure_source_for(failure_model, rng)
-    log = ExecutionLog() if record_log else None
 
     now = 0.0
     wasted = 0.0
@@ -113,27 +104,13 @@ def simulate_segments(
     failures = 0
     recovery_attempts = 0
 
-    for index, segment in enumerate(segments):
-        if log is not None:
-            log.record(now, EventType.SEGMENT_STARTED, index, f"tasks={','.join(segment.tasks)}")
+    for segment in segments:
         duration = segment.work + segment.checkpoint_cost
         while True:
             delay = source.time_to_next_failure(now)
             if delay >= duration:
                 # The whole segment (work + checkpoint) completes before the
                 # next failure.
-                if log is not None:
-                    task_clock = now
-                    for name in segment.tasks:
-                        # Individual task durations are only needed for the log.
-                        task_work = segment.work / len(segment.tasks)
-                        task_clock += task_work
-                        log.record(task_clock, EventType.TASK_COMPLETED, index, name)
-                    if segment.checkpointed:
-                        log.record(
-                            now + duration, EventType.CHECKPOINT_TAKEN, index,
-                            f"cost={segment.checkpoint_cost:g}",
-                        )
                 now += duration
                 useful += duration
                 break
@@ -149,27 +126,18 @@ def simulate_segments(
             now += delay
             wasted += delay
             source.register_failure(now)
-            if log is not None:
-                log.record(now, EventType.FAILURE, index, f"lost={delay:g}")
 
             # Downtime: failures cannot strike during it (Section 2).
             now += downtime
             wasted += downtime
-            if log is not None and downtime > 0:
-                log.record(now, EventType.DOWNTIME_COMPLETED, index)
 
             # Recovery attempts, which may themselves be interrupted.
             while True:
                 recovery_attempts += 1
-                if log is not None:
-                    log.record(now, EventType.RECOVERY_STARTED, index,
-                               f"cost={segment.recovery_cost:g}")
                 recovery_delay = source.time_to_next_failure(now)
                 if recovery_delay >= segment.recovery_cost:
                     now += segment.recovery_cost
                     wasted += segment.recovery_cost
-                    if log is not None:
-                        log.record(now, EventType.RECOVERY_COMPLETED, index)
                     break
                 failures += 1
                 if failures > _MAX_FAILURES_PER_RUN:
@@ -181,23 +149,15 @@ def simulate_segments(
                 now += recovery_delay
                 wasted += recovery_delay
                 source.register_failure(now)
-                if log is not None:
-                    log.record(now, EventType.FAILURE, index,
-                               f"during recovery, lost={recovery_delay:g}")
                 now += downtime
                 wasted += downtime
-                if log is not None and downtime > 0:
-                    log.record(now, EventType.DOWNTIME_COMPLETED, index)
 
-    if log is not None:
-        log.record(now, EventType.EXECUTION_COMPLETED, max(len(segments) - 1, 0))
     return SimulationResult(
         makespan=now,
         num_failures=failures,
         wasted_time=wasted,
         useful_time=useful,
         num_recovery_attempts=recovery_attempts,
-        log=log,
     )
 
 
@@ -208,18 +168,10 @@ def simulate_schedule(
     *,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    record_log: bool = False,
 ) -> SimulationResult:
     """Simulate one execution of a :class:`~repro.core.schedule.Schedule`.
 
     Convenience wrapper around :func:`simulate_segments` using the schedule's
     own segment decomposition.
     """
-    return simulate_segments(
-        schedule.segments(),
-        failure_model,
-        downtime,
-        rng=rng,
-        seed=seed,
-        record_log=record_log,
-    )
+    return simulate_segments(schedule.segments(), failure_model, downtime, rng=rng, seed=seed)

@@ -21,7 +21,6 @@ from repro.obs import tracing as _tracing
 from repro.core.schedule import Schedule, Segment
 from repro.failures.distributions import ExponentialFailure, FailureDistribution
 from repro.failures.platform import Platform
-from repro.failures.traces import FailureTrace
 from repro.runtime.backends import ExecutionBackend, backend_scope, resolve_engine
 from repro.runtime.cache import ResultCache
 from repro.runtime.chunking import plan_chunks
@@ -31,8 +30,6 @@ from repro.simulation.executor import SimulationResult, simulate_segments
 from repro.simulation.vectorized import (
     PlannedExponentialDelays,
     PlannedPoissonSource,
-    pack_trace_times,
-    replay_traces_batch,
     simulate_poisson_batch,
     simulate_renewal_batch,
 )
@@ -133,27 +130,24 @@ class MonteCarloEstimator:
         Either a :class:`~repro.core.schedule.Schedule` or an explicit list of
         :class:`~repro.core.schedule.Segment` objects.
     failure_model:
-        Anything accepted by
-        :func:`repro.simulation.engine.failure_source_for`, or an explicit
-        *list* of :class:`~repro.failures.traces.FailureTrace` objects.
-        Stochastic sources are re-created per run from the chunk's RNG stream
-        so runs are independent; a single trace is reset (every run replays the
-        same trace -- pass a factory via ``failure_model_factory`` for
-        independent random traces); with a trace list, run ``i`` replays
-        trace ``i`` (``num_runs`` may not exceed the list length), which is
-        how recorded failure logs are averaged over.
+        A platform failure rate, a
+        :class:`~repro.failures.distributions.FailureDistribution`, a
+        :class:`~repro.failures.platform.Platform` or a ready-made
+        :class:`~repro.simulation.engine.FailureSource`; anything else raises
+        :class:`TypeError`.  Stochastic sources are re-created per run from
+        the chunk's RNG stream so runs are independent.
     downtime:
         Downtime ``D`` applied after each failure.
     failure_model_factory:
         Optional callable ``rng -> failure model`` used instead of
         ``failure_model`` to build an independent model per run (e.g. a fresh
-        synthetic trace).
+        synthetic trace from :func:`~repro.failures.traces.generate_trace`).
     """
 
     def __init__(
         self,
         target: Union[Schedule, Sequence[Segment]],
-        failure_model: Union[float, FailureSource, object, None] = None,
+        failure_model: Union[float, FailureDistribution, Platform, FailureSource, None] = None,
         downtime: float = 0.0,
         *,
         failure_model_factory: Optional[Callable[[np.random.Generator], object]] = None,
@@ -166,16 +160,16 @@ class MonteCarloEstimator:
                 raise ValueError("target must contain at least one segment")
         if failure_model is None and failure_model_factory is None:
             raise ValueError("provide failure_model or failure_model_factory")
-        if isinstance(failure_model, (list, tuple)):
-            # An explicit trace list: run i replays trace i.  Normalised to a
-            # tuple so it is hashable by the cache's canonicalizer.
-            traces = tuple(failure_model)
-            if not traces or not all(isinstance(t, FailureTrace) for t in traces):
-                raise TypeError(
-                    "a sequence failure_model must be a non-empty list of "
-                    "FailureTrace objects"
-                )
-            failure_model = traces
+        if failure_model is not None and (
+            isinstance(failure_model, bool)
+            or not isinstance(
+                failure_model, (int, float, FailureDistribution, Platform, FailureSource)
+            )
+        ):
+            raise TypeError(
+                f"cannot use {type(failure_model).__name__} as a failure_model; pass "
+                "a rate, a FailureDistribution, a Platform or a FailureSource"
+            )
         self._failure_model = failure_model
         self._failure_model_factory = failure_model_factory
         self.downtime = check_non_negative("downtime", downtime)
@@ -185,14 +179,8 @@ class MonteCarloEstimator:
         rng: Optional[np.random.Generator] = None,
         *,
         seed: Optional[int] = None,
-        record_log: bool = False,
-        run_index: int = 0,
     ) -> SimulationResult:
-        """Simulate a single run.
-
-        ``run_index`` only matters for explicit trace-list models, where it
-        selects which trace this run replays; every other model ignores it.
-        """
+        """Simulate a single run."""
         if rng is None:
             rng = np.random.default_rng(seed)
         model = (
@@ -200,39 +188,23 @@ class MonteCarloEstimator:
             if self._failure_model_factory is not None
             else self._failure_model
         )
-        if isinstance(model, tuple):
-            if not 0 <= run_index < len(model):
-                raise IndexError(
-                    f"run_index {run_index} out of range for a trace list of "
-                    f"length {len(model)}"
-                )
-            model = model[run_index]
         source = failure_source_for(model, rng)
         source.reset()
-        return simulate_segments(
-            self._segments, source, self.downtime, rng=rng, record_log=record_log
-        )
+        return simulate_segments(self._segments, source, self.downtime, rng=rng)
 
     def _vector_mode(self) -> Tuple[Optional[str], object]:
         """How the vectorized engine can treat this estimator's failure model.
 
         Returns ``("poisson", rate)`` for memoryless models (the exact array
         fast path), ``("renewal", platform)`` for non-memoryless renewal
-        platforms (the statistical batch path), ``("trace", model)`` for
-        explicit trace models (a single
-        :class:`~repro.failures.traces.FailureTrace` or a tuple of them,
-        replayed through
-        :func:`~repro.simulation.vectorized.replay_traces_batch`), and
-        ``(None, None)`` for models the vectorized engine cannot batch
-        (ready-made sources, factories) -- those fall back to the scalar
-        event loop and therefore produce results identical to
-        ``engine="scalar"``.
+        platforms (the statistical batch path), and ``(None, None)`` for
+        models the vectorized engine cannot batch (ready-made sources,
+        factories) -- those fall back to the scalar event loop and therefore
+        produce results identical to ``engine="scalar"``.
         """
         if self._failure_model_factory is not None:
             return None, None
         model = self._failure_model
-        if isinstance(model, bool):
-            return None, None
         if isinstance(model, (int, float)):
             return "poisson", float(model)
         if isinstance(model, ExponentialFailure):
@@ -243,8 +215,6 @@ class MonteCarloEstimator:
             return "renewal", model
         if isinstance(model, FailureDistribution):
             return "renewal", Platform(num_processors=1, failure_law=model)
-        if isinstance(model, (FailureTrace, tuple)):
-            return "trace", model
         return None, None
 
     def estimate(
@@ -275,10 +245,7 @@ class MonteCarloEstimator:
         engines consume an engine-neutral delay plan and are **bit-identical**
         for the same ``(seed, chunk_size)`` -- they even share cache entries;
         for renewal laws (Weibull, log-normal) the vectorized engine batches
-        its draws and is statistically equivalent instead; explicit trace
-        models (a single trace or a trace list) replay through
-        :func:`~repro.simulation.vectorized.replay_traces_batch` and agree
-        with the scalar engine to ~1 ulp per segment.  The backend only
+        its draws and is statistically equivalent instead.  The backend only
         places the chunks; it never changes the engine.
 
         ``progress`` is an optional ``callback(done, total)`` reporting how
@@ -290,11 +257,6 @@ class MonteCarloEstimator:
         scenario service implements cooperative cancellation.
         """
         check_positive_int("num_runs", num_runs)
-        if isinstance(self._failure_model, tuple) and num_runs > len(self._failure_model):
-            raise ValueError(
-                f"num_runs={num_runs} exceeds the explicit trace list "
-                f"({len(self._failure_model)} traces); run i replays trace i"
-            )
         engine = resolve_engine(engine)
         plan = plan_chunks(num_runs, chunk_size)
         if progress is not None:
@@ -324,10 +286,9 @@ class MonteCarloEstimator:
             # same delay plan and share entries (a cache warmed by one engine
             # replays through the other); models the vectorized engine cannot
             # batch fall back to the scalar loop and share entries too.
-            # Renewal batching reorders its draws and trace replay
-            # re-associates its duration sums (~1 ulp), so those two modes
-            # key per engine.
-            if engine == "vectorized" and self._vector_mode()[0] in ("renewal", "trace"):
+            # Renewal batching reorders its draws, so that mode keys per
+            # engine.
+            if engine == "vectorized" and self._vector_mode()[0] == "renewal":
                 payload["engine"] = "vectorized"
             store = cache.with_namespace("monte_carlo")
             key = store.key_for(payload)
@@ -339,19 +300,14 @@ class MonteCarloEstimator:
                 return MonteCarloEstimate.from_samples(
                     arrays["makespans"], arrays["num_failures"], arrays["wasted_times"]
                 )
-        # Each task carries its chunk's replication offset so trace-list
-        # models know which traces the chunk replays (run i = trace i), plus
-        # a trace-context snapshot so chunk spans executed in pool workers
-        # keep the submitting request's correlation id.  Neither rides into
-        # the cache key (keys hash the payload dict above, never the task
-        # tuple), so instrumentation cannot perturb replay.
-        offsets = [0]
-        for size in plan.sizes[:-1]:
-            offsets.append(offsets[-1] + size)
+        # Each task carries a trace-context snapshot so chunk spans executed
+        # in pool workers keep the submitting request's correlation id.  It
+        # never rides into the cache key (keys hash the payload dict above,
+        # never the task tuple), so instrumentation cannot perturb replay.
         obs_context = _tracing.context_snapshot()
         tasks = [
-            (self, chunk_seed, size, engine, offset, obs_context)
-            for chunk_seed, size, offset in zip(plan.seeds(seed), plan.sizes, offsets)
+            (self, chunk_seed, size, engine, obs_context)
+            for chunk_seed, size in zip(plan.seeds(seed), plan.sizes)
         ]
         with backend_scope(backend) as executor:
             if progress is None:
@@ -383,8 +339,7 @@ class MonteCarloEstimator:
 
 def _estimate_chunk(
     args: Tuple[
-        "MonteCarloEstimator", np.random.SeedSequence, int, str, int,
-        Optional[Dict[str, Any]],
+        "MonteCarloEstimator", np.random.SeedSequence, int, str, Optional[Dict[str, Any]],
     ],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Dict[str, Any]]]:
     """Simulate one chunk of replications (runs in a worker process).
@@ -399,11 +354,11 @@ def _estimate_chunk(
     the chunk ran inside the originating trace's own context).  The sample
     arrays are untouched by instrumentation, so bit-identity is preserved.
     """
-    estimator, chunk_seed, count, engine, offset, obs = args
+    estimator, chunk_seed, count, engine, obs = args
     start = time.perf_counter()
     with _tracing.shipping_trace(obs) as shipped:
-        with _tracing.span("mc.chunk", engine=engine, runs=count, offset=offset):
-            samples = _estimate_chunk_samples(estimator, chunk_seed, count, engine, offset)
+        with _tracing.span("mc.chunk", engine=engine, runs=count):
+            samples = _estimate_chunk_samples(estimator, chunk_seed, count, engine)
     observe_chunk("monte_carlo", engine, count, time.perf_counter() - start)
     return samples + (shipped,)
 
@@ -413,7 +368,6 @@ def _estimate_chunk_samples(
     chunk_seed: np.random.SeedSequence,
     count: int,
     engine: str,
-    offset: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The actual chunk simulation (see :func:`_estimate_chunk`).
 
@@ -424,35 +378,12 @@ def _estimate_chunk_samples(
     replication's delay row (falling back to lock-step rounds when failures
     are dense), and the two are bit-identical by construction.  Renewal
     models batch their draws on the vectorized engine (statistically
-    equivalent); explicit trace models replay deterministically through
-    :func:`replay_traces_batch` (matching the scalar event loop to ~1 ulp);
-    models the vectorized engine cannot batch always take the scalar loop.
+    equivalent); models the vectorized engine cannot batch always take the
+    scalar loop.
     """
     rng = np.random.default_rng(chunk_seed)
     mode, resolved = estimator._vector_mode()
     segments = estimator._segments
-    if engine == "vectorized" and mode == "trace":
-        if isinstance(resolved, FailureTrace):
-            # A single trace: every replication replays it, so one replay
-            # row is broadcast across the chunk.
-            times = pack_trace_times([resolved])
-            makespans, fails = replay_traces_batch(
-                [segments], times, estimator.downtime, with_failures=True
-            )
-            chunk_makespans = np.full(count, makespans[0, 0])
-            chunk_failures = np.full(count, float(fails[0, 0]))
-        else:
-            times = pack_trace_times(resolved[offset : offset + count])
-            makespans, fails = replay_traces_batch(
-                [segments], times, estimator.downtime, with_failures=True
-            )
-            chunk_makespans = makespans[0]
-            chunk_failures = fails[0].astype(float)
-        # A completed replay commits every segment exactly once, so the
-        # useful time is the failure-free total and the rest is waste --
-        # the identity the scalar executor maintains incrementally.
-        useful = sum(s.work + s.checkpoint_cost for s in segments)
-        return chunk_makespans, chunk_failures, chunk_makespans - useful
     if mode == "poisson":
         plan = PlannedExponentialDelays(
             rng, 1.0 / resolved, count, first_rounds=len(segments) + 4
@@ -483,7 +414,7 @@ def _estimate_chunk_samples(
     num_failures = np.empty(count, dtype=float)
     wasted_times = np.empty(count, dtype=float)
     for index in range(count):
-        result = estimator.run_once(rng, run_index=offset + index)
+        result = estimator.run_once(rng)
         makespans[index] = result.makespan
         num_failures[index] = result.num_failures
         wasted_times[index] = result.wasted_time

@@ -46,7 +46,7 @@ Three batch engines live here:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +65,6 @@ __all__ = [
     "simulate_poisson_batch_lockstep",
     "simulate_renewal_batch",
     "generate_trace_times_batch",
-    "pack_trace_times",
     "replay_traces_batch",
 ]
 
@@ -868,37 +867,16 @@ def generate_trace_times_batch(
     return flat
 
 
-def pack_trace_times(traces: Sequence) -> np.ndarray:
-    """Pack explicit :class:`~repro.failures.traces.FailureTrace` objects.
-
-    Returns the ``(len(traces), width)`` padded time matrix
-    :func:`replay_traces_batch` consumes: each row holds one trace's event
-    times in increasing order, padded with ``+inf``, with at least one
-    ``+inf`` sentinel column per row so replay cursors never run off the end.
-    """
-    if not traces:
-        raise ValueError("traces must not be empty")
-    rows = [np.asarray(trace.times, dtype=float) for trace in traces]
-    width = max(row.size for row in rows) + 1
-    times = np.full((len(rows), width), np.inf)
-    for index, row in enumerate(rows):
-        times[index, : row.size] = row
-    return times
-
-
 def replay_traces_batch(
     segment_lists: Sequence[Sequence[Segment]],
     times: np.ndarray,
     downtime: float,
-    *,
-    with_failures: bool = False,
-) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+) -> np.ndarray:
     """Replay every strategy against every trace in one stacked lock-step loop.
 
     ``segment_lists`` holds one segment decomposition per strategy and
     ``times`` a ``(num_traces, width)`` padded time matrix from
-    :func:`generate_trace_times_batch` (or packed from explicit
-    :class:`~repro.failures.traces.FailureTrace` objects).  All
+    :func:`generate_trace_times_batch`.  All
     ``num_strategies * num_traces`` executions advance together, one
     *failure* (not one segment attempt) per lock-step round: every round
     completes the pending recovery, jumps over all consecutive segments that
@@ -912,15 +890,6 @@ def replay_traces_batch(
     rounding (the prefix-sum jumps re-associate the duration additions, so
     agreement is to ~1 ulp per segment rather than bit-for-bit; the
     equivalence tests pin it at 1e-9 relative).
-
-    With ``with_failures=True`` a ``(makespans, num_failures)`` pair is
-    returned instead; the failure counts (``int64``, same shape) match the
-    scalar executor's ``num_failures`` exactly -- every event that strikes a
-    row is one failure, and events falling inside downtime windows or at the
-    exact completion instant are skipped without counting, as the scalar
-    trace source does.  This is what lets
-    :class:`~repro.simulation.monte_carlo.MonteCarloEstimator` dispatch
-    explicit trace models here without losing its failure statistics.
     """
     check_non_negative("downtime", downtime)
     if not segment_lists:
@@ -967,9 +936,7 @@ def replay_traces_batch(
     out_index = np.arange(rows)
 
     makespans = np.empty(rows)
-    failures_out = np.zeros(rows, dtype=np.int64)
     now = np.zeros(rows)
-    fails = np.zeros(rows, dtype=np.int64)
     seg = np.zeros(rows, dtype=np.int64)
     cursor = np.zeros(rows, dtype=np.int64)
     # Rows recovering from the failure that ended their previous round.
@@ -1027,10 +994,8 @@ def replay_traces_batch(
         finished = seg >= limit
         if finished.any():
             makespans[out_index[finished]] = now[finished]
-            failures_out[out_index[finished]] = fails[finished]
             keep = ~finished
             now = now[keep]
-            fails = fails[keep]
             seg = seg[keep]
             cursor = cursor[keep]
             trace_base = trace_base[keep]
@@ -1052,7 +1017,6 @@ def replay_traces_batch(
         if now.size:
             struck = next_time > now
             now = np.where(struck, next_time + downtime, now)
-            fails += struck
             cursor += struck  # consume the event that just struck
             pending_recovery = struck
 
@@ -1067,7 +1031,4 @@ def replay_traces_batch(
                 "make completion astronomically unlikely"
             )
 
-    makespans = makespans.reshape(num_strategies, num_traces)
-    if with_failures:
-        return makespans, failures_out.reshape(num_strategies, num_traces)
-    return makespans
+    return makespans.reshape(num_strategies, num_traces)

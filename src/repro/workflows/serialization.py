@@ -150,6 +150,11 @@ def load_chain(path: Union[str, Path]) -> LinearChain:
     return chain_from_dict(json.loads(Path(path).read_text()))
 
 
+def _dot_escape(text: str) -> str:
+    """``text`` made safe inside a DOT double-quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def workflow_to_dot(
     workflow: Workflow,
     *,
@@ -164,12 +169,13 @@ def workflow_to_dot(
     unknown = checkpointed - set(workflow.task_names())
     if unknown:
         raise ValueError(f"checkpoint_after references unknown tasks: {sorted(unknown)}")
-    lines = [f'digraph "{workflow.name}" {{', "  rankdir=LR;"]
+    lines = [f'digraph "{_dot_escape(workflow.name)}" {{', "  rankdir=LR;"]
     for task in workflow.tasks():
         shape = "doubleoctagon" if task.name in checkpointed else "box"
-        label = f"{task.name}\\nw={task.work:g} C={task.checkpoint_cost:g}"
-        lines.append(f'  "{task.name}" [shape={shape}, label="{label}"];')
+        name = _dot_escape(task.name)
+        label = f"{name}\\nw={task.work:g} C={task.checkpoint_cost:g}"
+        lines.append(f'  "{name}" [shape={shape}, label="{label}"];')
     for u, v in workflow.dependences():
-        lines.append(f'  "{u}" -> "{v}";')
+        lines.append(f'  "{_dot_escape(u)}" -> "{_dot_escape(v)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

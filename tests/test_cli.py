@@ -53,11 +53,14 @@ class TestParser:
              "--max-checkpoints"),
             (["solve-dag", "{workflow}", "--rate", "inf"], "--rate"),
             (["simulate", "{chain}", "--rate", "0.02", "--runs", "0"], "--runs"),
+            (["simulate", "{chain}", "--rate", "0.02", "--checkpoint-after", "1,x"],
+             "--checkpoint-after"),
             (["serve", "--port", "70000"], "--port"),
             (["serve", "--port", "-1"], "--port"),
         ],
         ids=["solve-chain-rate", "solve-chain-downtime", "solve-chain-max-checkpoints",
-             "solve-dag-rate", "simulate-runs", "serve-port-high", "serve-port-negative"],
+             "solve-dag-rate", "simulate-runs", "simulate-checkpoint-after",
+             "serve-port-high", "serve-port-negative"],
     )
     def test_bad_numeric_flags_are_usage_errors(
         self, argv, flag, chain_file, workflow_file, capsys
@@ -93,6 +96,36 @@ class TestParser:
                         unknown.append(f"{path.name}: repro {command} {flag}")
         assert documented > 20  # the scan finds the documented commands
         assert unknown == []
+
+
+class TestUnreadableInput:
+    """A bad input file is one ``error: cannot read`` line and exit 1, the way
+    ``repro submit`` reports an unreadable spec -- never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, kind, content",
+        [
+            ("solve-chain", "chain", None),
+            ("simulate", "chain", "not json"),
+            ("solve-chain", "chain", '{"format": "repro-workflow", "version": 1}'),
+            ("solve-dag", "workflow", None),
+            ("solve-dag", "workflow",
+             '{"format": "repro-workflow", "version": 1, "name": "w", '
+             '"tasks": [{"name": "a", "work": 1.0}], "dependences": [["a", "b"]]}'),
+        ],
+        ids=["solve-chain-missing", "simulate-not-json", "solve-chain-wrong-format",
+             "solve-dag-missing", "solve-dag-unknown-task"],
+    )
+    def test_one_error_line_and_exit_1(self, command, kind, content, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([command, str(path), "--rate", "0.02"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot read {kind} {str(path)!r}: ")
 
 
 class TestSolveChain:

@@ -60,10 +60,6 @@ class TestExponentialFailure:
     def test_memoryless_flag(self):
         assert ExponentialFailure(rate=1.0).memoryless is True
 
-    def test_conditional_survival_memoryless(self):
-        law = ExponentialFailure(rate=0.5)
-        assert law.conditional_survival(2.0, age=10.0) == pytest.approx(law.survival(2.0))
-
     def test_scaled_superposition(self):
         law = ExponentialFailure(rate=1e-5)
         assert law.scaled(100).rate == pytest.approx(1e-3)
@@ -109,11 +105,6 @@ class TestWeibullFailure:
 
     def test_not_memoryless(self):
         assert WeibullFailure(shape=0.5, scale=1.0).memoryless is False
-
-    def test_conditional_survival_infant_mortality(self):
-        # For shape < 1 an older processor is *less* likely to fail soon.
-        law = WeibullFailure(shape=0.5, scale=10.0)
-        assert law.conditional_survival(5.0, age=50.0) > law.survival(5.0)
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Integration tests: full pipelines from workflow generation to simulation."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -129,11 +131,19 @@ class TestPublicApi:
 
         assert repro.__version__ == "1.0.0"
 
-    def test_all_exports_resolve(self):
-        import repro
-
-        for name in repro.__all__:
-            assert hasattr(repro, name), f"repro.{name} missing"
+    @pytest.mark.parametrize(
+        "package",
+        ["repro"] + [
+            f"repro.{name}" for name in (
+                "analysis", "baselines", "core", "devtools", "experiments", "failures",
+                "models", "obs", "runtime", "service", "simulation", "workflows",
+            )
+        ],
+    )
+    def test_all_exports_resolve(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.{name} missing"
 
     def test_quickstart_snippet_from_module_docstring(self):
         chain = LinearChain(

@@ -8,7 +8,7 @@ from repro.core.expected_time import expected_completion_time
 from repro.core.schedule import Schedule, Segment
 from repro.failures.distributions import WeibullFailure
 from repro.failures.platform import Platform
-from repro.failures.traces import generate_trace
+from repro.failures.traces import FailureEvent, FailureTrace, generate_trace
 from repro.simulation.monte_carlo import (
     MonteCarloEstimate,
     MonteCarloEstimator,
@@ -90,6 +90,24 @@ class TestMonteCarloEstimator:
         with pytest.raises(ValueError):
             MonteCarloEstimator([], 0.1)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            FailureTrace(events=(FailureEvent(4.0),), horizon=100.0),
+            [FailureTrace(events=(FailureEvent(4.0),), horizon=100.0)],
+            True,
+            "x",
+        ],
+        ids=["trace", "trace_list", "bool", "str"],
+    )
+    def test_rejects_models_without_a_failure_source(self, model):
+        segment = Segment(tasks=("T",), work=5.0, checkpoint_cost=0.5,
+                          recovery_cost=0.5, checkpointed=True)
+        # Raised by the constructor, before any chunk runs; the message names
+        # the accepted kinds.
+        with pytest.raises(TypeError, match="a rate, a FailureDistribution, a Platform"):
+            MonteCarloEstimator([segment], model, 0.5)
+
     def test_seeded_estimates_reproducible(self):
         chain = uniform_random_chain(4, seed=42)
         schedule = Schedule.for_chain(chain, [3])
@@ -126,11 +144,3 @@ class TestMonteCarloEstimator:
         estimator = MonteCarloEstimator(schedule, 0.01, 0.0)
         with pytest.raises(ValueError):
             estimator.estimate(0)
-
-    def test_run_once_with_log(self, rng):
-        chain = uniform_random_chain(3, seed=46)
-        schedule = Schedule.for_chain(chain, [0, 2])
-        estimator = MonteCarloEstimator(schedule, 0.01, 0.0)
-        result = estimator.run_once(rng, record_log=True)
-        assert result.log is not None
-        assert result.log.num_checkpoints == 2

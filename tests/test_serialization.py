@@ -1,9 +1,11 @@
 """Tests for workflow/chain JSON serialisation and DOT export."""
 
 import json
+import re
 
 import pytest
 
+from repro.workflows.dag import Workflow
 from repro.workflows.generators import montage_like, uniform_random_chain
 from repro.workflows.serialization import (
     chain_from_dict,
@@ -16,6 +18,7 @@ from repro.workflows.serialization import (
     workflow_to_dict,
     workflow_to_dot,
 )
+from repro.workflows.task import Task
 
 
 class TestWorkflowRoundTrip:
@@ -110,3 +113,17 @@ class TestDotExport:
     def test_unknown_checkpoint_task_rejected(self, diamond_workflow):
         with pytest.raises(ValueError, match="unknown tasks"):
             workflow_to_dot(diamond_workflow, checkpoint_after=["Z"])
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        workflow = Workflow(
+            [Task('say "hi"', work=1.0), Task("b\\", work=2.0)],
+            [('say "hi"', "b\\")],
+            name='my "flow"',
+        )
+        dot = workflow_to_dot(workflow, checkpoint_after=['say "hi"'])
+        assert dot.startswith('digraph "my \\"flow\\"" {')
+        assert '  "say \\"hi\\"" [shape=doubleoctagon, label="say \\"hi\\"\\nw=1 C=0"];' in dot
+        assert '  "say \\"hi\\"" -> "b\\\\";' in dot
+        # Every quoted string closes on its own line once escapes are dropped.
+        for line in dot.splitlines():
+            assert re.sub(r"\\.", "", line).count('"') % 2 == 0, line

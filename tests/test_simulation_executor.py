@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.schedule import Schedule, Segment
 from repro.failures.traces import FailureEvent, FailureTrace
-from repro.simulation.events import EventType
 from repro.simulation.executor import simulate_schedule, simulate_segments
 from repro.workflows.generators import uniform_random_chain
 
@@ -73,24 +72,6 @@ class TestDeterministicFailureScenarios:
         result = simulate_segments(segments, trace, downtime=0.5)
         assert result.makespan == pytest.approx(result.useful_time + result.wasted_time)
         assert result.useful_time == pytest.approx(6.0 + 1.0 + 4.0 + 0.5)
-
-
-class TestLogging:
-    def test_log_records_expected_events(self):
-        trace = FailureTrace(events=(FailureEvent(4.0),), horizon=1e9)
-        result = simulate_segments([single_segment()], trace, downtime=1.0, record_log=True)
-        log = result.log
-        assert log is not None
-        assert log.num_failures == 1
-        assert log.num_checkpoints == 1
-        assert log.makespan() == pytest.approx(result.makespan)
-        assert len(log.of_type(EventType.RECOVERY_COMPLETED)) == 1
-        assert len(log.of_type(EventType.TASK_COMPLETED)) == 1
-
-    def test_log_absent_by_default(self):
-        trace = FailureTrace(events=(), horizon=1e9)
-        result = simulate_segments([single_segment()], trace, downtime=0.0)
-        assert result.log is None
 
 
 class TestStochasticExecution:

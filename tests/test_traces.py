@@ -4,17 +4,8 @@ import math
 
 import pytest
 
-from repro.failures.distributions import (
-    ExponentialFailure,
-    LogNormalFailure,
-    WeibullFailure,
-)
-from repro.failures.traces import (
-    FailureEvent,
-    FailureTrace,
-    generate_trace,
-    merge_traces,
-)
+from repro.failures.distributions import ExponentialFailure, WeibullFailure
+from repro.failures.traces import FailureEvent, FailureTrace, generate_trace
 
 
 class TestFailureEvent:
@@ -52,31 +43,9 @@ class TestFailureTrace:
         trace = FailureTrace(events=(), horizon=10.0)
         assert trace.inter_arrival_times() == []
 
-    def test_failures_in_window(self):
-        trace = self._trace()
-        assert [e.time for e in trace.failures_in(2.0, 9.0)] == [2.0, 5.0]
-
-    def test_failures_in_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            self._trace().failures_in(5.0, 1.0)
-
-    def test_next_failure_after(self):
-        trace = self._trace()
-        assert trace.next_failure_after(4.0).time == 5.0
-        assert trace.next_failure_after(9.5) is None
-
     def test_event_beyond_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
             FailureTrace(events=(FailureEvent(20.0),), horizon=10.0)
-
-    def test_shifted(self):
-        trace = self._trace().shifted(1.0)
-        assert trace.times == [3.0, 6.0, 10.0]
-
-    def test_shifted_rejects_negative_result(self):
-        with pytest.raises(ValueError):
-            self._trace().shifted(-5.0)
-
 
 class TestGenerateTrace:
     def test_respects_horizon(self, rng):
@@ -119,63 +88,3 @@ class TestTraceStatistics:
         law = WeibullFailure.from_mtbf(50.0, shape=0.6)
         trace = generate_trace(law, horizon=200_000.0, rng=rng)
         assert trace.statistics().cv > 1.2
-
-    def test_fit_exponential_matches_mtbf(self, rng):
-        law = ExponentialFailure(rate=0.02)
-        trace = generate_trace(law, horizon=100_000.0, rng=rng)
-        fitted = trace.statistics().fit_exponential()
-        assert 1.0 / fitted.rate == pytest.approx(trace.statistics().mtbf)
-
-    def test_fit_weibull_recovers_shape_roughly(self, rng):
-        law = WeibullFailure.from_mtbf(40.0, shape=0.7)
-        trace = generate_trace(law, horizon=400_000.0, rng=rng)
-        fitted = trace.statistics().fit_weibull()
-        assert fitted.shape == pytest.approx(0.7, abs=0.15)
-        assert fitted.mean() == pytest.approx(trace.statistics().mtbf, rel=1e-6)
-
-    def test_fit_lognormal_matches_moments(self, rng):
-        law = LogNormalFailure.from_mtbf(30.0, sigma=0.8)
-        trace = generate_trace(law, horizon=300_000.0, rng=rng)
-        stats = trace.statistics()
-        fitted = stats.fit_lognormal()
-        assert fitted.mean() == pytest.approx(stats.mtbf, rel=1e-6)
-
-    def test_fit_on_empty_trace_raises(self):
-        stats = FailureTrace(events=(), horizon=1.0).statistics()
-        with pytest.raises(ValueError):
-            stats.fit_exponential()
-        with pytest.raises(ValueError):
-            stats.fit_weibull()
-        with pytest.raises(ValueError):
-            stats.fit_lognormal()
-
-
-class TestMergeTraces:
-    def test_merge_superposes_events(self, rng):
-        law = ExponentialFailure(rate=0.05)
-        a = generate_trace(law, horizon=100.0, rng=rng)
-        b = generate_trace(law, horizon=100.0, rng=rng)
-        merged = merge_traces([a, b])
-        assert len(merged) == len(a) + len(b)
-        assert merged.num_processors == 2
-
-    def test_merge_uses_min_horizon(self, rng):
-        law = ExponentialFailure(rate=0.05)
-        a = generate_trace(law, horizon=100.0, rng=rng)
-        b = generate_trace(law, horizon=50.0, rng=rng)
-        merged = merge_traces([a, b])
-        assert merged.horizon == 50.0
-        assert all(t < 50.0 for t in merged.times)
-
-    def test_merge_empty_list_raises(self):
-        with pytest.raises(ValueError):
-            merge_traces([])
-
-    def test_merge_renumbers_processors(self, rng):
-        law = ExponentialFailure(rate=0.1)
-        a = generate_trace(law, horizon=200.0, num_processors=2, rng=rng)
-        b = generate_trace(law, horizon=200.0, num_processors=2, rng=rng)
-        merged = merge_traces([a, b])
-        processors = {e.processor for e in merged}
-        assert processors <= {0, 1, 2, 3}
-        assert any(p >= 2 for p in processors)

@@ -45,7 +45,6 @@ from repro.simulation.vectorized import (
     PlannedExponentialDelays,
     PlannedPoissonSource,
     generate_trace_times_batch,
-    pack_trace_times,
     replay_traces_batch,
     simulate_poisson_batch,
     simulate_poisson_batch_lockstep,
@@ -105,9 +104,9 @@ class TestPoissonExactEquivalence:
 
     def test_chunk_samples_identical(self, poisson_estimator):
         seed = np.random.SeedSequence(21)
-        scalar = _estimate_chunk((poisson_estimator, seed, 200, "scalar", 0, None))
+        scalar = _estimate_chunk((poisson_estimator, seed, 200, "scalar", None))
         vectorized = _estimate_chunk(
-            (poisson_estimator, seed, 200, "vectorized", 0, None)
+            (poisson_estimator, seed, 200, "vectorized", None)
         )
         for s_arr, v_arr in zip(scalar, vectorized):
             np.testing.assert_array_equal(s_arr, v_arr)
@@ -396,10 +395,10 @@ class TestRenewalStatisticalEquivalence:
         platform = Platform(num_processors=2, failure_law=law)
         estimator = MonteCarloEstimator(schedule, platform, 0.5)
         scalar = _estimate_chunk(
-            (estimator, np.random.SeedSequence(1), 1500, "scalar", 0, None)
+            (estimator, np.random.SeedSequence(1), 1500, "scalar", None)
         )
         vectorized = _estimate_chunk(
-            (estimator, np.random.SeedSequence(2), 1500, "vectorized", 0, None)
+            (estimator, np.random.SeedSequence(2), 1500, "vectorized", None)
         )
         assert ks_2sample_pvalue(scalar[0], vectorized[0]) > 0.01
 
@@ -620,63 +619,8 @@ class TestEngineSpellings:
 
 
 class TestTraceModelDispatch:
-    """Explicit trace models batch through replay_traces_batch on the
-    vectorized engine instead of silently falling back to the scalar loop."""
-
-    @pytest.fixture
-    def trace_list(self):
-        law = WeibullFailure.from_mtbf(25.0, shape=0.7)
-        rng = np.random.default_rng(11)
-        return [generate_trace(law, horizon=600.0, rng=rng) for _ in range(250)]
-
-    def test_trace_list_engines_agree(self, schedule, trace_list):
-        estimator = MonteCarloEstimator(schedule, trace_list, 0.5)
-        scalar = estimator.estimate(250, seed=0, engine="scalar", chunk_size=64)
-        vectorized = estimator.estimate(250, seed=0, engine="vectorized", chunk_size=64)
-        # Replay is deterministic; the prefix-sum jumps only re-associate the
-        # duration sums (~1 ulp), and the failure counts match exactly.
-        assert math.isclose(scalar.mean, vectorized.mean, rel_tol=1e-9)
-        assert scalar.mean_failures == vectorized.mean_failures
-        np.testing.assert_allclose(
-            scalar.mean_wasted, vectorized.mean_wasted, rtol=1e-6, atol=1e-9
-        )
-
-    def test_trace_list_serial_path_replays_each_trace(self, schedule, trace_list):
-        estimator = MonteCarloEstimator(schedule, trace_list, 0.5)
-        serial = estimator.estimate(250)
-        chunked = estimator.estimate(250, seed=0, engine="scalar", chunk_size=100)
-        # Trace replay consumes no randomness, so the serial and chunked
-        # scalar paths are identical run for run.
-        assert serial.mean == chunked.mean
-        assert serial.mean_failures == chunked.mean_failures
-
-    def test_single_trace_broadcasts(self, schedule, trace_list):
-        estimator = MonteCarloEstimator(schedule, trace_list[0], 0.5)
-        scalar = estimator.estimate(40, seed=0, engine="scalar")
-        vectorized = estimator.estimate(40, seed=0, engine="vectorized")
-        assert math.isclose(scalar.mean, vectorized.mean, rel_tol=1e-9)
-        # Every run replays the same trace; the residual std is pure
-        # accumulation rounding in np.std, not sample variation.
-        assert scalar.std < 1e-12 * scalar.mean
-        assert vectorized.std < 1e-12 * vectorized.mean
-        assert scalar.mean_failures == vectorized.mean_failures
-
-    def test_chunk_offsets_select_the_right_traces(self, schedule, trace_list):
-        estimator = MonteCarloEstimator(schedule, trace_list, 0.5)
-        whole = estimator.estimate(250, seed=0, engine="vectorized", chunk_size=250)
-        chunked = estimator.estimate(250, seed=0, engine="vectorized", chunk_size=33)
-        assert whole.mean == chunked.mean
-
-    def test_num_runs_capped_by_trace_list(self, schedule, trace_list):
-        estimator = MonteCarloEstimator(schedule, trace_list, 0.5)
-        with pytest.raises(ValueError, match="exceeds the explicit trace list"):
-            estimator.estimate(251, seed=0, engine="vectorized")
-
-    def test_rejects_non_trace_sequences(self, schedule):
-        with pytest.raises(TypeError, match="FailureTrace"):
-            MonteCarloEstimator(schedule, [0.1, 0.2], 0.5)
-        with pytest.raises(TypeError, match="FailureTrace"):
-            MonteCarloEstimator(schedule, [], 0.5)
+    """Trace models reach the estimator only through a factory, which the
+    vectorized engine cannot batch: it falls back to the scalar loop."""
 
     def test_factory_models_still_fall_back_to_scalar(self, schedule):
         law = WeibullFailure.from_mtbf(25.0, shape=0.7)
@@ -691,24 +635,6 @@ class TestTraceModelDispatch:
         scalar = estimator.estimate(60, seed=1, engine="scalar", chunk_size=30)
         vectorized = estimator.estimate(60, seed=1, engine="vectorized", chunk_size=30)
         assert scalar == vectorized  # both ran the scalar event loop
-
-    def test_trace_engines_get_distinct_cache_entries(self, schedule, trace_list, tmp_path):
-        estimator = MonteCarloEstimator(schedule, trace_list[:50], 0.5)
-        cache = ResultCache(tmp_path)
-        estimator.estimate(50, seed=0, engine="scalar", cache=cache, chunk_size=25)
-        estimator.estimate(50, seed=0, engine="vectorized", cache=cache, chunk_size=25)
-        assert len(cache.with_namespace("monte_carlo")) == 2
-
-    def test_replay_failure_counts_match_scalar(self, schedule, trace_list):
-        segments = schedule.segments()
-        times = pack_trace_times(trace_list[:64])
-        makespans, failures = replay_traces_batch(
-            [segments], times, 0.5, with_failures=True
-        )
-        for index, trace in enumerate(trace_list[:64]):
-            result = simulate_segments(segments, TraceFailureSource(trace), 0.5)
-            assert failures[0, index] == result.num_failures
-            np.testing.assert_allclose(makespans[0, index], result.makespan, rtol=1e-9)
 
 
 class TestRejuvenateAllPlatformField:
@@ -725,10 +651,10 @@ class TestRejuvenateAllPlatformField:
     def test_engines_agree_with_rejuvenation(self, schedule, rejuvenating_platform):
         estimator = MonteCarloEstimator(schedule, rejuvenating_platform, 0.5)
         scalar = _estimate_chunk(
-            (estimator, np.random.SeedSequence(1), 1500, "scalar", 0, None)
+            (estimator, np.random.SeedSequence(1), 1500, "scalar", None)
         )
         vectorized = _estimate_chunk(
-            (estimator, np.random.SeedSequence(2), 1500, "vectorized", 0, None)
+            (estimator, np.random.SeedSequence(2), 1500, "vectorized", None)
         )
         assert ks_2sample_pvalue(scalar[0], vectorized[0]) > 0.01
 
