@@ -10,7 +10,10 @@ never hide a numerics regression.
 
 Rows report ``reference_seconds``, ``vectorized_seconds``, the speedup and
 the exact-equality flag; the CI bench-smoke job archives the ``--quick``
-JSON like every other ``bench_*.py``.
+JSON like every other ``bench_*.py``.  Each row times its two paths with
+``harness.paired_trials``: interleaved (reference, fast) pairs, every pair's
+results compared, the seconds reported as medians and the speedup as the
+median of the per-pair ratios.
 
 The hot-kernel residue rows extend the table with their own gates, asserted
 in-bench so CI fails if an optimisation regresses below its claim:
@@ -29,9 +32,8 @@ in-bench so CI fails if an optimisation regresses below its claim:
   gated at >= 3x with bit-identical segments and values.
 """
 
-import time
-
 import numpy as np
+from harness import paired_trials
 
 from repro.baselines.strategies import evaluate_chain_strategies
 from repro.core.chain_dp import (
@@ -53,16 +55,6 @@ DOWNTIME = 0.5
 RATE = 0.01
 #: The strategies every perfbench campaign compares.
 CAMPAIGN_STRATEGIES = ("optimal_dp", "checkpoint_all", "checkpoint_none", "daly_period")
-
-
-def _best_of(repeats, fn):
-    best_seconds = float("inf")
-    result = None
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        result = fn()
-        best_seconds = min(best_seconds, time.perf_counter() - start)
-    return result, best_seconds
 
 
 def run_analytic_solver_benchmarks(
@@ -89,27 +81,20 @@ def run_analytic_solver_benchmarks(
     )
 
     def add_row(solver, n, build_ref, build_vec, same, *, min_speedup=None,
-                repeats=1):
-        ref_result, ref_seconds = _best_of(repeats, build_ref)
-        vec_result, vec_seconds = _best_of(repeats, build_vec)
-        match = same(ref_result, vec_result)
-        if not match:
+                trials=1):
+        timing = paired_trials(solver, build_ref, build_vec, same, trials=trials)
+        if min_speedup is not None and timing.ratio < min_speedup:
             raise AssertionError(
-                f"{solver}: vectorized result diverges from the scalar reference"
-            )
-        speedup = ref_seconds / max(vec_seconds, 1e-12)
-        if min_speedup is not None and speedup < min_speedup:
-            raise AssertionError(
-                f"{solver}: speedup {speedup:.2f}x is below the "
-                f"{min_speedup:.1f}x gate"
+                f"{solver}: median speedup {timing.ratio:.2f}x over {trials} "
+                f"paired trials is below the {min_speedup:.1f}x gate"
             )
         table.add_row(
             solver=solver,
             n=n,
-            reference_seconds=ref_seconds,
-            vectorized_seconds=vec_seconds,
-            speedup=speedup,
-            exact_match=match,
+            reference_seconds=timing.reference_seconds,
+            vectorized_seconds=timing.fast_seconds,
+            speedup=timing.ratio,
+            exact_match=True,
         )
 
     def placements_equal(a, b):
@@ -188,6 +173,7 @@ def run_analytic_solver_benchmarks(
         ),
         lambda a, b: a == b,
         min_speedup=2.0,
+        trials=3,
     )
 
     # Incremental local search: the same vectorized kernel with the per-group
@@ -213,14 +199,15 @@ def run_analytic_solver_benchmarks(
         ),
         lambda a, b: a == b,
         min_speedup=2.0,
-        repeats=3,
+        trials=5,
     )
 
     # Chain schedules: what a campaign builds per strategy before it
-    # simulates.  The reference path builds each schedule over a networkx
-    # Workflow of validated Tasks; Schedule.for_chain reads the chain's
-    # arrays.  Both run the same segment loop, so segments, failure-free
-    # times and expected makespans must be bit-identical.
+    # simulates.  The reference path builds each schedule over a Workflow of
+    # validated Tasks and checks the order against its dependences;
+    # Schedule.for_chain reads the chain's arrays.  Both run the same
+    # segment loop and Prop. 1 sum, so segments, failure-free times and
+    # expected makespans must be bit-identical.
     schedule_chain = uniform_random_chain(schedule_n, seed=seed + 7)
     placements = [
         result.checkpoint_after
@@ -253,7 +240,7 @@ def run_analytic_solver_benchmarks(
         ],
         lambda a, b: a == b,
         min_speedup=3.0,
-        repeats=5,
+        trials=5,
     )
     return table
 

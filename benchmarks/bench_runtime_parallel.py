@@ -42,6 +42,7 @@ import time
 
 import numpy as np
 import pytest
+from harness import paired_trials
 
 from repro.core.schedule import Schedule
 from repro.experiments.reporting import ResultTable
@@ -296,43 +297,37 @@ def measure(num_runs: int = 600, num_workers: int | None = None,
             mod_segments, mod_rate, 1.0, None, mod_count, plan=plan
         )
 
-    # Best-of >= 3 keeps the asserted gate out of scheduler-noise range.
-    mod_repeats = max(repeats, 3)
-    mod_lock, mod_lock_seconds = _best_of(
-        mod_repeats, lambda: _moderate_kernel(simulate_poisson_batch_lockstep)
-    )
-    mod_jump, mod_jump_seconds = _best_of(
-        mod_repeats, lambda: _moderate_kernel(simulate_poisson_batch)
-    )
-    mod_identical = all(
-        bool(np.array_equal(a, b))
-        for a, b in (
-            (mod_jump.makespans, mod_lock.makespans),
-            (mod_jump.num_failures, mod_lock.num_failures),
-            (mod_jump.wasted_times, mod_lock.wasted_times),
-            (mod_jump.recovery_attempts, mod_lock.recovery_attempts),
+    # At least 3 interleaved pairs, gated on the median ratio, keep the
+    # asserted gate out of scheduler-noise range.
+    def _bit_identical(lock, jump):
+        return all(
+            bool(np.array_equal(getattr(jump, field), getattr(lock, field)))
+            for field in ("makespans", "num_failures", "wasted_times", "recovery_attempts")
         )
+
+    mod_trials = max(repeats, 3)
+    mod_timing = paired_trials(
+        "fused moderate-failure kernel vs lock-step",
+        lambda: _moderate_kernel(simulate_poisson_batch_lockstep),
+        lambda: _moderate_kernel(simulate_poisson_batch),
+        _bit_identical,
+        trials=mod_trials,
     )
-    if not mod_identical:
+    if mod_timing.ratio < 2.0:
         raise AssertionError(
-            "fused moderate-failure kernel diverges from lock-step"
-        )
-    mod_speedup = mod_lock_seconds / mod_jump_seconds
-    if mod_speedup < 2.0:
-        raise AssertionError(
-            f"fused moderate-failure kernel speedup {mod_speedup:.2f}x is "
-            f"below the 2.0x gate"
+            f"fused moderate-failure kernel median speedup {mod_timing.ratio:.2f}x "
+            f"over {mod_trials} paired trials is below the 2.0x gate"
         )
     mod_label = f"{mod_count} reps x {len(mod_segments)} segs, ~1.5 fails/rep"
     table.add_row(
         mode=f"poisson moderate-failure lock-step kernel ({mod_label})",
-        seconds=mod_lock_seconds, speedup_vs_scalar_serial=None,
+        seconds=mod_timing.reference_seconds, speedup_vs_scalar_serial=None,
         check="pre-fusion behaviour of this regime",
     )
     table.add_row(
         mode=f"poisson moderate-failure fused jump kernel ({mod_label})",
-        seconds=mod_jump_seconds,
-        speedup_vs_scalar_serial=mod_speedup,
+        seconds=mod_timing.fast_seconds,
+        speedup_vs_scalar_serial=mod_timing.ratio,
         check="bit-identical to lock-step",
     )
 

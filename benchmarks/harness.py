@@ -12,6 +12,11 @@ gives every benchmark a uniform CLI::
 finishes in seconds -- that is what the CI ``bench-smoke`` job runs on every
 push, archiving the ``--json`` outputs as a workflow artifact so regressions
 leave a measurable trail.
+
+:func:`paired_trials` is how a bench gates a speedup in-bench: it times the
+reference and the fast path in interleaved pairs and reports the median of
+the per-pair ratios, so a host slowdown during one trial moves both sides of
+that pair instead of flipping the gate.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import time
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Sequence
 
 
 def _git_sha() -> Optional[str]:
@@ -78,6 +84,57 @@ def append_history(path: str, record: Mapping[str, Any]) -> None:
     os.makedirs(parent, exist_ok=True)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+class PairedTiming(NamedTuple):
+    """What :func:`paired_trials` measured: medians over the pairs."""
+
+    reference_seconds: float
+    fast_seconds: float
+    ratio: float  # median of the per-pair reference / fast ratios
+
+
+def _timed(fn: Callable[[], Any]) -> tuple:
+    start = time.perf_counter()
+    result = fn()
+    return result, time.perf_counter() - start
+
+
+def paired_trials(
+    label: str,
+    reference: Callable[[], Any],
+    fast: Callable[[], Any],
+    same: Callable[[Any, Any], bool],
+    *,
+    trials: int,
+) -> PairedTiming:
+    """Time ``reference`` against ``fast`` in ``trials`` interleaved pairs.
+
+    Even trials run (reference, fast) and odd ones (fast, reference), so
+    neither side always runs first.  Each pair's results must satisfy
+    ``same(reference_result, fast_result)``, or ``AssertionError`` names
+    ``label``.  A speedup gate reads :attr:`PairedTiming.ratio`.
+    """
+    reference_times, fast_times, ratios = [], [], []
+    for trial in range(max(trials, 1)):
+        if trial % 2 == 0:
+            reference_result, reference_s = _timed(reference)
+            fast_result, fast_s = _timed(fast)
+        else:
+            fast_result, fast_s = _timed(fast)
+            reference_result, reference_s = _timed(reference)
+        if not same(reference_result, fast_result):
+            raise AssertionError(
+                f"{label}: the fast result diverges from the reference (trial {trial})"
+            )
+        reference_times.append(reference_s)
+        fast_times.append(fast_s)
+        ratios.append(reference_s / max(fast_s, 1e-12))
+    return PairedTiming(
+        statistics.median(reference_times),
+        statistics.median(fast_times),
+        statistics.median(ratios),
+    )
 
 
 def _json_safe(value: Any) -> Any:

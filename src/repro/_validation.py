@@ -4,12 +4,18 @@ Every public entry point in :mod:`repro` validates its numeric inputs before
 doing any work, so that user errors surface as clear :class:`ValueError` /
 :class:`TypeError` messages at the API boundary rather than as ``nan`` results
 or cryptic numpy warnings deep inside a computation.
+
+:func:`check_finite`, :func:`check_non_negative` and :func:`check_positive`
+return a plain ``float`` that is already in range at once: task, chain and
+Proposition 1 code calls them once per value, and ``float(v)`` of such a
+value is ``v``.  Every other value (ints, NumPy scalars, bools, strings, NaN,
+out of range) takes the full path and its messages.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "check_positive",
@@ -36,6 +42,8 @@ def _as_float(name: str, value: object) -> float:
 
 def check_finite(name: str, value: object) -> float:
     """Return ``value`` as a finite float, raising otherwise."""
+    if type(value) is float and -math.inf < value < math.inf:
+        return value
     out = _as_float(name, value)
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {out!r}")
@@ -44,6 +52,8 @@ def check_finite(name: str, value: object) -> float:
 
 def check_positive(name: str, value: object) -> float:
     """Return ``value`` as a strictly positive finite float."""
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
     out = check_finite(name, value)
     if out <= 0.0:
         raise ValueError(f"{name} must be > 0, got {out!r}")
@@ -52,6 +62,8 @@ def check_positive(name: str, value: object) -> float:
 
 def check_non_negative(name: str, value: object) -> float:
     """Return ``value`` as a non-negative finite float."""
+    if type(value) is float and 0.0 <= value < math.inf:
+        return value
     out = check_finite(name, value)
     if out < 0.0:
         raise ValueError(f"{name} must be >= 0, got {out!r}")
@@ -118,20 +130,3 @@ def check_sequence_of_positive(name: str, values: Iterable[object]) -> list:
         raise ValueError(f"{name} must not be empty")
     return out
 
-
-def check_same_length(*named_sequences: tuple) -> None:
-    """Raise ``ValueError`` unless all the ``(name, sequence)`` pairs have equal length."""
-    if not named_sequences:
-        return
-    lengths = {name: len(seq) for name, seq in named_sequences}
-    if len(set(lengths.values())) > 1:
-        detail = ", ".join(f"{name}={length}" for name, length in lengths.items())
-        raise ValueError(f"sequences must have the same length: {detail}")
-
-
-def check_permutation(name: str, order: Sequence[int], n: int) -> list:
-    """Check that ``order`` is a permutation of ``0..n-1`` and return it as a list."""
-    out = list(order)
-    if sorted(out) != list(range(n)):
-        raise ValueError(f"{name} must be a permutation of 0..{n - 1}, got {out!r}")
-    return out

@@ -154,6 +154,12 @@ def _read(load: Callable, kind: str, path: str):
         return None
 
 
+def _solve_error(exc: Exception) -> int:
+    """Report an instance the solvers reject as one ``error:`` line; exit 1."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -379,21 +385,25 @@ def _cmd_solve_chain(args: argparse.Namespace) -> int:
     if chain is None:
         return 1
     final_checkpoint = not args.no_final_checkpoint
-    if args.max_checkpoints is not None:
-        result = optimal_chain_checkpoints_budget(
-            chain, args.downtime, args.rate, args.max_checkpoints,
-            final_checkpoint=final_checkpoint,
-        )
-    else:
-        result = optimal_chain_checkpoints(
-            chain, args.downtime, args.rate, final_checkpoint=final_checkpoint
-        )
+    try:
+        if args.max_checkpoints is not None:
+            result = optimal_chain_checkpoints_budget(
+                chain, args.downtime, args.rate, args.max_checkpoints,
+                final_checkpoint=final_checkpoint,
+            )
+        else:
+            result = optimal_chain_checkpoints(
+                chain, args.downtime, args.rate, final_checkpoint=final_checkpoint
+            )
+        if args.compare:
+            strategies = evaluate_chain_strategies(chain, args.downtime, args.rate)
+    except OverflowError as exc:  # an expectation beyond float range
+        return _solve_error(exc)
     print(f"chain              : {args.chain} ({chain.n} tasks, total work {chain.total_work():g})")
     print(f"expected makespan  : {result.expected_makespan:.6g}")
     print(f"checkpoints        : {result.num_checkpoints}")
     print(f"checkpoint after   : {[chain.names[i] for i in result.checkpoint_after]}")
     if args.compare:
-        strategies = evaluate_chain_strategies(chain, args.downtime, args.rate)
         print("baseline comparison (expected makespan):")
         for name in sorted(strategies):
             value = strategies[name].expected_makespan
@@ -405,7 +415,10 @@ def _cmd_solve_dag(args: argparse.Namespace) -> int:
     workflow = _read(load_workflow, "workflow", args.workflow)
     if workflow is None:
         return 1
-    result = schedule_dag(workflow, args.downtime, args.rate, seed=args.seed)
+    try:
+        result = schedule_dag(workflow, args.downtime, args.rate, seed=args.seed)
+    except (OverflowError, ValueError) as exc:  # no finite expectation; no task
+        return _solve_error(exc)
     print(f"workflow           : {args.workflow} ({len(workflow)} tasks)")
     print(f"linearisation      : {result.strategy}")
     print(f"expected makespan  : {result.expected_makespan:.6g}")
@@ -438,14 +451,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 1
     positions = args.checkpoint_after
     if positions is None:
-        dp = optimal_chain_checkpoints(chain, args.downtime, args.rate)
+        try:
+            dp = optimal_chain_checkpoints(chain, args.downtime, args.rate)
+        except OverflowError as exc:
+            return _solve_error(exc)
         positions = list(dp.checkpoint_after)
         print(f"using optimal placement: {positions}")
     try:
         schedule = Schedule.for_chain(chain, positions)
     except ValueError as exc:  # a position outside the chain
         raise SystemExit(f"error: {exc}")
-    analytic = schedule.expected_makespan(args.downtime, args.rate)
+    try:
+        analytic = schedule.expected_makespan(args.downtime, args.rate)
+    except OverflowError as exc:
+        return _solve_error(exc)
     backend, cache, engine = _runtime_from_args(args)
     estimator = MonteCarloEstimator(schedule, args.rate, args.downtime)
     try:

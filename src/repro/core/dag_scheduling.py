@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro._validation import check_non_negative, check_positive
@@ -69,15 +68,14 @@ def _list_schedule(
     Lower priority value = scheduled earlier.  Ties are broken by task name
     for determinism.
     """
-    graph = workflow.graph
-    remaining_preds = {name: graph.in_degree(name) for name in graph.nodes}
+    remaining_preds = {name: len(workflow.predecessors(name)) for name in workflow}
     ready = sorted(n for n, deg in remaining_preds.items() if deg == 0)
     order: List[str] = []
     while ready:
         ready.sort(key=lambda name: (priority(name), name))
         chosen = ready.pop(0)
         order.append(chosen)
-        for succ in graph.successors(chosen):
+        for succ in workflow.successors(chosen):
             remaining_preds[succ] -= 1
             if remaining_preds[succ] == 0:
                 ready.append(succ)
@@ -88,10 +86,9 @@ def _list_schedule(
 
 def _bottom_levels(workflow: Workflow) -> Dict[str, float]:
     """Bottom level of each task: longest work-weighted path from the task to a sink."""
-    graph = workflow.graph
     levels: Dict[str, float] = {}
-    for name in reversed(list(nx.topological_sort(graph))):
-        succ_levels = [levels[s] for s in graph.successors(name)]
+    for name in reversed(workflow.topological_order()):
+        succ_levels = [levels[s] for s in workflow.successors(name)]
         levels[name] = workflow.task(name).work + (max(succ_levels) if succ_levels else 0.0)
     return levels
 

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro._validation import check_non_negative, check_positive
-from repro.core.expected_time import expected_completion_time
+from repro.core.expected_time import (
+    _checked_exponent,
+    _exp,
+    _expm1,
+    expected_completion_time,
+)
 from repro.models.checkpoint import FrontierCheckpointCost
 from repro.workflows.chain import LinearChain
 from repro.workflows.dag import Workflow
@@ -142,6 +147,29 @@ class Segment:
         return expected_completion_time(
             self.work, self.checkpoint_cost, downtime, self.recovery_cost, rate
         )
+
+
+def _checked_segment(
+    tasks: Tuple[str, ...],
+    work: float,
+    checkpoint_cost: float,
+    recovery_cost: float,
+    checkpointed: bool,
+) -> Segment:
+    """A :class:`Segment` of values that its chain or tasks have already checked.
+
+    It skips ``__post_init__``: the block's work is a sum of positive task
+    works, and its costs are the task's (or chain's) validated ones.
+    """
+    segment = object.__new__(Segment)
+    segment.__dict__.update(
+        tasks=tasks,
+        work=work,
+        checkpoint_cost=checkpoint_cost,
+        recovery_cost=recovery_cost,
+        checkpointed=checkpointed,
+    )
+    return segment
 
 
 class Schedule:
@@ -291,6 +319,9 @@ class Schedule:
     def _cut(self) -> Tuple[Segment, ...]:
         if self._segments is not None:
             return self._segments
+        # Costs from a checkpoint model are new values: the public
+        # constructor checks them.
+        make_segment = Segment if self.checkpoint_model is not None else _checked_segment
         segments: List[Segment] = []
         start = 0
         block_work = 0.0
@@ -302,12 +333,12 @@ class Schedule:
             block_work += work
             if checkpointed:
                 segments.append(
-                    Segment(
-                        tasks=tuple(self.order[start : position + 1]),
-                        work=block_work,
-                        checkpoint_cost=self._checkpoint_cost_at(position, last_checkpoint),
-                        recovery_cost=current_recovery,
-                        checkpointed=True,
+                    make_segment(
+                        tuple(self.order[start : position + 1]),
+                        block_work,
+                        self._checkpoint_cost_at(position, last_checkpoint),
+                        current_recovery,
+                        True,
                     )
                 )
                 current_recovery = self._recovery_cost_at(position)
@@ -316,13 +347,7 @@ class Schedule:
                 block_work = 0.0
         if start < len(self.order):
             segments.append(
-                Segment(
-                    tasks=tuple(self.order[start:]),
-                    work=block_work,
-                    checkpoint_cost=0.0,
-                    recovery_cost=current_recovery,
-                    checkpointed=False,
-                )
+                make_segment(tuple(self.order[start:]), block_work, 0.0, current_recovery, False)
             )
         self._segments = tuple(segments)
         return self._segments
@@ -335,11 +360,24 @@ class Schedule:
         """Exact expected makespan under Exponential failures of rate ``rate``.
 
         By memorylessness, the expectation decomposes as the sum of the
-        Proposition 1 expectations of the segments.
+        Proposition 1 expectations of the segments: the expression of
+        :func:`~repro.core.expected_time.expected_completion_time`, with
+        ``downtime`` and ``rate`` checked once instead of per segment.
         """
-        check_non_negative("downtime", downtime)
-        check_positive("rate", rate)
-        return sum(seg.expected_time(downtime, rate) for seg in self._cut())
+        downtime = check_non_negative("downtime", downtime)
+        rate = check_positive("rate", rate)
+        scale = 1.0 / rate + downtime
+        terms = []
+        for seg in self._cut():
+            # A segment holds at least one task of positive work, so W + C > 0.
+            exponent = _checked_exponent(
+                rate * (seg.work + seg.checkpoint_cost), "lambda * (W + C)"
+            )
+            rec_exponent = _checked_exponent(rate * seg.recovery_cost, "lambda * R")
+            terms.append(_exp(rec_exponent) * scale * _expm1(exponent))
+        # sum(), not a running total: on Python >= 3.12 it is compensated, and
+        # the result must equal the sum of the segments' expected_time() exactly.
+        return sum(terms)
 
     def failure_free_time(self) -> float:
         """Makespan when no failure ever strikes: total work plus checkpoint costs."""

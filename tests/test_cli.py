@@ -112,9 +112,12 @@ class TestUnreadableInput:
             ("solve-dag", "workflow",
              '{"format": "repro-workflow", "version": 1, "name": "w", '
              '"tasks": [{"name": "a", "work": 1.0}], "dependences": [["a", "b"]]}'),
+            ("solve-dag", "workflow",
+             '{"format": "repro-workflow", "version": 1, "name": "w", '
+             '"tasks": [{"name": "a", "work": 1.0}], "dependences": [["a", ["b"]]]}'),
         ],
         ids=["solve-chain-missing", "simulate-not-json", "solve-chain-wrong-format",
-             "solve-dag-missing", "solve-dag-unknown-task"],
+             "solve-dag-missing", "solve-dag-unknown-task", "solve-dag-unhashable-task"],
     )
     def test_one_error_line_and_exit_1(self, command, kind, content, tmp_path, capsys):
         path = tmp_path / "input.json"
@@ -126,6 +129,51 @@ class TestUnreadableInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: cannot read {kind} {str(path)!r}: ")
+
+
+class TestInfeasibleInstance:
+    """An instance the solvers reject is one ``error:`` line carrying the
+    library's message and exit 1, not a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        chain = uniform_random_chain(4, seed=1)
+        save_chain(chain, tmp_path / "chain.json")
+        save_workflow(chain.to_workflow(), tmp_path / "w.json")
+        (tmp_path / "empty.json").write_text(json.dumps(
+            {"format": "repro-workflow", "version": 1, "name": "empty", "tasks": []}
+        ))
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve-chain", "chain.json", "--rate", "1e6"],
+             "the optimal expected makespan overflows float"),
+            (["solve-chain", "chain.json", "--rate", "30", "--compare"],
+             "is too large: the expected time would exceed 1e260"),
+            (["simulate", "chain.json", "--rate", "1e6", "--runs", "10"],
+             "the optimal expected makespan overflows float"),
+            (["simulate", "chain.json", "--rate", "1e6", "--runs", "10",
+              "--checkpoint-after", "0,1,2,3"],
+             "is too large: the expected time would exceed 1e260"),
+            (["solve-dag", "w.json", "--rate", "1e6"],
+             "expected time that overflows float"),
+            (["solve-dag", "empty.json", "--rate", "0.02"],
+             "cannot schedule an empty workflow"),
+        ],
+        ids=["solve-chain-overflow", "solve-chain-compare-overflow", "simulate-overflow",
+             "simulate-positions-overflow", "solve-dag-overflow", "solve-dag-empty"],
+    )
+    def test_one_error_line_and_exit_1(self, files, argv, message, capsys):
+        argv = [str(files / arg) if arg.endswith(".json") else arg for arg in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "expected makespan" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
 
 
 class TestSolveChain:

@@ -1,7 +1,14 @@
 """Tests for the Workflow DAG model."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.workflows.dag import Workflow
 from repro.workflows.task import Task
 
@@ -38,6 +45,14 @@ class TestWorkflowConstruction:
     def test_non_task_rejected(self):
         with pytest.raises(TypeError):
             Workflow(["not a task"])  # type: ignore[list-item]
+
+    def test_unhashable_endpoint_is_an_unknown_task(self):
+        # A JSON document can hold a list where a task name belongs; that is
+        # an unknown task, not a TypeError traceback.
+        with pytest.raises(ValueError) as excinfo:
+            Workflow([Task("a", 1.0)], [("a", ["b"])])
+        assert str(excinfo.value) == "dependence references unknown task ['b']"
+        assert ["b"] not in Workflow([Task("a", 1.0)])
 
 
 class TestWorkflowAccessors:
@@ -187,3 +202,126 @@ class TestTransforms:
 
     def test_repr(self, diamond_workflow):
         assert "diamond" in repr(diamond_workflow)
+
+
+# ----------------------------------------------------------------------
+# networkx as the oracle for every order the schedulers depend on
+# ----------------------------------------------------------------------
+
+
+def _random_graph(rng, *, acyclic):
+    """Task names in shuffled insertion order and edges with some repeats.
+
+    An acyclic graph orients every edge along a hidden random rank; one in
+    five of them is a chain whose edges come in random order.
+    """
+    n = rng.randint(1, 9)
+    names = [f"t{i}" for i in range(n)]
+    ranked = rng.sample(names, n)
+    if acyclic and rng.random() < 0.2:
+        edges = list(zip(ranked, ranked[1:]))
+        rng.shuffle(edges)
+    else:
+        edges = []
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.sample(names, 2) if n > 1 else (names[0], names[0])
+            if u == v:
+                continue
+            if acyclic and ranked.index(u) > ranked.index(v):
+                u, v = v, u
+            edges.append((u, v))
+            if rng.random() < 0.2:
+                edges.append((u, v))
+    tasks = [Task(name, rng.uniform(0.5, 5.0)) for name in rng.sample(names, n)]
+    return tasks, edges
+
+
+def _nx_graph(nx, tasks, edges):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(task.name for task in tasks)
+    graph.add_edges_from(edges)
+    return graph
+
+
+def _nx_is_chain(nx, graph):
+    """The networkx-backed definition ``Workflow.is_chain`` replaced."""
+    n = len(graph)
+    return n == 1 or (
+        graph.number_of_edges() == n - 1
+        and sorted(d for _, d in graph.in_degree()) == [0] + [1] * (n - 1)
+        and sorted(d for _, d in graph.out_degree()) == [0] + [1] * (n - 1)
+        and nx.is_weakly_connected(graph)
+    )
+
+
+def _nx_critical_path(nx, graph, tasks):
+    works = {task.name: task.work for task in tasks}
+    lengths = {}
+    for name in nx.topological_sort(graph):
+        preds = list(graph.predecessors(name))
+        lengths[name] = works[name] + (max(lengths[p] for p in preds) if preds else 0.0)
+    return max(lengths.values())
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_orders_and_accessors_match_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        for _ in range(300):
+            tasks, edges = _random_graph(rng, acyclic=True)
+            workflow = Workflow(tasks, edges)
+            graph = _nx_graph(nx, tasks, edges)
+            assert workflow.topological_order() == list(nx.topological_sort(graph))
+            expected_orders = []
+            for order in nx.all_topological_sorts(graph):
+                expected_orders.append(list(order))
+                if len(expected_orders) == 40:
+                    break
+            assert workflow.all_topological_orders(limit=40) == expected_orders
+            assert workflow.dependences() == list(graph.edges)
+            for name in graph:
+                assert workflow.predecessors(name) == list(graph.predecessors(name))
+                assert workflow.successors(name) == list(graph.successors(name))
+            assert workflow.sources() == [n for n, d in graph.in_degree() if d == 0]
+            assert workflow.sinks() == [n for n, d in graph.out_degree() if d == 0]
+            assert workflow.is_chain() == _nx_is_chain(nx, graph)
+            assert workflow.critical_path_length() == _nx_critical_path(nx, graph, tasks)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cycle_message_names_find_cycle_edges(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(100 + seed)
+        cyclic = 0
+        for _ in range(300):
+            tasks, edges = _random_graph(rng, acyclic=False)
+            graph = _nx_graph(nx, tasks, edges)
+            if nx.is_directed_acyclic_graph(graph):
+                continue
+            cyclic += 1
+            with pytest.raises(ValueError) as excinfo:
+                Workflow(tasks, edges)
+            assert str(excinfo.value) == f"dependences contain a cycle: {nx.find_cycle(graph)}"
+        assert cyclic > 50
+
+
+def test_runtime_needs_no_networkx(tmp_path):
+    """With networkx unimportable, the package, the CLI and the DAG solver run."""
+    workflow_path = str(tmp_path / "fork_join.json")
+    script = f"""
+import sys
+sys.modules["networkx"] = None  # any import of networkx now raises ImportError
+import repro, repro.cli
+from repro.core.dag_scheduling import schedule_dag
+from repro.workflows.generators import fork_join, random_layered_dag
+from repro.workflows.serialization import save_workflow
+save_workflow(fork_join(4), {workflow_path!r})
+assert repro.cli.main(["solve-dag", {workflow_path!r}, "--rate", "0.02", "--dot"]) == 0
+print(schedule_dag(random_layered_dag(4, 3, seed=1), 0.5, 0.01, seed=0).strategy)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "expected makespan" in proc.stdout

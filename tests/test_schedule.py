@@ -11,6 +11,7 @@ from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
 from repro.workflows import dag
 from repro.workflows.chain import LinearChain
 from repro.workflows.dag import Workflow
+from repro.workflows.generators import random_layered_dag
 from repro.workflows.task import Task
 
 
@@ -75,6 +76,30 @@ class TestSegment:
     def test_rejects_negative_work(self):
         with pytest.raises(ValueError):
             Segment(tasks=("A",), work=-1.0, checkpoint_cost=0.0, recovery_cost=0.0, checkpointed=False)
+
+    def test_positional_construction_still_validates(self):
+        # Schedules build their segments without re-checking; a public call
+        # still checks every value.
+        with pytest.raises(ValueError, match="work must be >= 0, got -1.0"):
+            Segment(("a",), -1.0, 0.0, 0.0, True)
+
+    @pytest.mark.parametrize("bad", ["checkpoint", "recovery"])
+    def test_negative_cost_from_a_checkpoint_model_raises(self, small_chain, bad):
+        class NegativeModel:
+            def cost(self, order, last_checkpoint, position):
+                return -1.0 if bad == "checkpoint" else 0.5
+
+            def recovery(self, order, checkpoint_position):
+                return -1.0 if bad == "recovery" else 0.5
+
+        schedule = Schedule(
+            small_chain.to_workflow(),
+            list(small_chain.names),
+            CheckpointPlan.from_positions(small_chain.n, [1, 3]),
+            checkpoint_model=NegativeModel(),
+        )
+        with pytest.raises(ValueError, match=f"{bad}_cost must be >= 0, got -1.0"):
+            schedule.segments()
 
 
 class TestScheduleConstruction:
@@ -319,3 +344,79 @@ class TestChainScheduleWithoutGraph:
         monkeypatch.setattr(LinearChain, "to_workflow", None)
         assert "segment 1" in schedule.describe()
         assert "checkpoints=2" in repr(schedule)
+
+
+# ----------------------------------------------------------------------
+# Expected makespan against the per-segment Proposition 1 reference
+# ----------------------------------------------------------------------
+
+
+def _reference_makespan(schedule, downtime, rate):
+    """The reference: one full Proposition 1 call per segment, each checking
+    every value, added with ``sum()``."""
+    return sum(seg.expected_time(downtime, rate) for seg in schedule.segments())
+
+
+def _outcome(evaluate):
+    """The value as float hex, or the overflow's full message."""
+    try:
+        return evaluate().hex()
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+# Rates up to 200 overflow some segments, so the error path is swept too.
+_rates = st.one_of(
+    st.floats(min_value=1e-4, max_value=0.5), st.floats(min_value=0.5, max_value=200.0)
+)
+
+
+@st.composite
+def _workflow_schedules(draw):
+    workflow = random_layered_dag(
+        draw(st.integers(min_value=1, max_value=5)),
+        draw(st.integers(min_value=1, max_value=4)),
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    orders = workflow.all_topological_orders(limit=8)
+    order = orders[draw(st.integers(min_value=0, max_value=len(orders) - 1))]
+    flags = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    model = FrontierCheckpointCost(workflow) if draw(st.booleans()) else None
+    return Schedule(
+        workflow,
+        order,
+        CheckpointPlan(flags=tuple(flags)),
+        initial_recovery=draw(_costs),
+        checkpoint_model=model,
+    )
+
+
+class TestExpectedMakespanReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_chains_with_positions(),
+        downtime=st.floats(min_value=0.0, max_value=5.0),
+        rate=_rates,
+    )
+    def test_chain_schedules_match_bit_for_bit(self, case, downtime, rate):
+        chain, positions = case
+        schedule = Schedule.for_chain(chain, positions)
+        assert _outcome(lambda: schedule.expected_makespan(downtime, rate)) == _outcome(
+            lambda: _reference_makespan(schedule, downtime, rate)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        schedule=_workflow_schedules(),
+        downtime=st.floats(min_value=0.0, max_value=5.0),
+        rate=_rates,
+    )
+    def test_workflow_schedules_match_bit_for_bit(self, schedule, downtime, rate):
+        assert _outcome(lambda: schedule.expected_makespan(downtime, rate)) == _outcome(
+            lambda: _reference_makespan(schedule, downtime, rate)
+        )
+
+    def test_overflow_names_the_work_exponent(self, small_chain):
+        schedule = Schedule.for_chain(small_chain, [])
+        with pytest.raises(OverflowError, match=r"^lambda \* \(W \+ C\) = .* is too large"):
+            schedule.expected_makespan(0.0, 1e6)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro._validation import (
@@ -9,11 +10,9 @@ from repro._validation import (
     check_in_range,
     check_non_negative,
     check_non_negative_int,
-    check_permutation,
     check_positive,
     check_positive_int,
     check_probability,
-    check_same_length,
     check_sequence_of_non_negative,
     check_sequence_of_positive,
 )
@@ -144,22 +143,52 @@ class TestSequenceChecks:
         with pytest.raises(ValueError):
             check_sequence_of_positive("xs", [1.0, 0.0])
 
-    def test_same_length_passes(self):
-        check_same_length(("a", [1, 2]), ("b", [3, 4]))
 
-    def test_same_length_fails(self):
-        with pytest.raises(ValueError, match="same length"):
-            check_same_length(("a", [1, 2]), ("b", [3]))
+# What each check returned or raised before plain floats got a fast path: a
+# float result as its repr (the sign of -0.0 included), an error as its type
+# and full message.
+_NOT_FINITE = {
+    math.nan: "v must be finite, got nan",
+    math.inf: "v must be finite, got inf",
+    -math.inf: "v must be finite, got -inf",
+}
+_NOT_REAL = {
+    True: "v must be a real number, got bool True",
+    "x": "v must be a real number, got 'x'",
+}
+_COMMON = [
+    *[(value, ValueError, message) for value, message in _NOT_FINITE.items()],
+    *[(value, TypeError, message) for value, message in _NOT_REAL.items()],
+    (np.float64(2.5), float, "2.5"),
+    (3, float, "3.0"),
+    (2.5, float, "2.5"),
+]
+_CASES = [
+    *[(check_finite, *case) for case in _COMMON],
+    (check_finite, -1.0, float, "-1.0"),
+    (check_finite, -0.0, float, "-0.0"),
+    *[(check_non_negative, *case) for case in _COMMON],
+    (check_non_negative, -1.0, ValueError, "v must be >= 0, got -1.0"),
+    (check_non_negative, -0.0, float, "-0.0"),
+    (check_non_negative, 0.0, float, "0.0"),
+    *[(check_positive, *case) for case in _COMMON],
+    (check_positive, -1.0, ValueError, "v must be > 0, got -1.0"),
+    (check_positive, -0.0, ValueError, "v must be > 0, got -0.0"),
+    (check_positive, 0.0, ValueError, "v must be > 0, got 0.0"),
+]
 
 
-class TestCheckPermutation:
-    def test_accepts_valid_permutation(self):
-        assert check_permutation("order", [2, 0, 1], 3) == [2, 0, 1]
-
-    def test_rejects_missing_element(self):
-        with pytest.raises(ValueError):
-            check_permutation("order", [0, 0, 1], 3)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            check_permutation("order", [0, 1], 3)
+@pytest.mark.parametrize(
+    "check, value, outcome, expected",
+    _CASES,
+    ids=[f"{check.__name__}-{value!r}" for check, value, *_ in _CASES],
+)
+def test_float_fast_path_keeps_every_outcome(check, value, outcome, expected):
+    if outcome is float:
+        out = check("v", value)
+        assert type(out) is float
+        assert repr(out) == expected
+    else:
+        with pytest.raises(outcome) as excinfo:
+            check("v", value)
+        assert str(excinfo.value) == expected
