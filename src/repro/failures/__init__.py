@@ -20,6 +20,7 @@ from repro.failures.traces import (
     FailureTrace,
     TraceStatistics,
     generate_trace,
+    iter_trace_times,
 )
 
 __all__ = [
@@ -34,4 +35,5 @@ __all__ = [
     "FailureTrace",
     "TraceStatistics",
     "generate_trace",
+    "iter_trace_times",
 ]

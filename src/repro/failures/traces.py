@@ -18,9 +18,10 @@ sanity-check that generated traces have the intended characteristics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +33,13 @@ __all__ = [
     "FailureTrace",
     "TraceStatistics",
     "generate_trace",
+    "iter_trace_times",
 ]
+
+#: Most events one generated trace may hold.
+_MAX_TRACE_EVENTS = 5_000_000
+#: Most variates :func:`iter_trace_times` draws in one block (512 KiB).
+_MAX_BLOCK_DRAWS = 65_536
 
 
 @dataclass(frozen=True, order=True)
@@ -182,9 +189,71 @@ def generate_trace(
             if t >= horizon:
                 break
             events.append(FailureEvent(time=t, processor=proc))
-            if len(events) > 5_000_000:
-                raise RuntimeError(
-                    "generate_trace produced more than 5e6 events; "
-                    "reduce the horizon or the failure rate"
-                )
+            if len(events) > _MAX_TRACE_EVENTS:
+                raise _too_many_events()
     return FailureTrace(events=tuple(events), horizon=horizon, num_processors=num_processors)
+
+
+def _too_many_events() -> RuntimeError:
+    return RuntimeError(
+        "generate_trace produced more than 5e6 events; "
+        "reduce the horizon or the failure rate"
+    )
+
+
+def iter_trace_times(
+    law: FailureDistribution,
+    horizon: float,
+    count: int,
+    *,
+    num_processors: int,
+    rng: np.random.Generator,
+) -> Iterator[List[float]]:
+    """Yield the event times of ``count`` successive traces, drawn in blocks.
+
+    Row ``i`` is ``generate_trace(law, horizon, num_processors=num_processors,
+    rng=rng).times`` of the ``i``-th of ``count`` successive calls on ``rng``,
+    followed by a ``math.inf`` sentinel: the same floats, with no
+    :class:`FailureEvent` built.  The variates come from
+    ``law.sample(rng, size=k)`` blocks, which hold the same values as one
+    scalar draw at a time (NumPy's ``Generator`` is batch-invariant), and
+    they are folded by ``generate_trace``'s own rule: per processor
+    ``t += x`` until ``t >= horizon``, then the processors' times are merged
+    in order.  Only ``rng``'s state after the last row differs: it has drawn
+    the rest of the last block.
+
+    ``k`` is the expected number of draws of all ``count`` traces,
+    ``count * num_processors * (horizon / law.mean() + 1)``, capped at
+    :data:`_MAX_BLOCK_DRAWS`, so one trace and one block are held in memory.  A trace of more than 5e6 events
+    raises ``generate_trace``'s ``RuntimeError``.
+    """
+    check_positive("horizon", horizon)
+    check_positive_int("num_processors", num_processors)
+    check_positive_int("count", count)
+    try:
+        renewals = horizon / law.mean()
+    except OverflowError:  # a mean beyond float range: about one draw each
+        renewals = 0.0
+    size = math.ceil(min(_MAX_BLOCK_DRAWS, count * num_processors * (renewals + 1.0)))
+    # An endless stream of draws, one block at a time; a `for` loop that
+    # breaks out of it resumes where it stopped on the next pass.
+    draws = itertools.chain.from_iterable(
+        iter(lambda: law.sample(rng, size=size).tolist(), None)
+    )
+    for _ in range(count):
+        times: List[float] = []
+        append = times.append
+        for _ in range(num_processors):
+            t = 0.0
+            # Running out of these draws means the trace passed the cap.
+            for x in itertools.islice(draws, _MAX_TRACE_EVENTS + 1 - len(times)):
+                t += x
+                if t >= horizon:
+                    break
+                append(t)
+            else:
+                raise _too_many_events()
+        if num_processors > 1:
+            times.sort()
+        append(math.inf)
+        yield times

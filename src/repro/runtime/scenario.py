@@ -152,9 +152,11 @@ class ScenarioSpec:
     seed:
         Root seed of the campaign's deterministic chunked RNG streams.
     engine:
-        Execution engine of the campaign: ``None`` or ``"scalar"`` for the
-        Python event-loop executor, ``"vectorized"`` for the NumPy array
-        program (see :mod:`repro.simulation.vectorized`).  The vectorized
+        Execution engine of the campaign: ``None`` or ``"scalar"`` for
+        block-drawn traces replayed one run at a time in a plain-float loop
+        (bit-identical to the ``simulate_segments`` event loop),
+        ``"vectorized"`` for the NumPy array program (see
+        :mod:`repro.simulation.vectorized`).  The vectorized
         engine orders its trace draws differently, so it is part of the
         cache key -- but only then: ``None`` and ``"scalar"`` produce
         identical samples and hash identically (legacy specs keep their

@@ -15,7 +15,12 @@ from repro.simulation.engine import (
     TraceFailureSource,
     failure_source_for,
 )
-from repro.simulation.executor import SimulationResult, simulate_schedule, simulate_segments
+from repro.simulation.executor import (
+    SimulationResult,
+    replay_trace,
+    simulate_schedule,
+    simulate_segments,
+)
 from repro.simulation.monte_carlo import (
     MonteCarloEstimate,
     MonteCarloEstimator,
@@ -39,6 +44,7 @@ __all__ = [
     "TraceFailureSource",
     "failure_source_for",
     "SimulationResult",
+    "replay_trace",
     "simulate_schedule",
     "simulate_segments",
     "MonteCarloEstimate",

@@ -32,13 +32,12 @@ from repro.obs import tracing as _tracing
 from repro.core.schedule import Schedule, Segment
 from repro.experiments.reporting import ResultTable
 from repro.failures.distributions import FailureDistribution
-from repro.failures.traces import generate_trace
+from repro.failures.traces import iter_trace_times
 from repro.runtime.backends import ExecutionBackend, backend_scope, resolve_engine
 from repro.runtime.cache import ResultCache
 from repro.runtime.chunking import plan_chunks
 from repro.simulation._obs import observe_chunk
-from repro.simulation.engine import TraceFailureSource
-from repro.simulation.executor import simulate_segments
+from repro.simulation.executor import replay_trace
 from repro.simulation.vectorized import generate_trace_times_batch, replay_traces_batch
 
 __all__ = ["CampaignResult", "CampaignRunner"]
@@ -191,14 +190,19 @@ class CampaignRunner:
         given ``seed`` whatever the backend or worker count, and a warm
         cache replays the whole campaign from disk.
 
-        ``engine="vectorized"`` generates and replays each chunk's shared
-        traces as one NumPy array program
-        (:mod:`repro.simulation.vectorized`) instead of one Python event loop
-        per round and strategy -- typically an order of magnitude faster on a
-        single core.  Its traces come from batched draws, so its samples are
-        statistically equivalent to (not bit-identical with) the scalar
-        engine's; for a given ``seed`` they remain bit-identical across
-        backends and worker counts, and cached entries are keyed per engine.
+        The default scalar engine draws each chunk's traces in blocks
+        (:func:`~repro.failures.traces.iter_trace_times`) and replays every
+        strategy against each one in a plain-float loop
+        (:func:`~repro.simulation.executor.replay_trace`); its samples equal,
+        bit for bit, a ``generate_trace`` + ``simulate_segments`` event loop
+        per round and strategy.  ``engine="vectorized"`` generates and
+        replays each chunk's shared traces as one NumPy array program
+        (:mod:`repro.simulation.vectorized`) -- about 1.4-1.7x faster on a
+        single core.  Its traces come from batched draws in another order,
+        so its samples are statistically equivalent to (not bit-identical
+        with) the scalar engine's; for a given ``seed`` they remain
+        bit-identical across backends and worker counts, and cached entries
+        are keyed per engine.
 
         ``progress`` is an optional ``callback(done, total)`` reporting how
         many of the campaign's deterministic chunks have completed; it fires
@@ -305,9 +309,12 @@ _CampaignChunkResult = Tuple[Dict[str, List[float]], List[Dict[str, Any]]]
 def _campaign_chunk(args: _CampaignTask) -> _CampaignChunkResult:
     """Run one chunk of paired rounds (runs in a worker process).
 
-    Each round draws a fresh shared trace from the chunk's own RNG stream and
-    replays every strategy against it, preserving the common-random-numbers
-    pairing within the chunk and across backends.  The trailing ``obs``
+    Each round takes the next shared trace drawn from the chunk's own RNG
+    stream and replays every strategy against it, preserving the
+    common-random-numbers pairing within the chunk and across backends.
+    Each strategy's segment durations are summed once per chunk.  The
+    samples equal those of one ``generate_trace`` per round and one
+    ``simulate_segments`` per strategy on the same stream.  The trailing ``obs``
     element re-activates the submitting context's correlation id around the
     chunk's span; the span records it collects travel back in the result (the
     samples themselves are untouched, so bit-identity is preserved).
@@ -317,15 +324,16 @@ def _campaign_chunk(args: _CampaignTask) -> _CampaignChunkResult:
     with _tracing.shipping_trace(obs) as shipped:
         with _tracing.span("campaign.chunk", engine="scalar", runs=count):
             rng = np.random.default_rng(chunk_seed)
+            durations = {
+                name: [(s.work + s.checkpoint_cost, s.recovery_cost) for s in segs]
+                for name, segs in segments.items()
+            }
             makespans: Dict[str, List[float]] = {name: [] for name in segments}
-            for _ in range(count):
-                trace = generate_trace(
-                    law, horizon=horizon, num_processors=num_processors, rng=rng
-                )
-                for name, segs in segments.items():
-                    source = TraceFailureSource(trace)
-                    result = simulate_segments(segs, source, downtime, rng=rng)
-                    makespans[name].append(result.makespan)
+            for times in iter_trace_times(
+                law, horizon, count, num_processors=num_processors, rng=rng
+            ):
+                for name, pairs in durations.items():
+                    makespans[name].append(replay_trace(pairs, times, downtime))
     observe_chunk("campaign", "scalar", count, time.perf_counter() - start)
     return makespans, shipped
 

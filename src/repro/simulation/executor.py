@@ -19,22 +19,27 @@ the same point, so the internal task boundaries never matter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._validation import check_non_negative
 from repro.core.schedule import Schedule, Segment
-from repro.simulation.engine import FailureSource, failure_source_for
+from repro.simulation.engine import FailureSource, PoissonFailureSource, failure_source_for
 
-__all__ = ["SimulationResult", "simulate_schedule", "simulate_segments"]
+__all__ = ["SimulationResult", "replay_trace", "simulate_schedule", "simulate_segments"]
 
 # A run that suffers this many failures is aborted: with sane parameters the
 # expected number of failures per segment is small, so hitting the cap almost
 # certainly indicates an instance whose expected makespan is astronomically
 # large (the analytic formula would overflow on it too).
 _MAX_FAILURES_PER_RUN = 10_000_000
+# A Poisson segment of length d needs e^{lambda d} attempts on average.  One
+# whose expectation exceeds 1e6 times the cap is refused before the run: it
+# finishes within the cap with probability below 1e-6, after ~1e7 attempts.
+_MAX_LOG_EXPECTED_ATTEMPTS = math.log(1e6 * _MAX_FAILURES_PER_RUN)
 
 
 @dataclass(frozen=True)
@@ -92,11 +97,18 @@ def simulate_segments(
     rng, seed:
         Randomness used both to build stochastic failure sources and by those
         sources; ``seed`` is ignored when ``rng`` is given.
+
+    A run that suffers more than ``_MAX_FAILURES_PER_RUN`` failures raises
+    ``RuntimeError``.  Under a :class:`PoissonFailureSource` the error comes
+    before any draw when a segment's expected number of attempts,
+    ``e^{rate (work + checkpoint_cost)}``, exceeds 1e6 times that cap.
     """
     check_non_negative("downtime", downtime)
     if rng is None:
         rng = np.random.default_rng(seed)
     source = failure_source_for(failure_model, rng)
+    if isinstance(source, PoissonFailureSource):
+        _refuse_hopeless_segments(segments, source.rate)
 
     now = 0.0
     wasted = 0.0
@@ -159,6 +171,69 @@ def simulate_segments(
         useful_time=useful,
         num_recovery_attempts=recovery_attempts,
     )
+
+
+def replay_trace(
+    durations: Sequence[Tuple[float, float]],
+    times: Sequence[float],
+    downtime: float,
+) -> float:
+    """Makespan of one run against a trace's event times, as plain floats.
+
+    ``durations`` holds one ``(segment.work + segment.checkpoint_cost,
+    segment.recovery_cost)`` pair per segment, ``times`` a trace's sorted
+    event times ending in a ``math.inf`` sentinel (a row of
+    :func:`~repro.failures.traces.iter_trace_times`), and ``downtime`` is
+    non-negative.  The result equals ``simulate_segments(segments,
+    TraceFailureSource(trace), downtime).makespan`` bit for bit: the loop
+    performs the same floating-point operations in the same order (skip the
+    events at or before ``now``, ``delay = t - now``, test ``delay >=
+    duration``; on a failure ``now += delay`` then ``now += downtime``), and
+    skips the source calls and the :class:`SimulationResult`.
+
+    It keeps no failure count.  A failure consumes its trace event, or
+    leaves ``now`` within rounding of it so that the next failure does, and
+    a generated trace holds at most 5e6 events: the executor's cap of 1e7
+    failures cannot be passed.
+    """
+    now = 0.0
+    index = 0
+    t = times[0]
+    for duration, recovery in durations:
+        while True:
+            while t <= now:
+                index += 1
+                t = times[index]
+            delay = t - now
+            if delay >= duration:
+                now += duration
+                break
+            now += delay
+            now += downtime
+            while True:
+                while t <= now:
+                    index += 1
+                    t = times[index]
+                delay = t - now
+                if delay >= recovery:
+                    now += recovery
+                    break
+                now += delay
+                now += downtime
+    return now
+
+
+def _refuse_hopeless_segments(segments: Sequence[Segment], rate: float) -> None:
+    """Raise the failure-cap ``RuntimeError`` up front for a segment no run can finish."""
+    for segment in segments:
+        length = segment.work + segment.checkpoint_cost
+        if rate * length > _MAX_LOG_EXPECTED_ATTEMPTS:
+            raise RuntimeError(
+                f"simulation refused: a segment of length {length:g} at failure rate "
+                f"{rate:g} expects e^{rate * length:.6g} attempts, more than 1e6 times "
+                f"the cap of {_MAX_FAILURES_PER_RUN} failures per run; the instance "
+                "parameters make completion astronomically unlikely"
+            )
 
 
 def simulate_schedule(
