@@ -28,9 +28,14 @@ data point is earned by replication).  The benchmark
   the faster array program, and
 * asserts a warm disk cache replays the campaign without simulating.
 
+Every one of these checks raises an ``AssertionError`` naming its row, so a
+script-mode run (``--quick`` in CI) exits non-zero on any mismatch.  The
+vectorized pool row also guards the replay tables that a vectorized
+campaign pickles into its chunk tasks.
+
 Pool speedup is hardware-dependent (approaches Nx on N cores, hovers around
 1x on the single-core containers this repo is often benchmarked in); the
-vectorized speedup is per-core: about 1.4-1.7x the scalar engine on the
+vectorized speedup is per-core: about 2x the scalar engine on the
 600-round campaign, whose block-drawn traces and plain-float replay run
 about 7x faster than the per-run event loop.  Run as a script to print the
 measured timings::
@@ -95,6 +100,13 @@ def _best_of(repeats, fn):
         result = fn()
         best_seconds = min(best_seconds, time.perf_counter() - start)
     return result, best_seconds
+
+
+def _check(row: str, ok: bool, label: str) -> str:
+    """The check cell of ``row``: ``label`` if ``ok``, else an AssertionError naming the row."""
+    if not ok:
+        raise AssertionError(f"{row}: {label!r} check failed")
+    return label
 
 
 def per_run_event_loop(runner, num_runs: int, seed: int, chunk_size: int):
@@ -201,7 +213,7 @@ def measure(num_runs: int = 600, num_workers: int | None = None,
         mode="vectorized serial",
         seconds=vec_seconds,
         speedup_vs_scalar_serial=serial_seconds / vec_seconds,
-        check="statistically equivalent" if close_means else "MISMATCH",
+        check=_check("vectorized serial", close_means, "statistically equivalent"),
     )
 
     with ProcessPoolBackend(num_workers) as pool:
@@ -214,9 +226,11 @@ def measure(num_runs: int = 600, num_workers: int | None = None,
         mode=f"scalar pool({num_workers})",
         seconds=pool_seconds,
         speedup_vs_scalar_serial=serial_seconds / pool_seconds,
-        check="bit-identical to serial"
-        if dict(pool_result.makespans) == dict(serial_result.makespans)
-        else "MISMATCH",
+        check=_check(
+            f"scalar pool({num_workers})",
+            dict(pool_result.makespans) == dict(serial_result.makespans),
+            "bit-identical to serial",
+        ),
     )
 
     with ProcessPoolBackend(2) as vec_pool:
@@ -232,9 +246,11 @@ def measure(num_runs: int = 600, num_workers: int | None = None,
         mode="vectorized pool(2)",
         seconds=vec_pool_seconds,
         speedup_vs_scalar_serial=serial_seconds / vec_pool_seconds,
-        check="bit-identical across backends"
-        if dict(vec_pool_result.makespans) == dict(vec_half.makespans)
-        else "MISMATCH",
+        check=_check(
+            "vectorized pool(2)",
+            dict(vec_pool_result.makespans) == dict(vec_half.makespans),
+            "bit-identical across backends",
+        ),
     )
 
     # Warm disk cache: replays the campaign without simulating at all.
@@ -251,9 +267,11 @@ def measure(num_runs: int = 600, num_workers: int | None = None,
         mode="warm cache (vectorized)",
         seconds=warm_seconds,
         speedup_vs_scalar_serial=serial_seconds / warm_seconds,
-        check="bit-identical replay"
-        if dict(warm_result.makespans) == dict(vec_result.makespans)
-        else "MISMATCH",
+        check=_check(
+            "warm cache (vectorized)",
+            dict(warm_result.makespans) == dict(vec_result.makespans),
+            "bit-identical replay",
+        ),
     )
 
     # Where exact equivalence holds: Poisson (memoryless) Monte-Carlo
@@ -281,7 +299,8 @@ def measure(num_runs: int = 600, num_workers: int | None = None,
     table.add_row(
         mode=f"poisson MC vectorized ({mc_runs} runs)", seconds=vec_mc_seconds,
         speedup_vs_scalar_serial=scalar_mc_seconds / vec_mc_seconds,
-        check="bit-identical to scalar" if vec_mc == scalar_mc else "MISMATCH",
+        check=_check(f"poisson MC vectorized ({mc_runs} runs)", vec_mc == scalar_mc,
+                     "bit-identical to scalar"),
     )
 
     # Segment jumping on its target regime (the PR 4 tentpole): a long
@@ -334,7 +353,8 @@ def measure(num_runs: int = 600, num_workers: int | None = None,
         mode=f"poisson long-chain jump kernel ({label})",
         seconds=jump_seconds,
         speedup_vs_scalar_serial=lock_seconds / jump_seconds,
-        check="bit-identical to lock-step" if kernels_identical else "MISMATCH",
+        check=_check(f"poisson long-chain jump kernel ({label})", kernels_identical,
+                     "bit-identical to lock-step"),
     )
 
     # Moderate failures (PR 10 tentpole): ~1.5 failures per replication on a
@@ -413,7 +433,8 @@ def measure(num_runs: int = 600, num_workers: int | None = None,
         mode=f"poisson long-chain MC vectorized ({jump_count} runs)",
         seconds=vec_long_seconds,
         speedup_vs_scalar_serial=scalar_long_seconds / vec_long_seconds,
-        check="bit-identical to scalar" if vec_long == scalar_long else "MISMATCH",
+        check=_check(f"poisson long-chain MC vectorized ({jump_count} runs)",
+                     vec_long == scalar_long, "bit-identical to scalar"),
     )
     return table
 

@@ -38,15 +38,18 @@ Three batch engines live here:
   campaign path: batched synthetic trace generation (cumulative sums of
   batched inter-arrival draws) and a vectorized trace replay that executes
   *every strategy against every shared trace* in one stacked lock-step loop,
-  advancing one failure per round via prefix-sum segment jumps.  Replay of a
-  given trace is deterministic and agrees with the scalar executor to
-  floating-point rounding (~1 ulp per segment; the jumps re-associate the
-  duration additions).
+  advancing one failure per round via prefix-sum segment jumps.  The
+  strategies' prefix sums lie end to end in one flat table keyed by
+  ``strategy + 1j * prefix``, so a single ``searchsorted`` per round jumps
+  every row of every strategy; a campaign builds the table once and all its
+  chunks reuse it.  Replay of a given trace is deterministic and agrees with
+  the scalar executor to floating-point rounding (~1 ulp per segment; the
+  jumps re-associate the duration additions).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -830,10 +833,12 @@ def generate_trace_times_batch(
     check_positive("horizon", horizon)
     check_positive_int("num_processors", num_processors)
     check_positive_int("count", count)
-    mean = law.mean()
     # Oversample enough that the extension loop almost never fires (its cost
     # is a second batched draw, not an error).
-    per_chain = max(8, int(1.6 * horizon / mean) + 24)
+    try:
+        per_chain = max(8, int(1.6 * horizon / law.mean()) + 24)
+    except OverflowError:  # a mean beyond float range: no renewal expected
+        per_chain = 24
     if count * num_processors * per_chain > _MAX_BATCH_EVENTS:
         raise RuntimeError(
             f"generate_trace_times_batch would draw more than {_MAX_BATCH_EVENTS} "
@@ -867,158 +872,130 @@ def generate_trace_times_batch(
     return flat
 
 
-def replay_traces_batch(
-    segment_lists: Sequence[Sequence[Segment]],
-    times: np.ndarray,
-    downtime: float,
-) -> np.ndarray:
-    """Replay every strategy against every trace in one stacked lock-step loop.
+class _ReplayTables(NamedTuple):
+    """Every strategy's replay durations, laid end to end in flat tables.
 
-    ``segment_lists`` holds one segment decomposition per strategy and
-    ``times`` a ``(num_traces, width)`` padded time matrix from
-    :func:`generate_trace_times_batch`.  All
-    ``num_strategies * num_traces`` executions advance together, one
-    *failure* (not one segment attempt) per lock-step round: every round
-    completes the pending recovery, jumps over all consecutive segments that
-    fit before the next trace event (a per-strategy ``searchsorted`` against
-    the prefix sums of segment durations), and then absorbs that event.
-    Rounds therefore scale with the failure count, not the segment count.
-
-    The returned matrix has shape ``(num_strategies, num_traces)`` and
-    matches replaying each trace through the scalar executor with a
-    :class:`~repro.simulation.engine.TraceFailureSource` to floating-point
-    rounding (the prefix-sum jumps re-associate the duration additions, so
-    agreement is to ~1 ulp per segment rather than bit-for-bit; the
-    equivalence tests pin it at 1e-9 relative).
+    Strategy ``s`` owns ``len(segments) + 1`` consecutive entries starting at
+    ``starts[s]``; its entry ``k`` stands for "segments 0..k-1 completed".
+    ``keys[e]`` is ``s + 1j * prefix`` with ``prefix`` the left-to-right sum
+    of those segments' attempt durations (``work + checkpoint_cost``), so one
+    ``searchsorted`` over ``keys`` answers every strategy's jump query at
+    once (NumPy orders complex numbers by real part, then imaginary part).
+    ``recovery[e]`` is the recovery cost of the segment that entry ``e``
+    attempts next (``0.0`` on a final entry) and ``last[e]`` marks a
+    strategy's final entry.  Built once per campaign and shipped to pool
+    workers as plain arrays.
     """
-    check_non_negative("downtime", downtime)
+
+    keys: np.ndarray
+    recovery: np.ndarray
+    last: np.ndarray
+    starts: np.ndarray
+
+
+def _replay_tables(segment_lists: Sequence[Sequence[Segment]]) -> _ReplayTables:
+    """The :class:`_ReplayTables` of ``segment_lists`` (one list per strategy)."""
     if not segment_lists:
         raise ValueError("segment_lists must not be empty")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 2:
-        raise ValueError(f"times must be a 2-D padded matrix, got shape {times.shape}")
-    num_strategies = len(segment_lists)
-    num_traces, width = times.shape
-
-    seg_counts = np.array([len(segs) for segs in segment_lists], dtype=np.int64)
-    if (seg_counts == 0).any():
+    if any(len(segments) == 0 for segments in segment_lists):
         raise ValueError("every strategy needs at least one segment")
-    max_segments = int(seg_counts.max())
-    attempt_dur = np.zeros((num_strategies, max_segments))
-    recovery_dur = np.zeros((num_strategies, max_segments))
-    for index, segs in enumerate(segment_lists):
-        attempt, recovery = _segment_durations(segs)
-        attempt_dur[index, : len(segs)] = attempt
-        recovery_dur[index, : len(segs)] = recovery
+    sizes = np.array([len(segments) + 1 for segments in segment_lists], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    keys = np.zeros(int(ends[-1]), dtype=complex)
+    keys.real = np.repeat(np.arange(len(segment_lists)), sizes)
+    recovery = np.zeros(keys.size)
+    for start, segments in zip(starts.tolist(), segment_lists):
+        stop = start + len(segments)
+        attempt, recovery[start:stop] = _segment_durations(segments)
+        # np.cumsum is a sequential fold: the scalar executor's own sums.
+        keys.imag[start + 1 : stop + 1] = np.cumsum(attempt)
+    last = np.zeros(keys.size, dtype=bool)
+    last[ends - 1] = True
+    return _ReplayTables(keys, recovery, last, starts)
 
-    rows = num_strategies * num_traces
-    # Prefix sums of the attempt durations, one array per strategy: entry k
-    # is the failure-free time of segments 0..k-1, so "how many segments
-    # complete before the next event" is a searchsorted query.
-    prefixes = [
-        np.concatenate(([0.0], np.cumsum(attempt_dur[s, : seg_counts[s]])))
-        for s in range(num_strategies)
-    ]
 
-    # The whole loop works on compressed per-row state: finished rows are
-    # squeezed out (their makespan scattered to the output via ``out_index``),
-    # so every per-round NumPy call touches only the rows still executing.
-    # Rows stay sorted by strategy (boolean compression preserves order),
-    # which keeps each strategy's rows a contiguous slice.
+def _replay_batch(tables: _ReplayTables, times: np.ndarray, downtime: float) -> np.ndarray:
+    """Replay every strategy of ``tables`` against every row of ``times``.
+
+    The kernel behind :func:`replay_traces_batch`, which checks its inputs;
+    ``times`` must already be a float matrix whose rows end in ``+inf``.
+    """
+    keys, recovery, last, starts = tables
+    prefix = keys.imag
+    num_traces, width = times.shape
     times_flat = times.ravel()
-    recovery_flat = recovery_dur.ravel()
-    trace_base = np.tile(np.arange(num_traces, dtype=np.int64) * width, num_strategies)
-    duration_base = np.repeat(
-        np.arange(num_strategies, dtype=np.int64) * max_segments, num_traces
-    )
-    strat = np.repeat(np.arange(num_strategies, dtype=np.int64), num_traces)
-    limit = np.repeat(seg_counts, num_traces)
-    out_index = np.arange(rows)
-
-    makespans = np.empty(rows)
-    now = np.zeros(rows)
-    seg = np.zeros(rows, dtype=np.int64)
-    cursor = np.zeros(rows, dtype=np.int64)
-    # Rows recovering from the failure that ended their previous round.
-    # (Almost every surviving row, every round -- the exception is a row
-    # whose attempt or recovery completed exactly at an event time, which is
-    # not struck and owes no recovery.)
-    pending_recovery = np.zeros(rows, dtype=bool)
-    strategy_ids = np.arange(num_strategies + 1)
-    bounds: Optional[np.ndarray] = None
+    # Per-row state, strategy-major: global table entry ``g``, flat position
+    # ``pos`` of the row's next event in ``times_flat``, clock ``now`` and
+    # whether the event that ended the row's previous round owes a recovery.
+    # Finished rows are squeezed out (their makespan scattered through
+    # ``out_index``), so every call touches only the rows still executing.
+    g = np.repeat(starts, num_traces)
+    pos = np.tile(np.arange(0, num_traces * width, width, dtype=np.int64), starts.size)
+    out_index = np.arange(g.size)
+    makespans = np.empty(g.size)
+    now = np.zeros(g.size)
+    pending = np.zeros(g.size, dtype=bool)
 
     # Round structure: recover (if owed and it fits), jump segments, absorb
-    # the next failure.
+    # the next failure.  The rounds that matter most hold a handful of rows,
+    # so the cheapest NumPy call that does each job is used:
+    # ``np.count_nonzero`` for "any", ``np.putmask`` and masked ufuncs for
+    # conditional updates (a row left out of a masked ``+`` keeps its clock,
+    # exactly as ``now + 0.0`` would).
     round_index = 0
     while now.size:
-        next_time = times_flat[trace_base + cursor]
+        t = times_flat[pos]
         # Skip events at or before the current time (they fell inside a
         # downtime window), as TraceFailureSource does at query time.
         while True:
-            stale = next_time <= now
-            if not stale.any():
+            stale = t <= now
+            if not np.count_nonzero(stale):
                 break
-            cursor[stale] += 1
-            next_time[stale] = times_flat[trace_base[stale] + cursor[stale]]
+            pos[stale] += 1
+            t[stale] = times_flat[pos[stale]]
 
-        if not pending_recovery.any():
-            attempting = np.ones(now.size, dtype=bool)
-        else:
-            # Pending recoveries: the ones that fit before the event complete
-            # and re-attempt their segment within the same round.
-            rec_cost = recovery_flat[duration_base + seg]
-            recovered = pending_recovery & (next_time - now >= rec_cost)
-            now += np.where(recovered, rec_cost, 0.0)
-            attempting = ~pending_recovery | recovered
+        # Pending recoveries: the ones that fit before the event complete
+        # and re-attempt their segment within the same round.
+        rec = recovery[g]
+        recovered = pending & (t - now >= rec)
+        np.add(now, rec, out=now, where=recovered)
 
-        # Segment jumps: every recovered row completes all consecutive
-        # segments that fit before the next event in one step.  For rows
-        # whose recovery did not fit, ``reach`` is pinned to their current
-        # segment, so their advance is exactly zero.
-        if bounds is None:
-            bounds = np.searchsorted(strat, strategy_ids)
-        for s in range(num_strategies):
-            lo, hi = bounds[s], bounds[s + 1]
-            if lo == hi:
-                continue
-            prefix = prefixes[s]
-            prefix_at_seg = prefix[seg[lo:hi]]
-            reach = np.searchsorted(
-                prefix, next_time[lo:hi] - now[lo:hi] + prefix_at_seg,
-                side="right",
-            ) - 1
-            reach = np.where(attempting[lo:hi], reach, seg[lo:hi])
-            now[lo:hi] += prefix[reach] - prefix_at_seg
-            seg[lo:hi] = reach
+        # Segment jumps, all strategies in one search: the last entry of the
+        # row's own strategy whose prefix is <= (t - now) + prefix[g].  IEEE
+        # addition commutes, so the in-place sum is that very float.  A row
+        # whose recovery did not fit attempts nothing: it keeps its entry,
+        # so its advance is exactly zero.
+        query = keys[g]
+        before = prefix[g]
+        query.imag += t - now
+        reach = keys.searchsorted(query, side="right")
+        reach -= 1
+        np.putmask(g, pending == recovered, reach)  # rows not blocked by a recovery
+        now += prefix[g] - before
 
-        finished = seg >= limit
-        if finished.any():
+        finished = last[g]
+        if np.count_nonzero(finished):
             makespans[out_index[finished]] = now[finished]
             keep = ~finished
             now = now[keep]
-            seg = seg[keep]
-            cursor = cursor[keep]
-            trace_base = trace_base[keep]
-            duration_base = duration_base[keep]
-            strat = strat[keep]
-            limit = limit[keep]
+            g = g[keep]
+            pos = pos[keep]
             out_index = out_index[keep]
-            next_time = next_time[keep]
-            bounds = None  # row count changed; regroup next round
+            t = t[keep]
 
         # Every surviving row whose clock has not caught up with the event is
         # struck by it -- during its recovery (if it did not fit) or during
-        # the segment that did not fit (it jumped short of the limit).  A row
-        # that landed *exactly* on the event time (an attempt or recovery
-        # completing at the very instant of a trace event) is not struck: the
-        # scalar TraceFailureSource skips events at or before `now` when next
-        # queried, so these rows simply advance their cursor through the
-        # stale-event loop next round and re-attempt against the next event.
-        if now.size:
-            struck = next_time > now
-            now = np.where(struck, next_time + downtime, now)
-            cursor += struck  # consume the event that just struck
-            pending_recovery = struck
+        # the segment that did not fit (it jumped short of its final entry).
+        # A row that landed *exactly* on the event time (an attempt or
+        # recovery completing at the very instant of a trace event) is not
+        # struck: the scalar TraceFailureSource skips events at or before
+        # `now` when next queried, so these rows simply advance their
+        # position through the stale-event loop next round and re-attempt
+        # against the next event.
+        pending = t > now
+        np.putmask(now, pending, t + downtime)
+        pos += pending  # consume the event that just struck
 
         round_index += 1
         if round_index > 2 * _MAX_FAILURES_PER_RUN:
@@ -1031,4 +1008,55 @@ def replay_traces_batch(
                 "make completion astronomically unlikely"
             )
 
-    return makespans.reshape(num_strategies, num_traces)
+    return makespans.reshape(starts.size, num_traces)
+
+
+def replay_traces_batch(
+    segment_lists: Sequence[Sequence[Segment]],
+    times: np.ndarray,
+    downtime: float,
+) -> np.ndarray:
+    """Replay every strategy against every trace in one stacked lock-step loop.
+
+    ``segment_lists`` holds one segment decomposition per strategy and
+    ``times`` a ``(num_traces, width)`` padded time matrix from
+    :func:`generate_trace_times_batch`: each row's event times in increasing
+    order, ending in ``+inf``.  All ``num_strategies * num_traces``
+    executions advance together, one *failure* (not one segment attempt) per
+    lock-step round: every round completes the pending recovery, jumps over
+    all consecutive segments that fit before the next trace event, and then
+    absorbs that event.  Rounds therefore scale with the failure count, not
+    the segment count.  The jump is one ``searchsorted`` per round for every
+    row of every strategy: the strategies' prefix sums of segment durations
+    lie end to end in one table, keyed by ``strategy + 1j * prefix``.  This
+    function builds that table on every call; a vectorized
+    :class:`~repro.simulation.campaign.CampaignRunner` run builds it once
+    and replays every chunk from it.
+
+    The returned matrix has shape ``(num_strategies, num_traces)`` and
+    matches replaying each trace through the scalar executor with a
+    :class:`~repro.simulation.engine.TraceFailureSource` to floating-point
+    rounding (the prefix-sum jumps re-associate the duration additions, so
+    agreement is to ~1 ulp per segment rather than bit-for-bit; the
+    equivalence tests pin it at 1e-9 relative).
+
+    Raises ``ValueError`` naming the first offending row when a row of
+    ``times`` holds a NaN or does not end in ``+inf``: without its sentinel
+    a row would run on into the next row's events.
+    """
+    check_non_negative("downtime", downtime)
+    tables = _replay_tables(segment_lists)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 2:
+        raise ValueError(f"times must be a 2-D padded matrix, got shape {times.shape}")
+    num_traces, width = times.shape
+    closed = times[:, -1] == np.inf if width else np.zeros(num_traces, dtype=bool)
+    bad = np.flatnonzero(np.isnan(times).any(axis=1) | ~closed)
+    if bad.size:
+        row = int(bad[0])
+        problem = (
+            "holds a NaN event time" if np.isnan(times[row]).any()
+            else "does not end with a +inf sentinel"
+        )
+        raise ValueError(f"times row {row} {problem}")
+    return _replay_batch(tables, times, downtime)
