@@ -9,7 +9,7 @@ The example:
 
 * boots the asyncio gateway (``repro serve`` is the CLI twin of this);
 * follows one job's progress over the SSE event stream
-  (``GET /v1/jobs/{id}/events``): every chunk transition is pushed, no
+  (``GET /v1/jobs/{id}/events``): every progress update is pushed, no
   status polling happens at all;
 * shows the dedupe guarantee under concurrency: identical submissions from
   different users collapse onto one computation;

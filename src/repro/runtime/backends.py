@@ -62,7 +62,7 @@ class ExecutionBackend(ABC):
 
         Same ordered contract as :meth:`map`, but the caller observes each
         result as soon as it (and every earlier one) is available -- which is
-        what lets long campaigns report per-chunk progress (see
+        what lets long campaigns report progress per task (see
         :meth:`~repro.simulation.campaign.CampaignRunner.run`).  The base
         implementation simply materialises :meth:`map`; concrete backends
         override it to stream.

@@ -85,11 +85,19 @@ def spawn_chunk_seeds(seed: Optional[int], num_chunks: int) -> List[np.random.Se
 
     ``seed`` may be ``None`` (fresh OS entropy -- not reproducible, but the
     streams are still independent), an int, or an existing ``SeedSequence``
-    whose children are reused deterministically.
+    whose children are reused deterministically: child ``i`` is built as
+    ``SeedSequence.spawn`` builds it on a fresh root, but the root's spawn
+    counter never advances, so the same ``SeedSequence`` passed twice yields
+    the same streams.
     """
     check_positive_int("num_chunks", num_chunks)
     if isinstance(seed, np.random.SeedSequence):
         root = seed
     else:
         root = np.random.SeedSequence(seed)
-    return root.spawn(num_chunks)
+    return [
+        np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (index,), pool_size=root.pool_size
+        )
+        for index in range(num_chunks)
+    ]

@@ -28,7 +28,12 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro._validation import check_non_negative, check_positive, check_positive_int
+from repro._validation import (
+    check_non_negative,
+    check_non_negative_int,
+    check_positive,
+    check_positive_int,
+)
 from repro.baselines.strategies import evaluate_chain_strategies
 from repro.core.schedule import Schedule
 from repro.experiments.reporting import ResultTable
@@ -63,6 +68,7 @@ class ChainSpec:
 
     def __post_init__(self) -> None:
         check_positive_int("n", self.n)
+        check_non_negative_int("seed", self.seed)
         object.__setattr__(self, "work_range", tuple(float(x) for x in self.work_range))
         object.__setattr__(
             self, "checkpoint_range", tuple(float(x) for x in self.checkpoint_range)
@@ -184,6 +190,9 @@ class ScenarioSpec:
         check_non_negative("downtime", self.downtime)
         check_positive_int("num_processors", self.num_processors)
         check_positive("horizon_factor", self.horizon_factor)
+        # A bool or a float would hash differently from the equal int seed
+        # (and NumPy rejects negatives only when the campaign runs).
+        check_non_negative_int("seed", self.seed)
         if self.engine not in (None, "scalar", "vectorized"):
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected None, 'scalar' or "
@@ -289,7 +298,7 @@ class ScenarioSpec:
 
         The result is bit-identical for a given spec whatever the backend or
         worker count, and a warm cache replays it without simulating at all.
-        ``progress`` is the optional per-chunk ``callback(done, total)`` of
+        ``progress`` is the optional per-task ``callback(done, total)`` of
         :meth:`CampaignRunner.run` -- the scenario service threads its
         job-progress and cancellation hook through here.
         """

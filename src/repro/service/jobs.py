@@ -501,7 +501,7 @@ class JobStore:
 
         A ``queued`` job is cancelled on the spot.  A ``running`` job gets
         its ``cancel_requested`` flag set and keeps running until its
-        progress hook notices (cooperative cancellation between chunks).
+        progress hook notices (cooperative cancellation between tasks).
         The flag is committed, so a job re-queued by restart recovery stays
         cancelled.  Terminal jobs are returned unchanged; unknown ids return
         None.

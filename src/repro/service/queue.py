@@ -20,11 +20,13 @@ HTTP half lives in :mod:`repro.service.gateway`).  It owns
   backend.  Threads, not processes, because a job's real parallelism lives
   inside the backend (a :class:`~repro.runtime.backends.ProcessPoolBackend`
   fans each job's chunks out) -- the workers only coordinate;
-* progress and cancellation -- each campaign's per-chunk
-  ``progress(done, total)`` callback updates the store's in-memory record of
-  the running job and polls its ``cancel_requested`` flag, raising
-  :class:`JobCancelled` between chunks when an abort was requested.  Only
-  the job's terminal write reaches sqlite.
+* progress and cancellation -- each campaign's ``progress(done, total)``
+  callback fires after every backend task (one chunk, or on the vectorized
+  engine a run of consecutive whole chunks of at most 2,000 runs), updates
+  the store's in-memory record of the running job with the chunks done and
+  polls its ``cancel_requested`` flag, raising :class:`JobCancelled`
+  between tasks when an abort was requested.  Only the job's terminal
+  write reaches sqlite.
 """
 
 from __future__ import annotations
@@ -143,8 +145,10 @@ class JobScheduler:
     """
 
     #: Upper bound on a single chunk, in replications.  Running jobs cancel
-    #: cooperatively *between* chunks, so the largest chunk bounds the
-    #: service's cancellation latency (25k replications is seconds at scalar
+    #: cooperatively *between* tasks: one chunk, or on the vectorized engine
+    #: consecutive whole chunks of at most 2,000 runs (a larger chunk is a
+    #: task of its own).  So the largest chunk bounds the service's
+    #: cancellation latency (25k replications is seconds at scalar
     #: event-loop speed, not minutes).  Oversized requests are *rejected*
     #: (a clean HTTP 400), never silently shrunk: the chunk plan is part of
     #: a scenario's sample identity, and a server that altered it would

@@ -44,6 +44,13 @@ __all__ = ["CampaignResult", "CampaignRunner"]
 
 _Z95 = 1.959963984540054
 
+#: Most runs a vectorized campaign task replays in one kernel call.  Every
+#: call ends in a tail of lock-step rounds that hold a row or two; stacking
+#: chunks pays that tail once per task instead of once per chunk.  Replay
+#: time falls steeply up to about 2,000 runs and is flat beyond, while the
+#: stacked trace matrix keeps growing (see docs/performance.md).
+_MAX_TASK_RUNS = 2_000
+
 
 @dataclass(frozen=True)
 class CampaignResult:
@@ -204,11 +211,21 @@ class CampaignRunner:
         bit-identical across backends and worker counts, and cached entries
         are keyed per engine.
 
+        The backend runs *tasks*.  A scalar task is one chunk.  A vectorized
+        task is a run of consecutive whole chunks holding at most 2,000 runs
+        (a chunk larger than that is a task of its own): each chunk draws
+        its traces from its own seed, and the task replays them all in one
+        kernel call, so it pays the kernel's tail of nearly empty rounds
+        once.  A pool still gets at least one task per worker when the plan
+        has that many chunks.  Samples depend on the chunk plan alone, not
+        on how chunks are grouped into tasks.
+
         ``progress`` is an optional ``callback(done, total)`` reporting how
         many of the campaign's deterministic chunks have completed; it fires
-        once with ``(0, total)`` before execution, then after every chunk (a
-        cache hit reports ``(total, total)`` immediately).  Exceptions raised
-        by the callback abort the campaign -- which is how the scenario
+        once with ``(0, total)`` before execution, then after every task
+        with the cumulative chunk count (a cache hit reports
+        ``(total, total)`` immediately).  Exceptions raised by the callback
+        abort the campaign between tasks -- which is how the scenario
         service implements cooperative cancellation.
         """
         check_positive_int("num_runs", num_runs)
@@ -254,42 +271,45 @@ class CampaignRunner:
         # correlation id on chunk spans even in pool workers; it never enters
         # the cache key (keys hash the payload dict above, not task tuples).
         obs_context = _tracing.context_snapshot()
-        # The vectorized engine's replay tables are built once per run, so
-        # pool workers receive flat arrays instead of Segment lists.
-        replay = self._segments
-        worker = _campaign_chunk
-        if engine == "vectorized":
-            replay = (names, _replay_tables([self._segments[name] for name in names]))
-            worker = _campaign_chunk_vectorized
-        tasks = [
-            (
-                replay,
-                self.failure_law,
-                self._horizon,
-                self.num_processors,
-                self.downtime,
-                chunk_seed,
-                size,
-                obs_context,
-            )
-            for chunk_seed, size in zip(plan.seeds(seed), plan.sizes)
-        ]
+        seeds = plan.seeds(seed)
         with backend_scope(backend) as executor:
-            if progress is None:
-                chunks = executor.map(worker, tasks)
+            if engine == "vectorized":
+                # The replay tables are built once per run, so pool workers
+                # receive flat arrays instead of Segment lists.  Consecutive
+                # whole chunks share a task and its one kernel call: at most
+                # _MAX_TASK_RUNS runs, yet one task per worker when the plan
+                # has that many chunks.
+                replay = (names, _replay_tables([self._segments[name] for name in names]))
+                worker = _campaign_chunk_vectorized
+                per_task = max(1, min(_MAX_TASK_RUNS // plan.chunk_size,
+                                      plan.num_chunks // executor.num_workers))
+                work = [
+                    (tuple(seeds[start : start + per_task]), plan.sizes[start : start + per_task])
+                    for start in range(0, plan.num_chunks, per_task)
+                ]
             else:
-                chunks = []
-                for chunk in executor.imap(worker, tasks):
-                    chunks.append(chunk)
-                    progress(len(chunks), plan.num_chunks)
+                replay, worker, per_task = self._segments, _campaign_chunk, 1
+                work = list(zip(seeds, plan.sizes))
+            tasks = [
+                (replay, self.failure_law, self._horizon, self.num_processors,
+                 self.downtime, task_seeds, task_sizes, obs_context)
+                for task_seeds, task_sizes in work
+            ]
+            if progress is None:
+                results = executor.map(worker, tasks)
+            else:
+                results = []
+                for result in executor.imap(worker, tasks):
+                    results.append(result)
+                    progress(min(len(results) * per_task, plan.num_chunks), plan.num_chunks)
         merged: Dict[str, List[float]] = {name: [] for name in names}
-        for makespans_chunk, shipped in chunks:
+        for makespans_task, shipped in results:
             # Chunk spans recorded in pool workers ride back beside the
             # samples; folding them in here (job.run is still open) is what
             # puts worker chunks into the job's persisted trace tree.
             _tracing.absorb_spans(shipped)
             for name in names:
-                merged[name].extend(makespans_chunk[name])
+                merged[name].extend(makespans_task[name])
         if store is not None and key is not None:
             store.put(
                 key,
@@ -301,16 +321,19 @@ class CampaignRunner:
         return CampaignResult(makespans=merged, num_runs=num_runs)
 
 
-#: A campaign chunk's work item.  Its first element is what the engine
+#: A campaign task's work item.  Its first element is what the engine
 #: replays: each strategy's segments for the scalar engine, and the strategy
-#: names with their replay tables for the vectorized engine.
+#: names with their replay tables for the vectorized engine.  A scalar task
+#: is one chunk: its seed and run count.  A vectorized task is a run of
+#: consecutive chunks: a tuple of their seeds and a tuple of their run counts.
 _CampaignTask = Tuple[
     Any, FailureDistribution, float, int, float,
-    np.random.SeedSequence, int, Optional[Dict[str, Any]],
+    Union[np.random.SeedSequence, Tuple[np.random.SeedSequence, ...]],
+    Union[int, Tuple[int, ...]], Optional[Dict[str, Any]],
 ]
 
-#: What a campaign chunk worker returns: the per-strategy makespans plus the
-#: span records to ship back to the submitting process (empty when the chunk
+#: What a campaign task worker returns: the per-strategy makespans plus the
+#: span records to ship back to the submitting process (empty when the task
 #: ran inside the originating trace's own context).
 _CampaignChunkResult = Tuple[Dict[str, List[float]], List[Dict[str, Any]]]
 
@@ -348,23 +371,37 @@ def _campaign_chunk(args: _CampaignTask) -> _CampaignChunkResult:
 
 
 def _campaign_chunk_vectorized(args: _CampaignTask) -> _CampaignChunkResult:
-    """Run one chunk of paired rounds as a NumPy array program.
+    """Run a task of consecutive chunks as one NumPy array program.
 
-    Same work item as :func:`_campaign_chunk`, executed batch-wise: the
-    chunk's shared traces are generated in one batched pass and every
-    strategy is replayed against every trace in one stacked lock-step loop,
-    from the replay tables the runner built once for the whole campaign.
-    The common-random-numbers pairing is preserved (strategies on the same
-    row index share a trace), and the chunk is deterministic for its seed --
-    but the trace draws are ordered differently from the scalar chunk's, so
-    the two engines agree statistically rather than bit-for-bit.
+    Each chunk draws its shared traces in one batched pass from its own
+    seed; the task stacks them into one ``+inf``-padded matrix and replays
+    every strategy against every row in one lock-step kernel call, from the
+    replay tables the runner built once for the whole campaign.  The kernel
+    replays each row independently of the rows batched with it, and the
+    padding lies past each row's own sentinel, so the samples equal those of
+    one kernel call per chunk.  The common-random-numbers pairing is
+    preserved (strategies on the same row index share a trace) -- but the
+    trace draws are ordered differently from the scalar chunk's, so the two
+    engines agree statistically rather than bit-for-bit.
     """
-    (names, tables), law, horizon, num_processors, downtime, chunk_seed, count, obs = args
+    (names, tables), law, horizon, num_processors, downtime, chunk_seeds, sizes, obs = args
+    count = sum(sizes)
     start = time.perf_counter()
     with _tracing.shipping_trace(obs) as shipped:
-        with _tracing.span("campaign.chunk", engine="vectorized", runs=count):
-            rng = np.random.default_rng(chunk_seed)
-            times = generate_trace_times_batch(law, horizon, num_processors, rng, count)
+        with _tracing.span("campaign.chunk", engine="vectorized", runs=count,
+                           chunks=len(sizes)):
+            blocks = [
+                generate_trace_times_batch(
+                    law, horizon, num_processors, np.random.default_rng(chunk_seed), size
+                )
+                for chunk_seed, size in zip(chunk_seeds, sizes)
+            ]
+            times = np.full((count, max(block.shape[1] for block in blocks)), np.inf)
+            row = 0
+            for block in blocks:
+                times[row : row + block.shape[0], : block.shape[1]] = block
+                row += block.shape[0]
+            del blocks, block  # the replay needs only the stacked copy
             # Generated rows always end in +inf: no input check is needed.
             stacked = _replay_batch(tables, times, downtime)
             result = dict(zip(names, stacked.tolist()))

@@ -80,6 +80,34 @@ class TestChunking:
         assert states_a == states_b
         assert len({tuple(s) for s in states_a}) == 4
 
+    def test_seed_sequence_root_is_not_advanced(self):
+        # spawn() advances its root: the same SeedSequence passed twice
+        # used to give the second call the root's next children.
+        root = np.random.SeedSequence(7)
+        first = [s.generate_state(2).tolist() for s in spawn_chunk_seeds(root, 3)]
+        again = [s.generate_state(2).tolist() for s in spawn_chunk_seeds(root, 3)]
+        fresh = np.random.SeedSequence(7).spawn(3)
+        assert first == again == [s.generate_state(2).tolist() for s in fresh]
+        assert root.n_children_spawned == 0
+        # Children the caller spawned earlier do not shift the chunk seeds.
+        root.spawn(2)
+        assert [s.generate_state(2).tolist() for s in spawn_chunk_seeds(root, 3)] == first
+
+    def test_seed_sequence_runs_repeat(self, schedule, estimator):
+        runner = CampaignRunner(
+            {"dp": schedule}, WeibullFailure.from_mtbf(30.0, shape=0.7), downtime=0.5
+        )
+        root = np.random.SeedSequence(7)
+        for engine in ("scalar", "vectorized"):
+            first = runner.run(300, seed=root, chunk_size=100, engine=engine)
+            second = runner.run(300, seed=root, chunk_size=100, engine=engine)
+            assert first.makespans == second.makespans
+            assert first.makespans == runner.run(
+                300, seed=np.random.SeedSequence(7), chunk_size=100, engine=engine
+            ).makespans
+        first = estimator.estimate(300, seed=root, chunk_size=100)
+        assert estimator.estimate(300, seed=root, chunk_size=100) == first
+
 
 class TestStableHash:
     def test_stable_across_calls_and_key_order(self):
@@ -335,6 +363,18 @@ class TestScenarioSpec:
         assert {k: list(v) for k, v in serial.makespans.items()} == {
             k: list(v) for k, v in parallel.makespans.items()
         }
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_seeds_must_be_non_negative_ints(self, spec, seed):
+        import dataclasses
+
+        error = ValueError if seed == -1 else TypeError
+        with pytest.raises(error, match="seed"):
+            dataclasses.replace(spec, seed=seed)
+        with pytest.raises(error, match="seed"):
+            ChainSpec(n=8, seed=seed)
+        with pytest.raises(error, match="seed"):
+            ScenarioSpec.from_dict(dict(spec.to_dict(), seed=seed))
 
     def test_failure_spec_validation(self):
         with pytest.raises(ValueError):

@@ -611,6 +611,49 @@ class TestChunkSizeBounds:
         assert excinfo.value.status == 400
 
 
+class TestSeedValidation:
+    """A bad seed is a 400 at submit, not a failed job at run time."""
+
+    BAD_SEEDS = [-1, 1.5, "3", True, None]
+
+    @staticmethod
+    def _with_seeds(scenario_seed=3, chain_seed=2):
+        spec = small_spec(name="bad-seed").to_dict()
+        spec["seed"] = scenario_seed
+        spec["chain"]["seed"] = chain_seed
+        return spec
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_scheduler_rejects_bad_seeds(self, seed):
+        with JobStore() as store:
+            scheduler = JobScheduler(store)
+            for spec in (self._with_seeds(scenario_seed=seed),
+                         self._with_seeds(chain_seed=seed)):
+                with pytest.raises((TypeError, ValueError), match="seed"):
+                    scheduler.submit_campaign(spec)
+            assert store.count("queued") == 0
+
+    def test_bool_seed_cannot_split_the_dedupe(self):
+        # True used to run under another cache key than 1.
+        with JobStore() as store:
+            scheduler = JobScheduler(store)
+            record, _ = scheduler.submit_campaign(self._with_seeds(scenario_seed=1))
+            with pytest.raises(TypeError, match="seed"):
+                scheduler.submit_campaign(self._with_seeds(scenario_seed=True))
+            again, reused = scheduler.submit_campaign(self._with_seeds(scenario_seed=1))
+            assert reused and again.id == record.id
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_http_submission_with_bad_seed_is_a_400(self, live_service, seed):
+        client = live_service["client"]
+        for spec in (self._with_seeds(scenario_seed=seed),
+                     self._with_seeds(chain_seed=seed)):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_campaign(spec)
+            assert excinfo.value.status == 400
+            assert "seed" in str(excinfo.value)
+
+
 class TestExperimentProgress:
     """Experiment jobs report real chunk counts, not just 0/1 -> 1/1."""
 
