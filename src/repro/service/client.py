@@ -1,6 +1,6 @@
 """Python client for the scenario service.
 
-A thin, dependency-free (urllib) wrapper over the HTTP API of
+A thin, dependency-free (``http.client``) wrapper over the HTTP API of
 :mod:`repro.service.gateway`, plus the one non-trivial conversion: rebuilding
 a :class:`~repro.simulation.campaign.CampaignResult` from a finished job's
 payload.  The server ships each strategy's samples as base64 of their
@@ -16,11 +16,13 @@ ones it computed.
 from __future__ import annotations
 
 import base64
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Union
+from urllib.parse import quote, urlencode, urlsplit
 
 import numpy as np
 
@@ -47,6 +49,17 @@ class ServiceError(RuntimeError):
         self.payload = payload
 
 
+class _Connection(http.client.HTTPConnection):
+    """A keep-alive connection that closes its socket when collected.
+
+    A thread's connection is dropped when the thread ends, and a client's
+    when it is dropped without :meth:`ServiceClient.close`.
+    """
+
+    def __del__(self) -> None:
+        self.close()
+
+
 class ServiceClient:
     """Talks to a running scenario service.
 
@@ -66,6 +79,14 @@ class ServiceClient:
 
     ``wait(stream=True)`` follows the gateway's SSE event stream instead of
     polling.
+
+    Each thread keeps one keep-alive connection, opened on its first
+    request; :meth:`events` opens its own, because the gateway closes a
+    stream's connection.  A request that finds its reused connection closed
+    by the server (no response byte arrived) is sent once more on a fresh
+    one; a request that fails on a fresh connection is never resent, so a
+    submission is never sent twice.  :meth:`close` (or leaving a ``with``
+    block) closes every connection; a later request reconnects.
     """
 
     def __init__(
@@ -73,56 +94,93 @@ class ServiceClient:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._prefix = urlsplit(self.base_url).path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+
+    def close(self) -> None:
+        """Close the keep-alive connection of every thread (call with no request in flight)."""
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Raw transport
     # ------------------------------------------------------------------
 
-    def _open(
+    def _new_connection(self, timeout: float) -> _Connection:
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ServiceError(
+                f"cannot reach the scenario service at {self.base_url}: not an http:// URL"
+            )
+        return _Connection(parts.hostname, parts.port, timeout=timeout)
+
+    def _connection(self) -> _Connection:
+        """The calling thread's keep-alive connection (made on first use)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._new_connection(self.timeout)
+            with self._lock:
+                self._connections.add(connection)
+        return connection
+
+    def _unreachable(self, exc: BaseException) -> ServiceError:
+        return ServiceError(f"cannot reach the scenario service at {self.base_url}: {exc}")
+
+    def _fetch(
         self,
         method: str,
         path: str,
         *,
         data: Optional[bytes] = None,
         headers: Optional[Dict[str, str]] = None,
-        timeout: Optional[float] = None,
-    ):
-        """Open one request and return the response (the caller closes it).
+    ) -> bytes:
+        """Send one request on this thread's connection and return the response body.
 
-        Every endpoint opens its request here, so every HTTP error becomes the
-        same :class:`ServiceError`: an error status carries the server's
-        ``error`` message and payload, an unreachable server has ``status``
-        None.
+        Every endpoint but :meth:`events` goes through here, so every HTTP
+        error becomes the same :class:`ServiceError`: an error status
+        carries the server's ``error`` message and payload, an unreachable
+        server or a timeout has ``status`` None.
         """
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method, headers=headers or {}
-        )
+        connection = self._connection()
+        target, headers = self._prefix + path, headers or {}
+        fresh = connection.sock is None
         try:
-            return urllib.request.urlopen(
-                request, timeout=self.timeout if timeout is None else timeout
-            )
-        except urllib.error.HTTPError as exc:
             try:
-                body = json.loads(exc.read().decode("utf-8"))
-                message = body.get("error", str(exc))
-            except Exception:  # noqa: BLE001  # repro: noqa[broad-except] - unreadable error body falls back to str(exc); the enclosing handler raises ServiceError
-                body, message = None, str(exc)
-            raise ServiceError(
-                f"{method} {path} failed ({exc.code}): {message}",
-                status=exc.code, payload=body,
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach the scenario service at {self.base_url}: {exc.reason}"
-            ) from exc
+                connection.request(method, target, body=data, headers=headers)
+                response = connection.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # The server closed the reused connection while it was idle
+                # (http.client.RemoteDisconnected is a ConnectionResetError):
+                # no response byte came, so the request never ran.
+                connection.close()
+                if fresh:
+                    raise
+                connection.request(method, target, body=data, headers=headers)
+                response = connection.getresponse()
+            body = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise self._unreachable(exc) from exc
+        if not 200 <= response.status < 300:
+            raise _status_error(method, path, response, body)
+        return body
 
     def _request(
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
     ) -> Dict[str, Any]:
         data = json.dumps(payload).encode("utf-8") if payload is not None else None
         headers = {"Content-Type": "application/json"} if data else None
-        with self._open(method, path, data=data, headers=headers) as response:
-            return json.loads(response.read().decode("utf-8"))
+        return json.loads(self._fetch(method, path, data=data, headers=headers))
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -138,8 +196,7 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """``GET /v1/metrics`` -- raw Prometheus text exposition."""
-        with self._open("GET", "/v1/metrics") as response:
-            return response.read().decode("utf-8")
+        return self._fetch("GET", "/v1/metrics").decode("utf-8")
 
     def job_stats(self, job_id: str) -> Optional[Dict[str, float]]:
         """The per-phase timing breakdown of one job (None until executed).
@@ -158,7 +215,7 @@ class ServiceClient:
         :func:`repro.obs.render_span_tree` -- that is what
         ``repro jobs --trace ID`` does.
         """
-        return self._request("GET", f"/v1/jobs/{job_id}/trace")["trace"]
+        return self._request("GET", f"/v1/jobs/{quote(job_id, safe='')}/trace")["trace"]
 
     def debug_flight(self, *, kind: Optional[str] = None) -> Dict[str, Any]:
         """``GET /v1/debug/flight`` -- the server's flight-recorder dump.
@@ -167,8 +224,7 @@ class ServiceClient:
         optionally filtered to one event ``kind`` (``span``, ``log``,
         ``error``).
         """
-        path = "/v1/debug/flight" + (f"?kind={kind}" if kind is not None else "")
-        return self._request("GET", path)["flight"]
+        return self._request("GET", "/v1/debug/flight" + _query(kind=kind))["flight"]
 
     def scenarios(self) -> Dict[str, Any]:
         """``GET /v1/scenarios`` -- the experiment/engine catalog."""
@@ -224,7 +280,7 @@ class ServiceClient:
 
     def job(self, job_id: str) -> Dict[str, Any]:
         """``GET /v1/jobs/{id}`` -- full record including any result."""
-        return self._request("GET", f"/v1/jobs/{job_id}")["job"]
+        return self._request("GET", f"/v1/jobs/{quote(job_id, safe='')}")["job"]
 
     def jobs(
         self,
@@ -234,17 +290,13 @@ class ServiceClient:
         limit: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
         """``GET /v1/jobs`` -- job summaries, newest first."""
-        query = "&".join(
-            f"{key}={value}"
-            for key, value in (("state", state), ("kind", kind), ("limit", limit))
-            if value is not None
-        )
-        path = "/v1/jobs" + (f"?{query}" if query else "")
-        return self._request("GET", path)["jobs"]
+        return self._request(
+            "GET", "/v1/jobs" + _query(state=state, kind=kind, limit=limit)
+        )["jobs"]
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """``DELETE /v1/jobs/{id}`` -- request cancellation."""
-        return self._request("DELETE", f"/v1/jobs/{job_id}")["job"]
+        return self._request("DELETE", f"/v1/jobs/{quote(job_id, safe='')}")["job"]
 
     def events(self, job_id: str, *, timeout: Optional[float] = None):
         """``GET /v1/jobs/{id}/events`` -- yield ``(event, data)`` SSE pairs.
@@ -264,11 +316,18 @@ class ServiceClient:
             ...     if event == "end":
             ...         break
         """
-        response = self._open(
-            "GET", f"/v1/jobs/{job_id}/events",
-            headers={"Accept": "text/event-stream"}, timeout=timeout,
-        )
-        with response:
+        path = f"/v1/jobs/{quote(job_id, safe='')}/events"
+        connection = self._new_connection(self.timeout if timeout is None else timeout)
+        try:
+            try:
+                connection.request(
+                    "GET", self._prefix + path, headers={"Accept": "text/event-stream"}
+                )
+                response = connection.getresponse()
+                if not 200 <= response.status < 300:
+                    raise _status_error("GET", path, response, response.read())
+            except (OSError, http.client.HTTPException) as exc:
+                raise self._unreachable(exc) from exc
             event_name: str = "message"
             data_lines: List[str] = []
             while True:
@@ -301,6 +360,8 @@ class ServiceClient:
                     event_name = value
                 elif field == "data":
                     data_lines.append(value)
+        finally:
+            connection.close()
 
     def wait(
         self,
@@ -444,6 +505,30 @@ class ServiceClient:
             },
             num_runs=num_runs,
         )
+
+
+def _query(**params: Any) -> str:
+    """``?key=value&...`` of the parameters that are not None, escaped ("" when none)."""
+    query = urlencode({key: value for key, value in params.items() if value is not None})
+    return f"?{query}" if query else ""
+
+
+def _status_error(
+    method: str, path: str, response: http.client.HTTPResponse, body: bytes
+) -> ServiceError:
+    """The :class:`ServiceError` of an error status, with the server's ``error`` message."""
+    fallback = f"HTTP Error {response.status}: {response.reason}"
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except ValueError:  # not UTF-8 or not JSON
+        payload = None
+    if not isinstance(payload, dict):
+        payload = None
+    message = payload.get("error", fallback) if payload is not None else fallback
+    return ServiceError(
+        f"{method} {path} failed ({response.status}): {message}",
+        status=response.status, payload=payload,
+    )
 
 
 def _decode_samples(name: str, samples: Any, num_runs: int) -> List[float]:

@@ -49,7 +49,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.devtools.lockwatch import tracked_lock
 from repro.experiments.registry import experiment_descriptions
@@ -295,6 +295,8 @@ class GatewayServer:
         self._stop_event: Optional[asyncio.Event] = None
         self._closing = False
         self._conn_tasks: "set[asyncio.Task]" = set()
+        # Connections waiting for their next request: shutdown closes them at once.
+        self._idle_tasks: "set[asyncio.Task]" = set()
         self._thread: Optional[threading.Thread] = None
         self._startup_error: Optional[BaseException] = None
         # Writes are rare and short (a validation + a sqlite insert); a small
@@ -429,15 +431,19 @@ class GatewayServer:
         finally:
             self._closing = True
             server.close()
-            await server.wait_closed()
-            # In-flight requests get a short grace period; whatever is still
-            # open after it (idle keep-alives, SSE streams) is cancelled.
+            # Connections idle between requests close at once.  In-flight
+            # requests get a short grace period; whatever is still open
+            # after it (SSE streams, slow requests) is cancelled.
+            for task in self._idle_tasks:
+                task.cancel()
             pending = {task for task in self._conn_tasks if not task.done()}
-            if pending:
-                await asyncio.wait(pending, timeout=0.5)
-                for task in pending:
-                    task.cancel()
-                await asyncio.gather(*pending, return_exceptions=True)
+            in_flight = pending - self._idle_tasks
+            if in_flight:
+                await asyncio.wait(in_flight, timeout=0.5)
+            for task in pending:
+                task.cancel()
+            await asyncio.gather(*pending, return_exceptions=True)
+            await server.wait_closed()
             log_event(_logger, "gateway.stopped", host=self.host, port=self.port)
 
     # ------------------------------------------------------------------
@@ -480,7 +486,9 @@ class GatewayServer:
         writer: asyncio.StreamWriter,
         client_host: str,
     ) -> None:
+        task = asyncio.current_task()
         while not self._closing:
+            self._idle_tasks.add(task)
             try:
                 head = await asyncio.wait_for(
                     reader.readuntil(b"\r\n\r\n"), timeout=self.keepalive_timeout
@@ -494,6 +502,8 @@ class GatewayServer:
                     writer, 431, {"error": "request headers too large"}, close=True
                 )
                 return
+            finally:
+                self._idle_tasks.discard(task)
             try:
                 method, target, version, headers = _parse_head(head)
             except ValueError as exc:
@@ -554,7 +564,9 @@ class GatewayServer:
         close = False
         try:
             if route == "/v1/jobs/{id}/events" and method == "GET":
-                status = await self._serve_events(writer, path[len("/v1/jobs/"):-len("/events")])
+                status = await self._serve_events(
+                    writer, unquote(path[len("/v1/jobs/"):-len("/events")])
+                )
                 close = True  # an event stream uses up its connection
             else:
                 status, payload, content_type = await self._respond(
@@ -616,16 +628,15 @@ class GatewayServer:
                 # of the push-refreshed snapshot: span trees are post-mortem
                 # data, not hot status), so the read hops onto the pool.
                 return await self._run_write(
-                    self._do_trace, path[len("/v1/jobs/"):-len("/trace")]
+                    self._do_trace, unquote(path[len("/v1/jobs/"):-len("/trace")])
                 )
             if path == "/v1/debug/flight":
                 return self._serve_flight(query)
             if path.startswith("/v1/jobs/"):
-                job_bytes = self.snapshot.job_bytes(path[len("/v1/jobs/"):])
+                job_id = unquote(path[len("/v1/jobs/"):])
+                job_bytes = self.snapshot.job_bytes(job_id)
                 if job_bytes is None:
-                    return _json_response(
-                        404, {"error": f"no such job: {path[len('/v1/jobs/'):]}"}
-                    )
+                    return _json_response(404, {"error": f"no such job: {job_id}"})
                 return 200, job_bytes, "application/json"
             if path == "/v1/jobs":
                 return self._list_jobs(query)
@@ -647,7 +658,9 @@ class GatewayServer:
             return _json_response(404, {"error": f"no such path: {path}"})
         if method == "DELETE":
             if path.startswith("/v1/jobs/"):
-                return await self._run_write(self._do_cancel, path[len("/v1/jobs/"):])
+                return await self._run_write(
+                    self._do_cancel, unquote(path[len("/v1/jobs/"):])
+                )
             return _json_response(404, {"error": f"no such path: {path}"})
         return _json_response(405, {"error": f"method {method} not allowed"})
 
@@ -657,14 +670,14 @@ class GatewayServer:
 
     def _list_jobs(self, query: Dict[str, list]) -> Tuple[int, bytes, str]:
         try:
-            jobs = self.snapshot.list_jobs(
+            body = self.snapshot.list_bytes(
                 state=query.get("state", [None])[0],
                 kind=query.get("kind", [None])[0],
                 limit=int(query["limit"][0]) if "limit" in query else None,
             )
         except ValueError as exc:
             return _json_response(400, {"error": str(exc)})
-        return _json_response(200, {"jobs": jobs})
+        return 200, body, "application/json"
 
     def _serve_metrics(self, query: Dict[str, list]) -> Tuple[int, bytes, str]:
         registry = _metrics.get_registry()

@@ -71,19 +71,30 @@ def campaign_result_payload(result) -> Dict[str, Any]:
     pins this down), and every JSON pass over the payload handles one string
     per strategy instead of ``num_runs`` floats.  ``num_runs``, ``summary``,
     ``ranking`` (and the scheduler's ``scenario_key``) stay plain JSON.
+
+    Each strategy's samples are converted to one array, which gives all four
+    outputs; ``summary`` and ``ranking`` equal the result's own ``mean``,
+    ``std`` and ``ranking()`` bit for bit.
     """
+    arrays = {
+        name: np.asarray(samples, dtype="<f8") for name, samples in result.makespans.items()
+    }
+    summary = {
+        name: {
+            "mean": float(array.mean()),
+            "std": float(array.std(ddof=1)) if len(array) > 1 else 0.0,
+        }
+        for name, array in arrays.items()
+    }
     return {
         "type": "campaign",
         "num_runs": result.num_runs,
         "makespans": {
-            name: base64.b64encode(np.asarray(samples, dtype="<f8").tobytes()).decode("ascii")
-            for name, samples in result.makespans.items()
+            name: base64.b64encode(array.tobytes()).decode("ascii")
+            for name, array in arrays.items()
         },
-        "summary": {
-            name: {"mean": result.mean(name), "std": result.std(name)}
-            for name in result.makespans
-        },
-        "ranking": result.ranking(),
+        "summary": summary,
+        "ranking": sorted(summary, key=lambda name: summary[name]["mean"]),
     }
 
 

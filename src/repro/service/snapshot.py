@@ -8,10 +8,12 @@ subscribes to :meth:`JobStore.subscribe`, so each state transition (submit,
 claim, per-chunk progress, finalize, cancel, restart recovery) lands in the
 snapshot on the mutating thread, and the read endpoints
 (``GET /v1/jobs``, ``GET /v1/jobs/{id}``, ``/v1/healthz``) are answered
-entirely from memory.  The hottest representation -- the serialized JSON
-body of ``GET /v1/jobs/{id}`` -- is cached per job and invalidated on
-transition, so steady-state polling costs one dict lookup, zero
-serialization and zero sqlite.
+entirely from memory.  The hottest representations -- the serialized JSON
+body of ``GET /v1/jobs/{id}`` and each job's summary in ``GET /v1/jobs`` --
+are cached per job and invalidated on transition, so steady-state polling
+costs one dict lookup, zero serialization and zero sqlite, and a listing
+joins cached summaries.  Listings walk an index kept in submission order, so
+``limit=20`` costs the same whatever the job history.
 
 The snapshot is a *cache of truth, not truth*: the sqlite store remains the
 system of record (durability, restart recovery), the snapshot is rebuilt
@@ -32,8 +34,9 @@ Example::
 
 from __future__ import annotations
 
+import bisect
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.devtools.lockwatch import tracked_lock
 from repro.obs import metrics as _metrics
@@ -75,6 +78,10 @@ class ServiceSnapshot:
         self._lock = tracked_lock("service.snapshot")
         self._records: Dict[str, JobRecord] = {}
         self._body_cache: Dict[str, bytes] = {}
+        self._summary_cache: Dict[str, bytes] = {}
+        # (submitted_at, -arrival, id), ascending: walked backwards it lists
+        # newest first, ties in the order the snapshot first saw them.
+        self._order: List[Tuple[float, int, str]] = []
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -99,20 +106,35 @@ class ServiceSnapshot:
         """(Re)load every job from the store -- the one bulk sqlite read."""
         records = self._store.list_jobs()
         with self._lock:
-            self._records = {record.id: record for record in records}
+            self._records, self._order = {}, []
             self._body_cache.clear()
+            self._summary_cache.clear()
+            for record in records:
+                self._fold(record)
         self._refresh_gauges()
 
     def on_record(self, record: JobRecord) -> None:
         """Store listener: fold one fresh record into the snapshot."""
         with self._lock:
-            self._records[record.id] = record
-            self._body_cache.pop(record.id, None)
+            self._fold(record)
         _metrics.get_registry().counter(
             "repro_snapshot_refreshes_total",
             "Job-state transitions folded into the in-memory snapshot.",
         ).inc()
         self._refresh_gauges()
+
+    def _fold(self, record: JobRecord) -> None:
+        """Store ``record`` and drop its cached bytes (call with the lock held).
+
+        A job enters the order index the first time the snapshot sees it:
+        its ``submitted_at`` never changes afterwards.
+        """
+        if record.id not in self._records:
+            arrival = len(self._order)
+            bisect.insort(self._order, (record.submitted_at, -arrival, record.id))
+        self._records[record.id] = record
+        self._body_cache.pop(record.id, None)
+        self._summary_cache.pop(record.id, None)
 
     # ------------------------------------------------------------------
     # Read API (what the gateway serves from)
@@ -155,28 +177,56 @@ class ServiceSnapshot:
     ) -> List[Dict[str, Any]]:
         """Job summaries (no result payloads), newest first -- memory only.
 
-        The one place jobs are filtered: by ``state``, ``kind`` and at most
-        ``limit`` entries (``0`` lists none).  An unknown ``state`` or a
-        ``limit`` that is not a non-negative integer raises
-        :exc:`ValueError` (the HTTP 400 contract).
+        Jobs are filtered by ``state``, ``kind`` and at most ``limit``
+        entries (``0`` lists none).  An unknown ``state`` or a ``limit``
+        that is not a non-negative integer raises :exc:`ValueError` (the
+        HTTP 400 contract).
         """
+        with self._lock:
+            records = self._select(state, kind, limit)
+        return [record.to_dict(include_result=False) for record in records]
+
+    def list_bytes(
+        self,
+        *,
+        state: Optional[str] = None,
+        kind: Optional[str] = None,
+        limit: Optional[int] = None,
+    ) -> bytes:
+        """The ``GET /v1/jobs`` body: ``json.dumps({"jobs": list_jobs(...)})`` as bytes.
+
+        Built from each job's cached summary bytes, which are encoded once
+        per transition; raises like :meth:`list_jobs`.
+        """
+        with self._lock:
+            parts = []
+            for record in self._select(state, kind, limit):
+                summary = self._summary_cache.get(record.id)
+                if summary is None:
+                    summary = json.dumps(record.to_dict(include_result=False)).encode("utf-8")
+                    self._summary_cache[record.id] = summary
+                parts.append(summary)
+        return b'{"jobs": [' + b", ".join(parts) + b"]}"
+
+    def _select(
+        self, state: Optional[str], kind: Optional[str], limit: Optional[int]
+    ) -> List[JobRecord]:
+        """The one selection of a listing: checks, order, filters and limit (lock held)."""
         if state is not None and state not in JOB_STATES:
             raise ValueError(f"unknown state {state!r}; expected one of {JOB_STATES}")
         if limit is not None and (not isinstance(limit, int) or limit < 0):
             raise ValueError(f"limit must be a non-negative integer, got {limit!r}")
-        with self._lock:
-            records = list(self._records.values())
-        records.sort(key=lambda record: record.submitted_at, reverse=True)
-        out: List[Dict[str, Any]] = []
-        for record in records:
-            if limit is not None and len(out) >= limit:
+        selected: List[JobRecord] = []
+        for _, _, job_id in reversed(self._order):
+            if limit is not None and len(selected) >= limit:
                 break
+            record = self._records[job_id]
             if state is not None and record.state != state:
                 continue
             if kind is not None and record.kind != kind:
                 continue
-            out.append(record.to_dict(include_result=False))
-        return out
+            selected.append(record)
+        return selected
 
     def counts(self) -> Dict[str, int]:
         """Number of jobs per state (all states present) -- memory only."""

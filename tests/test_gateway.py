@@ -481,8 +481,11 @@ class TestServiceClientErrors:
             lambda client: client.health(),
             lambda client: client.metrics_text(),
             lambda client: next(client.events("x")),
+            lambda client: client.job("x"),
+            lambda client: client.submit_campaign(small_spec()),
+            lambda client: client.jobs(),
         ],
-        ids=["health", "metrics_text", "events"],
+        ids=["health", "metrics_text", "events", "job", "submit", "jobs"],
     )
     def test_unreachable_service_is_service_error(self, call):
         with socket.create_server(("127.0.0.1", 0)) as listener:
