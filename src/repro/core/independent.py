@@ -31,6 +31,7 @@ This module provides:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ import numpy as np
 
 from repro._validation import (
     check_non_negative,
+    check_non_negative_int,
     check_positive,
     check_sequence_of_positive,
 )
@@ -228,7 +230,9 @@ def exhaustive_independent_schedule(
     refuses instances larger than ``max_tasks`` -- and, whatever ``max_tasks``
     says, larger than :data:`MAX_PARTITION_ITEMS`, the hard enumeration cap
     enforced by the partition generator itself (raising ``max_tasks`` past it
-    only changes which guard rejects the instance).
+    only changes which guard rejects the instance).  Partitions whose
+    expectation overflows are skipped; ``OverflowError`` is raised only when
+    every partition overflows.
     """
     works = check_sequence_of_positive("works", works)
     n = len(works)
@@ -239,20 +243,28 @@ def exhaustive_independent_schedule(
         )
     best_groups: Optional[List[List[int]]] = None
     best_value = math.inf
+    overflow: Optional[OverflowError] = None
     for partition in _set_partitions(list(range(n))):
-        value = grouping_expected_time(
-            partition,
-            works,
-            checkpoint_cost,
-            recovery_cost,
-            downtime,
-            rate,
-            initial_recovery=initial_recovery,
-        )
+        try:
+            value = grouping_expected_time(
+                partition,
+                works,
+                checkpoint_cost,
+                recovery_cost,
+                downtime,
+                rate,
+                initial_recovery=initial_recovery,
+            )
+        except OverflowError as exc:
+            overflow = exc
+            continue
         if value < best_value:
             best_value = value
             best_groups = [sorted(block) for block in partition]
-    assert best_groups is not None
+    if best_groups is None:
+        raise OverflowError(
+            f"the expected makespan overflows for every partition of the {n} tasks"
+        ) from overflow
     first_recovery = recovery_cost if initial_recovery is None else initial_recovery
     return IndependentScheduleResult(
         groups=tuple(tuple(g) for g in best_groups),
@@ -310,7 +322,8 @@ def balanced_grouping(works: Sequence[float], num_groups: int) -> List[List[int]
 
     Uses the Longest-Processing-Time (LPT) greedy rule: sort tasks by
     decreasing work and always assign the next task to the currently lightest
-    group.  Groups are returned sorted by their indices for determinism.
+    group (the lowest-indexed one among equally light groups).  Groups are
+    returned sorted by their indices for determinism.
     """
     works = check_sequence_of_positive("works", works)
     n = len(works)
@@ -318,11 +331,12 @@ def balanced_grouping(works: Sequence[float], num_groups: int) -> List[List[int]
         raise ValueError(f"num_groups must be in 1..{n}, got {num_groups}")
     order = sorted(range(n), key=lambda i: works[i], reverse=True)
     groups: List[List[int]] = [[] for _ in range(num_groups)]
-    loads = [0.0] * num_groups
+    # A heap of (load, group) pops the lightest group, ties by lowest index.
+    loads = [(0.0, g) for g in range(num_groups)]
     for index in order:
-        lightest = min(range(num_groups), key=lambda g: loads[g])
+        load, lightest = loads[0]
         groups[lightest].append(index)
-        loads[lightest] += works[index]
+        heapq.heapreplace(loads, (load + works[index], lightest))
     return [sorted(group) for group in groups if group]
 
 
@@ -336,12 +350,18 @@ def _local_search(
     initial_recovery: Optional[float],
     max_iterations: int,
 ) -> Tuple[List[List[int]], float]:
-    """Improve a partition by single-task moves and pairwise swaps."""
+    """Improve a partition by single-task moves and pairwise swaps.
+
+    Each round accepts the first improving candidate: moves by ``(src,
+    position, dst)`` (never emptying a group), then swaps by ``(src, dst, i,
+    j)``.  The start partition's expectation must be finite
+    (``OverflowError`` otherwise); a candidate whose expectation overflows
+    scores ``+inf`` and is never accepted.
+    """
 
     def evaluate(candidate: List[List[int]]) -> float:
-        cleaned = [g for g in candidate if g]
         return grouping_expected_time(
-            cleaned,
+            candidate,
             works,
             checkpoint_cost,
             recovery_cost,
@@ -350,53 +370,45 @@ def _local_search(
             initial_recovery=initial_recovery,
         )
 
-    current = [list(g) for g in groups]
-    current_value = evaluate(current)
-    for _ in range(max_iterations):
-        improved = False
-        # Single-task moves between groups.
-        for src in range(len(current)):
+    def neighbours(current: List[List[int]]) -> Iterable[List[List[int]]]:
+        m = len(current)
+        for src in range(m):
+            if len(current[src]) == 1:
+                continue
             for task_pos in range(len(current[src])):
-                for dst in range(len(current)):
-                    if dst == src or len(current[src]) == 1:
-                        continue
-                    candidate = [list(g) for g in current]
-                    task = candidate[src].pop(task_pos)
-                    candidate[dst].append(task)
-                    value = evaluate(candidate)
-                    if value < current_value - 1e-15:
-                        current = [sorted(g) for g in candidate if g]
-                        current_value = value
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-        if improved:
-            continue
-        # Pairwise swaps between groups.
-        for src, dst in itertools.combinations(range(len(current)), 2):
+                for dst in range(m):
+                    if dst != src:
+                        candidate = [list(g) for g in current]
+                        candidate[dst].append(candidate[src].pop(task_pos))
+                        yield candidate
+        for src, dst in itertools.combinations(range(m), 2):
             for i in range(len(current[src])):
                 for j in range(len(current[dst])):
                     candidate = [list(g) for g in current]
-                    candidate[src][i], candidate[dst][j] = (
-                        candidate[dst][j],
-                        candidate[src][i],
-                    )
-                    value = evaluate(candidate)
-                    if value < current_value - 1e-15:
-                        current = [sorted(g) for g in candidate]
-                        current_value = value
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
+                    candidate[src][i], candidate[dst][j] = current[dst][j], current[src][i]
+                    yield candidate
+
+    current = [list(g) for g in groups if g]
+    current_value = evaluate(current)
+    for _ in range(max_iterations):
+        for candidate in neighbours(current):
+            try:
+                value = evaluate(candidate)
+            except OverflowError:
+                continue  # scores +inf: never accepted
+            if value < current_value - 1e-15:
+                current = [sorted(g) for g in candidate]
+                current_value = value
                 break
-        if not improved:
+        else:
             break
-    return [sorted(g) for g in current if g], current_value
+    return [sorted(g) for g in current], current_value
+
+
+#: Cells (source task x task) the swap scan scores per NumPy call:
+#: consecutive source groups share one call while they fit, so small
+#: instances score every swap at once and large ones stop at an early hit.
+_SWAP_SCAN_CELLS = 1 << 14
 
 
 def _local_search_vectorized(
@@ -408,92 +420,61 @@ def _local_search_vectorized(
     rate: float,
     initial_recovery: Optional[float],
     max_iterations: int,
-    *,
-    use_cache: bool = True,
 ) -> Tuple[List[List[int]], float]:
-    """First-improvement local search with incremental delta scoring.
+    """First-improvement local search scored from cached replacement costs.
 
-    Explores the same neighbourhood in the same order as :func:`_local_search`
-    (single-task moves by ``(src, position, dst)``, then pairwise swaps by
-    ``(src, dst, i, j)``) but scores every candidate of a round as one NumPy
-    batch: a candidate only changes two groups, so its value is
-    ``current + delta`` with ``delta`` built from the per-group Proposition 1
-    costs -- no ``O(m)`` re-summation per candidate.  Accepted moves are
-    re-evaluated in full (like the reference) so rounding never accumulates.
-
-    With ``use_cache=True`` (the default) the per-group cost columns persist
-    across rounds: an accepted move or swap only changes two groups, so only
-    those two groups' move columns (and the swap-pair blocks touching them)
-    are recomputed next round; every other group's columns are reused
-    verbatim.  The group count never changes during the search (moves are
-    forbidden from emptying a group and swaps preserve sizes), so group
-    indices are stable cache keys.  All cached values are produced by the
-    same elementwise expressions as a from-scratch round, so cached and
-    uncached searches are bit-identical; ``use_cache=False`` simply marks
-    every group dirty each round, which property tests use to pin that.
-
-    One deliberate divergence from the reference: a candidate whose group
-    exponent overflows is scored ``+inf`` (never accepted) instead of raising
-    ``OverflowError`` out of the search like
-    :func:`~repro.core.expected_time.expected_completion_time` does when the
-    reference evaluates such a candidate in full.
+    Visits the neighbourhood of :func:`_local_search` in the same order, but
+    scores a candidate by the change in the Proposition 1 costs of the two
+    groups it alters, so sub-ulp differences can settle the two searches in
+    different equal-quality optima.  Groups are kept sorted, so a task's
+    position follows its index.  ``D[a, b]`` is the cost of a's group with
+    task ``a`` replaced by task ``b`` (by nothing in column ``n``) and
+    ``Q[a, d]`` the cost of group ``d`` with ``a`` added, each minus that
+    group's current cost: a swap scores ``D[a, b] + D[b, a]`` and a move
+    ``D[a, n] + Q[a, d]``.  Row ``a`` of ``D`` depends only on a's group and
+    column ``d`` of ``Q`` only on ``d``, and the group count never changes,
+    so an accepted step refreshes its two groups' rows of ``D`` and columns
+    of ``Q``.  The swap scan stops at the first block of source groups
+    holding an improving swap.  A candidate whose group exponent overflows
+    scores ``+inf``.  See docs/performance.md.
     """
-
     works_arr = np.asarray(works, dtype=float)
-    works_list = list(works)
     first_recovery = recovery_cost if initial_recovery is None else initial_recovery
-    inv_plus_downtime = 1.0 / rate + downtime
-
-    def evaluate(candidate: List[List[int]]) -> float:
-        """Full re-evaluation of an accepted candidate, reference bits.
-
-        Same accumulation loop as :func:`grouping_expected_time` (Python
-        left-to-right sum of per-group :func:`expected_completion_time`
-        values) minus the partition validation -- the search only produces
-        valid partitions, and the instance parameters were validated by the
-        initial :func:`grouping_expected_time` call below.
-        """
-        total = 0.0
-        position = 0
-        for group in candidate:
-            if not group:
-                continue
-            group_work = sum(works_list[i] for i in group)
-            recovery = first_recovery if position == 0 else recovery_cost
-            total += expected_completion_time(
-                group_work, checkpoint_cost, downtime, recovery, rate
-            )
-            position += 1
-        return total
-
-    def recovery_factor(recovery: float) -> float:
-        # When lambda * R overflows the very first full evaluation below
-        # raises OverflowError (same as the reference), so +inf never spreads.
-        exponent = rate * recovery
-        if exponent > _MAX_EXPONENT:
-            return np.inf
-        return float(np.exp(exponent)) * inv_plus_downtime
-
-    factor_first = recovery_factor(first_recovery)
-    factor_rest = recovery_factor(recovery_cost)
 
     def group_costs(new_works: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """Proposition 1 cost of each candidate group, ``+inf`` on overflow."""
         exponents = rate * (new_works + checkpoint_cost)
-        over = exponents > _MAX_EXPONENT
-        if over.any():
-            exponents = np.minimum(exponents, _MAX_EXPONENT)
         with np.errstate(over="ignore"):
-            costs = factors * np.expm1(exponents)
-        if over.any():
-            costs = np.where(over, np.inf, costs)
-        return costs
+            costs = factors * np.expm1(np.minimum(exponents, _MAX_EXPONENT))
+        return np.where(exponents > _MAX_EXPONENT, np.inf, costs)
 
-    current = [list(g) for g in groups]
-    # The initial evaluation goes through the validating entry point so bad
-    # instance parameters raise exactly as the reference search would.
+    def group_value(position: int, group: List[int]) -> float:
+        """One group's term of :func:`grouping_expected_time`, same bits."""
+        recovery = first_recovery if position == 0 else recovery_cost
+        return expected_completion_time(
+            sum(works[i] for i in group), checkpoint_cost, downtime, recovery, rate
+        )
+
+    def accept(candidate: List[List[int]], src: int, dst: int) -> float:
+        """Value of ``candidate``, which differs from ``current`` in src and dst."""
+        total = 0.0
+        for position, group in enumerate(candidate):
+            value = values[position]
+            if position == src or position == dst:
+                value = group_value(position, group)
+            elif value is None:
+                value = values[position] = group_value(position, group)
+            total += value
+        # The two new groups are summed in candidate order now and sorted
+        # from the next acceptance on.
+        values[src] = values[dst] = None
+        return total
+
+    current = [sorted(g) for g in groups]
+    # Validates the instance; raises OverflowError when the start overflows,
+    # so every e^{lambda R} below is finite.
     current_value = grouping_expected_time(
-        [g for g in current if g],
+        current,
         works,
         checkpoint_cost,
         recovery_cost,
@@ -503,131 +484,81 @@ def _local_search_vectorized(
     )
     n = works_arr.size
     m = len(current)
-    factors = np.full(m, factor_rest)
-    factors[0] = factor_first
-
-    # Per-group cache (group indices are stable: the group count never
-    # changes mid-search).  ``dirty`` holds the groups whose columns must be
-    # (re)built this round -- initially all of them.
-    dirty = set(range(m))
+    recoveries = np.array([first_recovery] + [recovery_cost] * (m - 1))
+    factors = np.exp(rate * recoveries) * (1.0 / rate + downtime)
+    replaced = np.append(works_arr, 0.0)
+    group_of = np.empty(n, dtype=np.intp)
     group_works = np.empty(m)
     e_cur = np.empty(m)
-    # minus_blocks[g][k]: cost of group g without its k-th task.
-    minus_blocks: List[np.ndarray] = [np.empty(0)] * m
-    # plus_blocks[g][k, d]: cost of group d with group g's k-th task added.
-    plus_blocks: List[np.ndarray] = [np.empty((0, m))] * m
-    # swap_blocks[(src, dst)]: the (e_src, e_dst) matrices of the swap batch.
-    swap_blocks: dict = {}
+    D = np.empty((n, n + 1))
+    Q = np.empty((n, m))
+    # Each group's term over its sorted tasks; None until it is needed.
+    values: List[Optional[float]] = [None] * m
 
+    changed = list(range(m))
     for _ in range(max_iterations):
-        if not use_cache:
-            dirty = set(range(m))
-            swap_blocks.clear()
-        refresh = sorted(dirty)
-        if refresh:
-            for g in refresh:
-                group_works[g] = sum(works_arr[i] for i in current[g])
-            e_cur[refresh] = group_costs(group_works[refresh], factors[refresh])
-            for g in refresh:
-                w_g = works_arr[current[g]]
-                minus_blocks[g] = group_costs(
-                    group_works[g] - w_g, np.full(w_g.size, factors[g])
-                )
-                plus_blocks[g] = group_costs(
-                    group_works[None, :] + w_g[:, None],
-                    np.broadcast_to(factors, (w_g.size, m)),
-                )
-            clean = [g for g in range(m) if g not in dirty]
-            if clean and len(refresh) < m:
-                # Clean groups keep their rows; only the dirty destination
-                # columns moved.  One batched call over every clean task --
-                # elementwise, so identical to per-group recomputation.
-                w_cat = np.concatenate([works_arr[current[g]] for g in clean])
-                cols = group_costs(
-                    group_works[refresh][None, :] + w_cat[:, None],
-                    np.broadcast_to(factors[refresh], (w_cat.size, len(refresh))),
-                )
-                offset = 0
-                for g in clean:
-                    size = len(current[g])
-                    plus_blocks[g][:, refresh] = cols[offset : offset + size]
-                    offset += size
-            dirty = set()
+        for g in changed:
+            group_of[current[g]] = g
+            group_works[g] = sum(works_arr[i] for i in current[g])
+        e_cur[changed] = group_costs(group_works[changed], factors[changed])
+        rows = np.concatenate([current[g] for g in changed]).astype(np.intp)
+        g_rows = group_of[rows]
+        D[rows] = group_costs(
+            (group_works[g_rows] - works_arr[rows])[:, None] + replaced,
+            factors[g_rows][:, None],
+        ) - e_cur[g_rows][:, None]
+        Q[:, changed] = group_costs(
+            group_works[changed] + works_arr[:, None], factors[changed]
+        ) - e_cur[changed]
 
-        sizes = np.array([len(g) for g in current], dtype=np.int64)
-        g_t = np.repeat(np.arange(m), sizes)
-
-        improved = False
+        sizes = np.array([len(g) for g in current], dtype=np.intp)
+        candidate = None
         if m > 1:
-            # --- Single-task moves: delta[t, d] for moving task t (rows in
-            # the reference's (src, position) order) into group d (columns).
-            # Row-major flattening therefore reproduces the reference's exact
-            # candidate order, so "first improving" picks the same move.
-            e_src_minus = np.concatenate(minus_blocks)
-            e_dst_plus = np.vstack(plus_blocks)
-            delta = (e_src_minus - e_cur[g_t])[:, None] + (e_dst_plus - e_cur[None, :])
-            delta[np.arange(n), g_t] = np.inf  # dst == src
-            delta[sizes[g_t] == 1, :] = np.inf  # the reference never empties a group
+            # --- Single-task moves: delta[t, d] for moving task t into group
+            # d.  The reference's first improving move is the improving row
+            # of the lowest (group, index), then its lowest column.
+            delta = D[:, n][:, None] + Q
+            delta[np.arange(n), group_of] = np.inf  # dst == src
+            delta[sizes[group_of] == 1] = np.inf  # the reference never empties a group
             improving = delta < -1e-15
             if improving.any():
-                flat = int(np.argmax(improving))
-                t_row, dst = divmod(flat, m)
-                src = int(g_t[t_row])
-                # Position of the task within its group (rows are grouped by
-                # src in order, so subtract the offset of src's first row).
-                task_pos = int(t_row - int(np.concatenate(([0], np.cumsum(sizes)))[src]))
+                tasks = np.flatnonzero(improving.any(axis=1))
+                src = int(group_of[tasks].min())
+                task = int(tasks[group_of[tasks] == src][0])
+                dst = int(np.argmax(improving[task]))
                 candidate = [list(g) for g in current]
-                task = candidate[src].pop(task_pos)
+                candidate[src].remove(task)
                 candidate[dst].append(task)
-                current_value = evaluate(candidate)
-                current = [sorted(g) for g in candidate if g]
-                dirty = {src, dst}
-                swap_blocks = {
-                    pair: blocks
-                    for pair, blocks in swap_blocks.items()
-                    if src not in pair and dst not in pair
-                }
-                improved = True
-        if improved:
-            continue
 
-        # --- Pairwise swaps, batched per group pair in the reference's
-        # (src, dst) order; within a pair the (i, j) delta matrix flattens
-        # row-major to the reference's inner order.
-        for src, dst in itertools.combinations(range(m), 2):
-            cached = swap_blocks.get((src, dst))
-            if cached is None:
-                wi = works_arr[current[src]]
-                wj = works_arr[current[dst]]
-                src_new = (group_works[src] - wi)[:, None] + wj[None, :]
-                dst_new = (group_works[dst] - wj)[None, :] + wi[:, None]
-                e_src = group_costs(src_new, np.full(src_new.shape, factors[src]))
-                e_dst = group_costs(dst_new, np.full(dst_new.shape, factors[dst]))
-                swap_blocks[(src, dst)] = (e_src, e_dst)
-            else:
-                e_src, e_dst = cached
-            delta = (e_src - e_cur[src]) + (e_dst - e_cur[dst])
-            improving = delta < -1e-15
+        # --- Pairwise swaps: rows are the tasks of source groups s0..s1-1 in
+        # (group, index) order; a cell counts when its column's group follows
+        # its row's.  The reference's first improving swap is in the lowest
+        # improving row's group, the lowest group among its improving
+        # columns, then the first improving (i, j) between the two.
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        s0 = 0
+        while candidate is None and s0 < m - 1:
+            s1 = s0 + 1
+            while s1 < m - 1 and (offsets[s1 + 1] - offsets[s0]) * n <= _SWAP_SCAN_CELLS:
+                s1 += 1
+            rows = np.concatenate(current[s0:s1]).astype(np.intp)
+            improving = D[rows, :n] + D[:n, rows].T < -1e-15
+            improving &= group_of > group_of[rows][:, None]
             if improving.any():
-                i, j = divmod(int(np.argmax(improving)), delta.shape[1])
+                src = int(group_of[rows[np.argmax(improving.any(axis=1))]])
+                block = improving[offsets[src] - offsets[s0]:offsets[src + 1] - offsets[s0]]
+                dst = int(group_of[block.any(axis=0)].min())
+                block = block[:, current[dst]]
+                i, j = divmod(int(np.argmax(block)), block.shape[1])
                 candidate = [list(g) for g in current]
-                candidate[src][i], candidate[dst][j] = (
-                    candidate[dst][j],
-                    candidate[src][i],
-                )
-                current_value = evaluate(candidate)
-                current = [sorted(g) for g in candidate]
-                dirty = {src, dst}
-                swap_blocks = {
-                    pair: blocks
-                    for pair, blocks in swap_blocks.items()
-                    if src not in pair and dst not in pair
-                }
-                improved = True
-                break
-        if not improved:
+                candidate[src][i], candidate[dst][j] = current[dst][j], current[src][i]
+            s0 = s1
+        if candidate is None:
             break
-    return [sorted(g) for g in current if g], current_value
+        current_value = accept(candidate, src, dst)
+        current = [sorted(g) for g in candidate]
+        changed = sorted((src, dst))
+    return current, current_value
 
 
 def schedule_independent_tasks(
@@ -653,17 +584,23 @@ def schedule_independent_tasks(
 
     This is a heuristic -- the problem is strongly NP-hard -- but it always
     dominates the trivial strategies (a single checkpoint at the end, and a
-    checkpoint after every task) because both are among the candidates.
+    checkpoint after every task) because both are among the candidates.  A
+    group count whose balanced start overflows (``lambda (W_g + C) > 600``
+    for some group) is skipped; ``OverflowError`` is raised only when every
+    candidate overflows.
 
     ``method`` picks the local-search implementation: ``"auto"`` (default)
-    batches every candidate move/swap of a round through the incremental
-    NumPy scoring of :func:`_local_search_vectorized` on large instances and
-    keeps the plain reference loops on small ones; ``"vectorized"`` /
-    ``"reference"`` force one.  Both explore the same first-improvement
-    neighbourhood in the same order.
+    scores moves and swaps from the cached cost tables of
+    :func:`_local_search_vectorized` on large instances and keeps the plain
+    reference loops on small ones; ``"vectorized"`` / ``"reference"`` force
+    one.  Both explore the same first-improvement neighbourhood in the same
+    order.
     """
     works = check_sequence_of_positive("works", works)
     n = len(works)
+    local_search_iterations = check_non_negative_int(
+        "local_search_iterations", local_search_iterations
+    )
     local_search = (
         _local_search_vectorized
         if resolve_dp_method(method, n) == "vectorized"
@@ -684,31 +621,37 @@ def schedule_independent_tasks(
             window = range(max(1, centre - 5), min(n, centre + 5) + 1)
             candidates = sorted(set(window) | {1, n})
     else:
-        candidates = sorted(set(group_counts))
-        for m in candidates:
-            if not 1 <= m <= n:
-                raise ValueError(f"group count {m} out of range 1..{n}")
+        candidates = sorted({check_non_negative_int("group_counts", m) for m in group_counts})
         if not candidates:
             raise ValueError("group_counts must not be empty")
+        if not 1 <= candidates[0] <= candidates[-1] <= n:
+            raise ValueError(f"group counts {candidates} out of range 1..{n}")
 
     best_groups: Optional[List[List[int]]] = None
     best_value = math.inf
+    overflow: Optional[OverflowError] = None
     for m in candidates:
-        groups = balanced_grouping(works, m)
-        groups, value = local_search(
-            groups,
-            works,
-            checkpoint_cost,
-            recovery_cost,
-            downtime,
-            rate,
-            initial_recovery,
-            local_search_iterations,
-        )
+        try:
+            groups, value = local_search(
+                balanced_grouping(works, m),
+                works,
+                checkpoint_cost,
+                recovery_cost,
+                downtime,
+                rate,
+                initial_recovery,
+                local_search_iterations,
+            )
+        except OverflowError as exc:
+            overflow = exc
+            continue
         if value < best_value:
             best_value = value
             best_groups = groups
-    assert best_groups is not None
+    if best_groups is None:
+        raise OverflowError(
+            f"the expected makespan overflows for every candidate group count {candidates}"
+        ) from overflow
     first_recovery = recovery_cost if initial_recovery is None else initial_recovery
     return IndependentScheduleResult(
         groups=tuple(tuple(g) for g in best_groups),

@@ -82,6 +82,7 @@ class ServiceSnapshot:
         # (submitted_at, -arrival, id), ascending: walked backwards it lists
         # newest first, ties in the order the snapshot first saw them.
         self._order: List[Tuple[float, int, str]] = []
+        self._counts: Dict[str, int] = dict.fromkeys(JOB_STATES, 0)
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -107,6 +108,7 @@ class ServiceSnapshot:
         records = self._store.list_jobs()
         with self._lock:
             self._records, self._order = {}, []
+            self._counts = dict.fromkeys(JOB_STATES, 0)
             self._body_cache.clear()
             self._summary_cache.clear()
             for record in records:
@@ -127,11 +129,16 @@ class ServiceSnapshot:
         """Store ``record`` and drop its cached bytes (call with the lock held).
 
         A job enters the order index the first time the snapshot sees it:
-        its ``submitted_at`` never changes afterwards.
+        its ``submitted_at`` never changes afterwards.  The per-state counts
+        move the job from its previous state to its new one.
         """
-        if record.id not in self._records:
+        previous = self._records.get(record.id)
+        if previous is None:
             arrival = len(self._order)
             bisect.insort(self._order, (record.submitted_at, -arrival, record.id))
+        else:
+            self._counts[previous.state] -= 1
+        self._counts[record.state] += 1
         self._records[record.id] = record
         self._body_cache.pop(record.id, None)
         self._summary_cache.pop(record.id, None)
@@ -229,12 +236,9 @@ class ServiceSnapshot:
         return selected
 
     def counts(self) -> Dict[str, int]:
-        """Number of jobs per state (all states present) -- memory only."""
-        counts = {state: 0 for state in JOB_STATES}
+        """Number of jobs per state (all states present) -- kept up to date by each fold."""
         with self._lock:
-            for record in self._records.values():
-                counts[record.state] += 1
-        return counts
+            return dict(self._counts)
 
     def __len__(self) -> int:
         with self._lock:

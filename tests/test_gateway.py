@@ -25,7 +25,7 @@ from repro.obs.logging import configure_logging
 from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import GatewayServer
-from repro.service.jobs import JobStore
+from repro.service.jobs import JOB_STATES, JobStore
 from repro.service.queue import JobScheduler
 from repro.service.snapshot import ServiceSnapshot
 
@@ -103,6 +103,43 @@ class TestServiceSnapshot:
             snapshot.detach()
             job = store.submit("campaign", {})
             assert snapshot.get(job.id) is None
+
+    def test_counts_follow_every_transition(self):
+        def check():
+            expected = dict.fromkeys(JOB_STATES, 0)
+            for record in store.list_jobs():
+                expected[record.state] += 1
+            assert snapshot.counts() == expected
+            assert sum(expected.values()) == len(snapshot)
+
+        with JobStore() as store:
+            store.submit("campaign", {"n": 0})
+            snapshot = ServiceSnapshot(store)
+            snapshot.attach()  # primes one queued job
+            check()
+            queued = [store.submit("campaign", {"n": k}) for k in range(1, 6)]
+            check()
+            store.finish(store.claim_next().id, {"type": "campaign"})
+            check()
+            store.fail(store.claim_next().id, "boom")
+            check()
+            store.request_cancel(queued[-1].id)  # queued -> cancelled at once
+            check()
+            running = store.claim_next()
+            store.request_cancel(running.id)  # flag only: still running
+            check()
+            store.mark_cancelled(running.id)
+            check()
+            store.claim_next()
+            assert snapshot.counts()["running"] == 1
+            assert store.recover_interrupted() == 1  # restart: running -> queued
+            check()
+            snapshot.prime()
+            check()
+            assert snapshot.counts() == {
+                "queued": 2, "running": 0, "done": 1, "failed": 1, "cancelled": 2,
+            }
+            snapshot.detach()
 
 
 class TestJobStoreListeners:

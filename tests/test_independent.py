@@ -199,6 +199,105 @@ class TestHeuristicScheduler:
         assert not result.exact
 
 
+class TestOverflowingCandidates:
+    """A candidate whose expectation overflows is skipped, not fatal."""
+
+    @pytest.mark.parametrize("method", ["vectorized", "reference"])
+    def test_heuristic_skips_an_overflowing_one_group_start(self, method):
+        import numpy as np
+
+        works = list(np.random.default_rng(1).uniform(1.0, 10.0, size=60))
+        rate = 700.0 / sum(works)
+        with pytest.raises(OverflowError):
+            grouping_expected_time([list(range(60))], works, 1.0, 1.0, 0.0, rate)
+        singletons = grouping_expected_time(
+            [[i] for i in range(60)], works, 1.0, 1.0, 0.0, rate
+        )
+        result = schedule_independent_tasks(
+            works, 1.0, 1.0, 0.0, rate, group_counts=[1, 40, 60], method=method
+        )
+        assert math.isfinite(result.expected_makespan)
+        assert result.expected_makespan <= singletons * (1 + 1e-12)
+        assert result.expected_makespan == grouping_expected_time(
+            result.groups, works, 1.0, 1.0, 0.0, rate
+        )
+
+    def test_default_candidates_include_overflowing_one_group(self):
+        import numpy as np
+
+        works = list(np.random.default_rng(1).uniform(1.0, 10.0, size=60))
+        rate = 700.0 / sum(works)
+        result = schedule_independent_tasks(works, 1.0, 1.0, 0.0, rate)
+        singletons = grouping_expected_time(
+            [[i] for i in range(60)], works, 1.0, 1.0, 0.0, rate
+        )
+        assert result.expected_makespan <= singletons * (1 + 1e-12)
+
+    def test_exhaustive_skips_overflowing_partitions(self):
+        import numpy as np
+
+        works = list(np.random.default_rng(2).uniform(1.0, 10.0, size=8))
+        rate = 700.0 / sum(works)
+        singletons = grouping_expected_time(
+            [[i] for i in range(8)], works, 1.0, 1.0, 0.0, rate
+        )
+        optimum = exhaustive_independent_schedule(works, 1.0, 1.0, 0.0, rate)
+        assert optimum.expected_makespan <= singletons
+        assert optimum.expected_makespan == grouping_expected_time(
+            optimum.groups, works, 1.0, 1.0, 0.0, rate
+        )
+
+    @pytest.mark.parametrize("method", ["vectorized", "reference"])
+    def test_every_candidate_overflowing_raises(self, method):
+        with pytest.raises(OverflowError, match="every candidate group count"):
+            schedule_independent_tasks([1.0, 2.0], 1.0, 1.0, 0.0, 1000.0, method=method)
+        with pytest.raises(OverflowError, match="every partition"):
+            exhaustive_independent_schedule([1.0, 2.0], 1.0, 1.0, 0.0, 1000.0)
+
+    def test_searches_score_overflowing_moves_inf(self):
+        from repro.core.independent import _local_search, _local_search_vectorized
+
+        # Two tasks per group are finite (lambda W = 500); a move would
+        # make a group of three (750 > 600).  Swaps change nothing.
+        works = [5.0, 5.0, 5.0, 5.0]
+        args = (works, 0.0, 0.0, 0.0, 50.0, None, 10)
+        start = [[0, 1], [2, 3]]
+        value = grouping_expected_time(start, *args[:5])
+        assert _local_search([list(g) for g in start], *args) == (start, value)
+        assert _local_search_vectorized([list(g) for g in start], *args) == (start, value)
+
+
+class TestSearchParameterChecks:
+    @pytest.mark.parametrize(
+        ("value", "error"), [(-3, ValueError), (True, TypeError), (2.0, TypeError)]
+    )
+    def test_local_search_iterations(self, value, error):
+        with pytest.raises(error, match="local_search_iterations"):
+            schedule_independent_tasks(
+                [1.0, 2.0, 3.0], 0.5, 0.5, 0.0, 0.05, local_search_iterations=value
+            )
+
+    @pytest.mark.parametrize("counts", [[True], [2.0], [2, "3"]])
+    def test_group_counts_must_be_ints(self, counts):
+        with pytest.raises(TypeError, match="group_counts"):
+            schedule_independent_tasks(
+                [1.0, 2.0, 3.0], 0.5, 0.5, 0.0, 0.05, group_counts=counts
+            )
+
+    def test_zero_group_count_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            schedule_independent_tasks(
+                [1.0, 2.0, 3.0], 0.5, 0.5, 0.0, 0.05, group_counts=[0]
+            )
+
+    def test_zero_iterations_keep_the_lpt_start(self):
+        works = [4.0, 9.0, 2.0, 7.0, 5.0, 6.0, 1.0]
+        result = schedule_independent_tasks(
+            works, 1.0, 1.0, 0.5, 0.05, group_counts=[3], local_search_iterations=0
+        )
+        assert [list(g) for g in result.groups] == balanced_grouping(works, 3)
+
+
 class TestIndependentProperties:
     @given(
         works=st.lists(st.floats(min_value=0.5, max_value=10.0), min_size=2, max_size=6),
