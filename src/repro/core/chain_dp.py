@@ -29,11 +29,10 @@ Both force a checkpoint after the last task (the base case of the paper's
 Algorithm 1 charges ``C_n``); pass ``final_checkpoint=False`` to drop it, e.g.
 when the final result does not need to be saved.
 
-The production solvers run on the vectorized row kernels of
-:mod:`repro.core.dp_kernels` by default (``method="auto"``): each DP row's
-whole transition vector is one closed-form NumPy expression over the work
-prefix sums, and the budget DP additionally sweeps its entire budget axis per
-row.  The plain-Python loops are retained as ``method="reference"``; both
+The production solvers run on the row-blocked kernels of
+:mod:`repro.core.dp_kernels` by default (``method="auto"``): one NumPy pass
+computes the segment costs of a block of DP rows over the work prefix sums,
+and the budget DP additionally sweeps its entire budget axis per row.  The plain-Python loops are retained as ``method="reference"``; both
 paths are **bit-identical** -- same expected times, same first-lowest-index
 tie-breaking -- which the property tests and the analytic-solver benchmark
 assert on every run.
@@ -125,6 +124,16 @@ class ChainDPResult:
         return CheckpointPlan.from_positions(self.chain.n, self.checkpoint_after)
 
 
+def _kernel_arrays(chain: LinearChain) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain's work prefix sums, checkpoint costs and per-row recoveries."""
+    recoveries = (chain.initial_recovery,) + chain.recovery_costs
+    return (
+        np.array(chain.prefix_work()),
+        np.array(chain.checkpoint_costs, dtype=float),
+        np.array(recoveries[: chain.n], dtype=float),
+    )
+
+
 def _reference_chain_tables(
     chain: LinearChain,
     downtime: float,
@@ -185,9 +194,8 @@ def optimal_chain_checkpoints(
         always taken after the last task and its cost ``C_n`` is charged.
         When False, the final segment ends without a checkpoint.
     method:
-        ``"auto"`` (default) solves each DP row as one vectorized NumPy
-        transition vector on chains large enough to amortise the ufunc
-        dispatch, and falls back to the plain-Python loops below that;
+        ``"auto"`` (default) solves the DP on the row-blocked NumPy kernel
+        on chains large enough to amortise the ufunc dispatch, and falls back to the plain-Python loops below that;
         ``"vectorized"`` / ``"reference"`` force one path.  Both are
         bit-identical (same values, same lowest-index tie-breaking).
 
@@ -205,14 +213,8 @@ def optimal_chain_checkpoints(
     rate = check_positive("rate", rate)
     n = chain.n
     if resolve_dp_method(method, n) == "vectorized":
-        prefix = np.array(chain.prefix_work())
         best, choice = chain_dp_tables(
-            prefix,
-            np.array(chain.checkpoint_costs, dtype=float),
-            chain.recovery_before,
-            downtime,
-            rate,
-            final_checkpoint=final_checkpoint,
+            *_kernel_arrays(chain), downtime, rate, final_checkpoint=final_checkpoint
         )
     else:
         best, choice = _reference_chain_tables(chain, downtime, rate, final_checkpoint)
@@ -326,9 +328,7 @@ def optimal_chain_checkpoints_budget(
     budget_cap = min(max_checkpoints, n)
     if resolve_dp_method(method, n) == "vectorized":
         best_arr, choice_arr = budget_dp_tables(
-            np.array(chain.prefix_work()),
-            np.array(chain.checkpoint_costs, dtype=float),
-            chain.recovery_before,
+            *_kernel_arrays(chain),
             downtime,
             rate,
             budget_cap,

@@ -14,7 +14,7 @@ provides:
   generalising the chain DP of Section 5 to position-dependent checkpoint and
   recovery costs -- including the frontier-dependent cost model of the first
   extension in Section 6 (checkpoint cost = aggregate of the live tasks'
-  costs).  All linearisation orders run through the shared vectorized row
+  costs).  All linearisation orders run through the shared row-blocked
   kernel of :mod:`repro.core.dp_kernels` by default, with the plain-Python
   loops retained (bit-identically) as ``method="reference"``;
 * :func:`schedule_dag` -- the production heuristic: try several linearisation
@@ -26,6 +26,7 @@ provides:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -37,9 +38,8 @@ from repro.core.dp_kernels import (
     chain_dp_tables,
     reconstruct_positions,
     resolve_dp_method,
-    row_transition_values,
 )
-from repro.core.expected_time import _MAX_EXPONENT, expected_completion_time
+from repro.core.expected_time import expected_completion_time
 from repro.core.schedule import CheckpointPlan, Schedule
 from repro.models.checkpoint import FrontierCheckpointCost
 from repro.workflows.dag import Workflow
@@ -66,19 +66,21 @@ def _list_schedule(
     """Generic list scheduling: repeatedly pick the ready task with the best priority.
 
     Lower priority value = scheduled earlier.  Ties are broken by task name
-    for determinism.
+    for determinism.  The ready tasks sit in a heap of ``(priority, name)``
+    keys; names are unique, so it pops the same sequence as sorting the
+    ready list before every pick.
     """
     remaining_preds = {name: len(workflow.predecessors(name)) for name in workflow}
-    ready = sorted(n for n, deg in remaining_preds.items() if deg == 0)
+    ready = [(priority(n), n) for n, deg in remaining_preds.items() if deg == 0]
+    heapq.heapify(ready)
     order: List[str] = []
     while ready:
-        ready.sort(key=lambda name: (priority(name), name))
-        chosen = ready.pop(0)
+        _, chosen = heapq.heappop(ready)
         order.append(chosen)
         for succ in workflow.successors(chosen):
             remaining_preds[succ] -= 1
             if remaining_preds[succ] == 0:
-                ready.append(succ)
+                heapq.heappush(ready, (priority(succ), succ))
     if len(order) != len(workflow):
         raise RuntimeError("list scheduling failed to order every task (corrupt DAG?)")
     return order
@@ -178,7 +180,8 @@ class _FrontierCostTables:
     task's last successor in the order (``n`` for exit tasks).  One sweep
     builds, for every ``j``, the name-sorted live members as padded
     ``(position, cost)`` index arrays; each DP row's whole checkpoint-cost
-    vector then comes out of one masked NumPy pass.
+    vector then comes out of one masked NumPy pass, and :meth:`fill` writes
+    those rows into the DP kernel's row blocks.
 
     Bit-identity with the per-call model is preserved by construction:
 
@@ -249,6 +252,11 @@ class _FrontierCostTables:
             return np.cumsum(masked, axis=1)[:, -1]
         masked = np.where(mask, self.cost_pad[x:], -np.inf)
         return np.max(masked, axis=1)
+
+    def fill(self, x0: int, out: np.ndarray) -> None:
+        """Fill a row block of the DP kernel: ``out[r, r:]`` is ``cost_row(x0 + r)``."""
+        for r in range(len(out)):
+            out[r, r:] = self.cost_row(x0 + r)
 
 
 @dataclass(frozen=True)
@@ -322,14 +330,14 @@ def place_checkpoints_on_order(
 
     ``method`` selects the execution path (``"auto"``/``"vectorized"``/
     ``"reference"``, as in :func:`~repro.core.chain_dp.optimal_chain_checkpoints`):
-    the vectorized path evaluates every linearisation through the same row
+    the vectorized path evaluates every linearisation on the same row-blocked
     kernel as the chain DP.  With a :class:`FrontierCheckpointCost` whose
     ``combine`` is ``sum`` or ``max``, the vectorized path additionally
     precomputes the order's live-frontier intervals once
     (:class:`_FrontierCostTables`) so each row's whole checkpoint-cost vector
     is one masked NumPy pass instead of per-cell Python model calls; custom
-    ``combine`` callables keep the per-call path.  All paths are
-    bit-identical.
+    ``combine`` callables fill the kernel's blocks one model call per cell.
+    All paths are bit-identical.
 
     Returns the optimal checkpoint positions and the associated expected
     makespan.
@@ -356,31 +364,15 @@ def place_checkpoints_on_order(
         return workflow.task(names[prev_ckpt]).recovery_cost
 
     if resolve_dp_method(method, n) == "vectorized":
-        frontier_tables = None
-        recovery_fn = recovery_cost
-        if checkpoint_model is not None and any(
-            checkpoint_model.combine is c for c in _FrontierCostTables.SUPPORTED_COMBINES
-        ):
-            frontier_tables = _FrontierCostTables(workflow, names, checkpoint_model)
-            # The tables' recoveries replay the model's name-sorted combine
-            # exactly, but without re-validating the order n times.
-            tables = frontier_tables
-
-            def recovery_fn(prev_ckpt: int) -> float:
-                if prev_ckpt < 0:
-                    return initial_recovery
-                return tables.recoveries[prev_ckpt]
-
         best, choice = _vectorized_order_tables(
             np.array(prefix),
             names,
             workflow,
-            recovery_fn,
+            recovery_cost,
             checkpoint_model,
             downtime,
             rate,
             final_checkpoint,
-            frontier_tables=frontier_tables,
         )
     else:
         best, choice = _reference_order_tables(
@@ -445,63 +437,41 @@ def _vectorized_order_tables(
     downtime: float,
     rate: float,
     final_checkpoint: bool,
-    frontier_tables: Optional[_FrontierCostTables] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized DP tables over a fixed order, sharing the chain row kernel."""
+    """Vectorized DP tables over a fixed order, on the chain kernel's row blocks."""
     n = len(names)
     if checkpoint_model is None:
         # Base cost model: position-independent per-task costs, so every
-        # linearisation runs through the exact chain kernel.
-        ckpt_costs = np.array(
-            [workflow.task(name).checkpoint_cost for name in names], dtype=float
-        )
-        return chain_dp_tables(
-            prefix,
-            ckpt_costs,
-            lambda x: recovery_cost(x - 1),
-            downtime,
-            rate,
-            final_checkpoint=final_checkpoint,
-        )
-    # Frontier model: the checkpoint cost of ending a segment depends on the
-    # window (prev_ckpt, j].  With precomputed frontier tables each row's
-    # whole cost vector is one masked NumPy pass; the per-call fallback
-    # remains for custom ``combine`` callables.
-    best = np.empty(n + 1)
-    best[n] = 0.0
-    choice = np.empty(n, dtype=np.int64)
-    inv_plus_downtime = 1.0 / rate + downtime
-    for x in range(n - 1, -1, -1):
-        prev_ckpt = x - 1
-        rec_exponent = rate * recovery_cost(prev_ckpt)
-        if rec_exponent > _MAX_EXPONENT:
-            best[x] = np.inf
-            choice[x] = n - 1
-            continue
-        factor = float(np.exp(rec_exponent)) * inv_plus_downtime
-        if frontier_tables is not None:
-            ckpt_row = frontier_tables.cost_row(x)
-            if not final_checkpoint:
-                ckpt_row[-1] = 0.0
-        else:
-            ckpt_row = np.array(
-                [
-                    0.0
-                    if (j == n - 1 and not final_checkpoint)
-                    else checkpoint_model.cost(names, prev_ckpt, j)  # repro: noqa[perf-python-callback] -- per-call fallback for custom combine
-                    for j in range(x, n)
+        # linearisation is a chain.
+        tasks = [workflow.task(name) for name in names]
+        checkpoint_costs = np.array([task.checkpoint_cost for task in tasks])
+        recoveries = [recovery_cost(-1), *(t.recovery_cost for t in tasks[: n - 1])]
+    elif any(
+        checkpoint_model.combine is c for c in _FrontierCostTables.SUPPORTED_COMBINES
+    ):
+        tables = _FrontierCostTables(workflow, names, checkpoint_model)
+        checkpoint_costs = tables.fill
+        # The tables' recoveries replay the model's name-sorted combine
+        # exactly, but without re-validating the order n times.
+        recoveries = [recovery_cost(-1), *tables.recoveries[: n - 1]]
+    else:
+        # A custom ``combine``: the model fills each block, one call per cell.
+        def checkpoint_costs(x0: int, out: np.ndarray) -> None:
+            for r in range(len(out)):
+                out[r, r:] = [
+                    checkpoint_model.cost(names, x0 + r - 1, j)  # repro: noqa[perf-python-callback] -- per-call fallback for custom combine
+                    for j in range(x0 + r, n)
                 ]
-            )
-        exponents = rate * ((prefix[x + 1 :] - prefix[x]) + ckpt_row)
-        values = row_transition_values(factor, exponents, best[x + 1 :])
-        j = int(np.argmin(values))
-        if values[j] < np.inf:
-            best[x] = values[j]
-            choice[x] = x + j
-        else:
-            best[x] = np.inf
-            choice[x] = n - 1
-    return best, choice
+
+        recoveries = [recovery_cost(x - 1) for x in range(n)]
+    return chain_dp_tables(
+        prefix,
+        checkpoint_costs,
+        np.array(recoveries[:n], dtype=float),
+        downtime,
+        rate,
+        final_checkpoint=final_checkpoint,
+    )
 
 
 def schedule_dag(

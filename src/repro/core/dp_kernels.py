@@ -1,4 +1,4 @@
-"""Vectorized NumPy kernels shared by the analytic checkpoint-placement solvers.
+"""Row-blocked NumPy kernels shared by the analytic checkpoint-placement solvers.
 
 The chain DP (Proposition 3), its budget-constrained variant and the DAG
 linearize-then-place solver all share the same transition structure: a DP row
@@ -8,25 +8,35 @@ the Proposition 1 cost::
     cost(x, j) = e^{lambda R} (1/lambda + D) (e^{lambda (W_{x..j} + C_j)} - 1)
 
 The scalar references evaluate that expression one ``(x, j)`` cell at a time
-through :func:`~repro.core.expected_time.expected_completion_time`; the
-kernels here evaluate each row's entire ``j``-vector as one closed-form NumPy
-expression over prefix sums of the work array, followed by a single
-``argmin``.  Because :mod:`repro.core.expected_time` routes its
-transcendentals through the *same* NumPy ufuncs these kernels apply to
-arrays, and every remaining operation (subtract, add, multiply, compare) is
-an IEEE-754 elementwise op in the scalar references' exact order, the kernel
-tables are **bit-identical** to the scalar loops: same values, same
+through :func:`~repro.core.expected_time.expected_completion_time`.  The
+kernels here work on a block of DP rows ``[x0, x1)`` at a time (at most
+:data:`_BLOCK_ROWS` rows and :data:`_BLOCK_CELLS` cells, in one workspace
+allocated per call): one 2-D NumPy pass computes every ``cost(x, j)`` with
+``j >= x0``, so a block pays the ufunc dispatch cost once instead of once per
+row.  The chain DP then takes one ``argmin`` over the columns whose successor
+is already final (``j >= x1 - 1``) and resolves only the in-block triangle
+(``x <= j < x1 - 1``, fewer than :data:`_BLOCK_ROWS` cells per row) bottom-up;
+on a tie between the two the triangle wins, because its indices are lower.
+
+Every cell goes through the scalar references' operations in their order
+(prefix difference, ``+ C_j``, ``* lambda``, the overflow mask, ``expm1``,
+``*`` the row factor), and :mod:`repro.core.expected_time` routes its
+transcendentals through the *same* NumPy ufuncs, which return the same bits
+for an element whatever the shape of the array around it.  The tables are
+therefore **bit-identical** to the scalar loops: same values, same
 first-lowest-index argmin choices.
 
 Overflow follows the references' convention: a transition whose exponent
 exceeds ``_MAX_EXPONENT`` would make ``expected_completion_time`` raise
 ``OverflowError``, which the DP loops map to ``+inf`` ("this candidate is
-never optimal"); the kernels mask those entries to ``+inf`` directly.
+never optimal"); the kernels mask those entries to ``+inf`` directly, and a
+row whose recovery exponent overflows is ``+inf`` throughout.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+import math
+from typing import Callable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,19 +44,26 @@ from repro.core.expected_time import _MAX_EXPONENT
 
 __all__ = [
     "resolve_dp_method",
-    "row_transition_values",
     "chain_dp_tables",
     "budget_dp_tables",
     "reconstruct_positions",
 ]
 
-#: Below this many tasks the per-row ufunc dispatch overhead makes the NumPy
-#: kernels slower than the plain-Python reference loops (crossover measured
-#: at n ~ 17 in the 1-core CI container; both paths are bit-identical, so the
-#: switch is purely a performance decision).
+#: Below this many tasks the plain-Python reference loops beat the per-row
+#: NumPy kernel of old (n ~ 17 in a 1-core container); the row-blocked chain
+#: DP wins from n ~ 7, but this constant also picks the independent-task
+#: search, whose two paths may settle in different partitions.
 AUTO_MIN_TASKS = 18
 
+#: Block caps: rows, and cells (256 KiB of float64; a longer row is a block).
+_BLOCK_ROWS = 32
+_BLOCK_CELLS = 1 << 15
+
 _METHODS = ("auto", "vectorized", "reference")
+
+#: ``fill(x0, out)`` writes cost(segment from ``x0 + r`` to ``x0 + c``) into
+#: ``out[r, c]`` for ``c >= r``.
+BlockCostFill = Callable[[int, np.ndarray], None]
 
 
 def resolve_dp_method(method: str, n: int) -> str:
@@ -61,33 +78,6 @@ def resolve_dp_method(method: str, n: int) -> str:
     if method == "auto":
         return "vectorized" if n >= AUTO_MIN_TASKS else "reference"
     return method
-
-
-def row_transition_values(
-    factor: float,
-    exponents: np.ndarray,
-    best_tail: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Transition values ``cost(x, j) + best[j + 1]`` for one DP row.
-
-    ``factor`` is the row constant ``e^{lambda R} (1/lambda + D)``,
-    ``exponents[k]`` is ``lambda (W_{x..x+k} + C_{x+k})`` and ``best_tail[k]``
-    is ``best[x + k + 1]``.  Entries whose exponent exceeds the overflow
-    threshold come out ``+inf``, exactly as the scalar loops'
-    ``OverflowError -> inf`` mapping.
-    """
-    over = exponents > _MAX_EXPONENT
-    clipped = np.minimum(exponents, _MAX_EXPONENT) if over.any() else exponents
-    values = np.expm1(clipped, out=out)
-    # factor * expm1 may overflow to +inf even below the exponent threshold
-    # (the scalar reference's Python-float product does the same, silently);
-    # +inf is the correct "never optimal" value either way.
-    with np.errstate(over="ignore"):
-        values *= factor
-    values[over] = np.inf
-    values += best_tail
-    return values
 
 
 def reconstruct_positions(
@@ -110,33 +100,115 @@ def reconstruct_positions(
     return tuple(positions)
 
 
-def _row_factor(rate: float, downtime: float, recovery: float) -> float:
-    """Row constant ``e^{lambda R} (1/lambda + D)``, ``+inf`` when ``lambda R`` overflows."""
-    rec_exponent = rate * recovery
-    if rec_exponent > _MAX_EXPONENT:
-        return np.inf
-    return float(np.exp(rec_exponent)) * (1.0 / rate + downtime)
+def _row_factors(
+    recoveries: np.ndarray, downtime: float, rate: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row constants ``e^{lambda R} (1/lambda + D)`` and the rows they overflow.
+
+    A row whose factor overflows is ``+inf`` throughout, like the references'
+    ``OverflowError`` on ``lambda * R``: its factor comes back as 1.0 and its
+    ``dead`` flag set, so callers mask it instead of multiplying by ``+inf``.
+    """
+    rec_exponents = rate * recoveries
+    with np.errstate(over="ignore"):
+        factors = np.exp(np.minimum(rec_exponents, _MAX_EXPONENT)) * (
+            1.0 / rate + downtime
+        )
+    dead = (rec_exponents > _MAX_EXPONENT) | (factors == np.inf)
+    factors[dead] = 1.0
+    return factors, dead
+
+
+def _cost_blocks(
+    prefix: np.ndarray,
+    checkpoint_costs: Union[np.ndarray, BlockCostFill],
+    recoveries: np.ndarray,
+    downtime: float,
+    rate: float,
+    last_checkpoint_free: bool,
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Segment costs of the DP's row blocks, bottom-up.
+
+    Yields ``(x0, x1, costs)`` with ``costs[r, c] = cost(x0 + r, x0 + c)`` for
+    ``c >= r`` (the cells ``c < r`` hold finite or ``+inf`` junk).  ``costs``
+    is a view of one workspace that the next block overwrites.  With
+    ``last_checkpoint_free`` the segment ending at ``n - 1`` is charged no
+    checkpoint.
+    """
+    n = len(recoveries)
+    factors, dead = _row_factors(recoveries, downtime, rate)
+    any_dead = bool(dead.any())
+    factors = factors[:, None]
+    size = min(max(_BLOCK_CELLS, n), n * min(_BLOCK_ROWS, n))
+    workspace = np.empty(size)
+    mask = np.empty(size, dtype=bool)
+    fill = checkpoint_costs if callable(checkpoint_costs) else None
+    if fill is not None:
+        block_ckpt = np.zeros(size)
+    else:
+        ckpt = np.array(checkpoint_costs, dtype=float)
+        if last_checkpoint_free:
+            ckpt[-1:] = 0.0
+    x1 = n
+    while x1 > 0:
+        # The tallest block below the caps: h * (n - x1 + h) <= _BLOCK_CELLS.
+        known = n - x1
+        fit = (math.isqrt(known * known + 4 * _BLOCK_CELLS) - known) // 2
+        x0 = x1 - max(1, min(_BLOCK_ROWS, x1, fit))
+        shape = (x1 - x0, n - x0)
+        costs = workspace[: shape[0] * shape[1]].reshape(shape)
+        over = mask[: costs.size].reshape(shape)
+        # lambda * (W + C) with the scalar loops' exact association:
+        # work = prefix[j + 1] - prefix[x], then work + C_j, then rate * (..).
+        np.subtract(prefix[x0 + 1 :], prefix[x0:x1, None], out=costs)
+        if fill is not None:
+            block = block_ckpt[: costs.size].reshape(shape)
+            fill(x0, block)
+            if last_checkpoint_free:
+                block[:, -1] = 0.0
+            costs += block
+        else:
+            costs += ckpt[x0:]
+        costs *= rate
+        np.greater(costs, _MAX_EXPONENT, out=over)
+        if any_dead:
+            over |= dead[x0:x1, None]
+        clipped = bool(over.any())
+        if clipped:
+            np.minimum(costs, _MAX_EXPONENT, out=costs)
+        np.expm1(costs, out=costs)
+        # factor * expm1 may overflow to +inf even below the exponent
+        # threshold (the scalar reference's Python-float product does the
+        # same, silently); +inf is the correct "never optimal" value either way.
+        with np.errstate(over="ignore"):
+            costs *= factors[x0:x1]
+        if clipped:
+            np.copyto(costs, np.inf, where=over)
+        yield x0, x1, costs
+        x1 = x0
 
 
 def chain_dp_tables(
     prefix: np.ndarray,
-    checkpoint_costs: np.ndarray,
-    recovery_for_row: Callable[[int], float],
+    checkpoint_costs: Union[np.ndarray, BlockCostFill],
+    recoveries: np.ndarray,
     downtime: float,
     rate: float,
     *,
     final_checkpoint: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Bottom-up tables of the unbudgeted placement DP, one vector op row at a time.
+    """Bottom-up tables of the unbudgeted placement DP, one row block at a time.
 
     Parameters
     ----------
     prefix:
         Work prefix sums ``P[0..n]`` (``P[0] = 0``).
     checkpoint_costs:
-        Cost ``C_j`` charged when a segment ends after position ``j``.
-    recovery_for_row:
-        ``recovery_for_row(x)`` is the recovery cost in effect for a segment
+        Cost ``C_j`` charged when a segment ends after position ``j``, or a
+        :data:`BlockCostFill` when that cost also depends on where the
+        segment starts.
+    recoveries:
+        ``recoveries[x]`` is the recovery cost in effect for a segment
         starting at position ``x`` (i.e. rolling back to the checkpoint that
         precedes ``x``).
     final_checkpoint:
@@ -151,42 +223,43 @@ def chain_dp_tables(
         segment end for a segment starting at ``x`` (``n - 1`` when every
         candidate overflows, matching the scalar references' initialisation).
     """
-    n = len(checkpoint_costs)
-    ckpt_eff = np.ascontiguousarray(checkpoint_costs, dtype=float)
-    if not final_checkpoint:
-        ckpt_eff = ckpt_eff.copy()
-        ckpt_eff[n - 1] = 0.0
-    best = np.empty(n + 1)
+    n = len(recoveries)
+    # Rows not yet resolved read +inf, so adding best[x0 + 1:] to a whole
+    # block leaves only the columns j >= x1 - 1, whose successor row is
+    # final, below +inf.
+    best = np.full(n + 1, np.inf)
     best[n] = 0.0
     choice = np.empty(n, dtype=np.int64)
-    workspace = np.empty(n)
-    for x in range(n - 1, -1, -1):
-        factor = _row_factor(rate, downtime, recovery_for_row(x))
-        if not np.isfinite(factor):
-            best[x] = np.inf
-            choice[x] = n - 1
-            continue
-        # lambda * (W + C) with the scalar loops' exact association:
-        # work = prefix[j + 1] - prefix[x], then work + C_j, then rate * (..).
-        exponents = rate * ((prefix[x + 1 :] - prefix[x]) + ckpt_eff[x:])
-        values = row_transition_values(
-            factor, exponents, best[x + 1 :], out=workspace[: n - x]
-        )
-        j = int(np.argmin(values))
-        value = values[j]
-        if value < np.inf:
-            best[x] = value
-            choice[x] = x + j
-        else:
-            best[x] = np.inf
-            choice[x] = n - 1
+    for x0, x1, costs in _cost_blocks(
+        prefix, checkpoint_costs, recoveries, downtime, rate, not final_checkpoint
+    ):
+        h = x1 - x0
+        triangle = costs[:, : h - 1].tolist()
+        costs += best[x0 + 1 :]
+        known_j = costs.argmin(axis=1)
+        values = costs[np.arange(h), known_j].tolist()
+        ends = (known_j + x0).tolist()
+        # The triangle x <= j < x1 - 1, bottom-up.  Scanning j downwards and
+        # keeping ties gives the lowest index among equal values, so the
+        # triangle wins a tie against the known columns.
+        for r in range(h - 1, -1, -1):
+            value, end = values[r], ends[r]
+            row = triangle[r]
+            for c in range(h - 2, r - 1, -1):
+                candidate = row[c] + values[c + 1]
+                if candidate <= value:
+                    value, end = candidate, x0 + c
+            values[r] = value
+            ends[r] = end if value < math.inf else n - 1
+        best[x0:x1] = values
+        choice[x0:x1] = ends
     return best, choice
 
 
 def budget_dp_tables(
     prefix: np.ndarray,
     checkpoint_costs: np.ndarray,
-    recovery_for_row: Callable[[int], float],
+    recoveries: np.ndarray,
     downtime: float,
     rate: float,
     budget_cap: int,
@@ -196,53 +269,50 @@ def budget_dp_tables(
     """Bottom-up tables of the budgeted chain DP, whole budget axis per row.
 
     State ``best[x, b]`` is the optimal expected time for tasks ``x..n-1``
-    with at most ``b`` checkpoints remaining.  Each row computes its
-    ``j``-vector of segment costs once (they do not depend on the budget) and
-    then sweeps the entire budget dimension in one broadcast add + ``argmin``
-    over the ``(j, b)`` value matrix.
+    with at most ``b`` checkpoints remaining.  The segment costs come from
+    the row blocks of the chain kernel (they do not depend on the budget);
+    each row then sweeps the entire budget dimension with one broadcast add
+    and one ``argmin`` along contiguous rows of a budget-major table.  The
+    returned tables are ``(n + 1, budget_cap + 1)`` views of it.
 
     ``choice[x, b]`` is the chosen segment end, with the scalar reference's
     sentinels: ``n`` for "run to the end without a further checkpoint"
     (allowed only when ``final_checkpoint`` is False) and ``-1`` when no
     option is feasible.
     """
-    n = len(checkpoint_costs)
-    ckpt = np.ascontiguousarray(checkpoint_costs, dtype=float)
-    best = np.full((n + 1, budget_cap + 1), np.inf)
-    choice = np.full((n + 1, budget_cap + 1), -1, dtype=np.int64)
-    best[n, :] = 0.0
-    for x in range(n - 1, -1, -1):
-        factor = _row_factor(rate, downtime, recovery_for_row(x))
-        if np.isfinite(factor):
-            exponents = rate * ((prefix[x + 1 :] - prefix[x]) + ckpt[x:])
-            costs = row_transition_values(
-                factor, exponents, np.zeros(n - x)
-            )
-        else:
-            costs = np.full(n - x, np.inf)
+    n = len(recoveries)
+    best = np.full((budget_cap + 1, n + 1), np.inf)
+    choice = np.full((budget_cap + 1, n + 1), -1, dtype=np.int64)
+    best[:, n] = 0.0
+    if not final_checkpoint:
         # Option 1 (no further checkpoint): available at every budget level,
         # evaluated first by the reference, so option 2 must strictly improve
         # on it to win.
-        if not final_checkpoint:
-            if np.isfinite(factor):
-                tail_exponent = rate * ((prefix[n] - prefix[x]) + 0.0)
-                tail_cost = (
-                    factor * float(np.expm1(tail_exponent))
-                    if tail_exponent <= _MAX_EXPONENT
-                    else np.inf
+        factors, dead = _row_factors(recoveries, downtime, rate)
+        exponents = rate * (prefix[n] - prefix[:n])
+        over = (exponents > _MAX_EXPONENT) | dead
+        with np.errstate(over="ignore"):
+            tail = np.expm1(np.minimum(exponents, _MAX_EXPONENT)) * factors
+        tail[over] = np.inf
+        feasible = tail < np.inf
+        best[:, :n] = tail
+        choice[:, :n][:, feasible] = n
+    if budget_cap >= 1:
+        levels = np.arange(budget_cap)
+        sweep = np.empty(budget_cap * n)
+        for x0, x1, costs in _cost_blocks(
+            prefix, checkpoint_costs, recoveries, downtime, rate, False
+        ):
+            for x in range(x1 - 1, x0 - 1, -1):
+                # values[b - 1, k] = cost(x, x + k) + best[b - 1, x + k + 1],
+                # contiguous so that argmin reads it in place.
+                values = np.add(
+                    costs[x - x0, x - x0 :], best[:budget_cap, x + 1 :],
+                    out=sweep[: budget_cap * (n - x)].reshape(budget_cap, n - x),
                 )
-            else:
-                tail_cost = np.inf
-            if tail_cost < np.inf:
-                best[x, :] = tail_cost
-                choice[x, :] = n
-        if budget_cap >= 1:
-            # values[k, b-1] = cost(x, x+k) + best[x+k+1, b-1]: one broadcast
-            # add covers every remaining budget level at once.
-            values = costs[:, None] + best[x + 1 :, :budget_cap]
-            j_rel = np.argmin(values, axis=0)  # first lowest index per budget
-            vmin = values[j_rel, np.arange(budget_cap)]
-            better = vmin < best[x, 1:]
-            best[x, 1:] = np.where(better, vmin, best[x, 1:])
-            choice[x, 1:] = np.where(better, x + j_rel, choice[x, 1:])
-    return best, choice
+                j_rel = values.argmin(axis=1)  # first lowest index per budget
+                vmin = values[levels, j_rel]
+                better = vmin < best[1:, x]
+                np.copyto(best[1:, x], vmin, where=better)
+                np.copyto(choice[1:, x], j_rel + x, where=better)
+    return best.T, choice.T

@@ -653,6 +653,12 @@ def schedule_independent_tasks(
             f"the expected makespan overflows for every candidate group count {candidates}"
         ) from overflow
     first_recovery = recovery_cost if initial_recovery is None else initial_recovery
+    # The search sums changed groups in candidate order; report the value of
+    # the returned groups themselves, so re-evaluating them gives it back.
+    best_value = grouping_expected_time(
+        best_groups, works, checkpoint_cost, recovery_cost, downtime, rate,
+        initial_recovery=initial_recovery,
+    )
     return IndependentScheduleResult(
         groups=tuple(tuple(g) for g in best_groups),
         expected_makespan=best_value,

@@ -407,3 +407,143 @@ class TestExpectedTimeUfuncConsistency:
             optimal_chain_checkpoints(chain, 0.5, 0.02, method="reference").expected_makespan,
             rel=1e-12,
         )
+
+
+class TestRowBlockSeams:
+    """The row-blocked kernel equals the references across many block seams.
+
+    Patching the block caps makes every block 1, 3 or 7 rows high (or lets a
+    tiny cell budget set the height), so each instance crosses many seams
+    between the known columns and the in-block triangle.
+    """
+
+    @pytest.fixture(params=[(1, 1 << 15), (3, 1 << 15), (7, 1 << 15), (32, 40)])
+    def blocks(self, request, monkeypatch):
+        import repro.core.dp_kernels as kernels
+
+        rows, cells = request.param
+        monkeypatch.setattr(kernels, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", cells)
+        return rows
+
+    def _chains(self):
+        rng = np.random.default_rng(17)
+        yield LinearChain.uniform(23, work=2.0, checkpoint_cost=0.5)
+        ints = rng.integers(1, 3, size=30).astype(float).tolist()
+        yield LinearChain(works=ints, checkpoint_costs=[1.0] * 30, recovery_costs=[1.0] * 30)
+        for n in (1, 2, 6, 7, 8, 33, 41):
+            yield uniform_random_chain(n, seed=n)
+        # Rows whose factor overflows (lambda * R > 600): first, middle, last.
+        recs = [0.5] * 20
+        for index in (0, 9, 18):
+            recs[index] = 1000.0
+        yield LinearChain(
+            works=rng.uniform(0.5, 3.0, 20).tolist(), checkpoint_costs=[0.3] * 20,
+            recovery_costs=recs, initial_recovery=1000.0,
+        )
+
+    @pytest.mark.parametrize("rate", [1e-3, 0.2, 40.0])
+    def test_chain_and_budget_equal_reference(self, blocks, rate):
+        for chain in self._chains():
+            for final in (True, False):
+                ref = optimal_chain_checkpoints
+                try:
+                    expected = ref(chain, 0.5, rate, final_checkpoint=final, method="reference")
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        ref(chain, 0.5, rate, final_checkpoint=final, method="vectorized")
+                else:
+                    assert_same_placement(
+                        expected,
+                        ref(chain, 0.5, rate, final_checkpoint=final, method="vectorized"),
+                    )
+                for cap in sorted({int(final), 1, 2, max(chain.n // 2, 1), chain.n}):
+                    results = []
+                    for method in ("reference", "vectorized"):
+                        try:
+                            results.append(optimal_chain_checkpoints_budget(
+                                chain, 0.5, rate, cap, final_checkpoint=final, method=method
+                            ))
+                        except OverflowError:
+                            results.append(None)
+                    if results[0] is None:
+                        assert results[1] is None
+                    else:
+                        assert_same_placement(*results)
+
+    @pytest.mark.parametrize("frontier", [False, True])
+    def test_dag_placement_equals_reference(self, blocks, frontier):
+        workflow = fork_join(9, branch_work=3.0, checkpoint_cost=0.4, seed=3)
+        model = FrontierCheckpointCost(workflow) if frontier else None
+        for strategy in sorted(LINEARIZATION_STRATEGIES):
+            order = linearize(workflow, strategy, rng=np.random.default_rng(5))
+            for rate in (0.01, 0.3):
+                for final in (True, False):
+                    results = [
+                        place_checkpoints_on_order(
+                            workflow, order, 0.2, rate, checkpoint_model=model,
+                            final_checkpoint=final, method=method,
+                        )
+                        for method in ("reference", "vectorized")
+                    ]
+                    assert results[0] == results[1]
+
+    def test_every_candidate_overflowing_picks_the_last_position(self):
+        from repro.core.chain_dp import _kernel_arrays
+        from repro.core.dp_kernels import chain_dp_tables
+
+        chain = LinearChain.uniform(40, work=100.0, checkpoint_cost=1.0)
+        best, choice = chain_dp_tables(*_kernel_arrays(chain), 0.0, 10.0)
+        assert np.isinf(best[:40]).all()
+        assert (choice == 39).all()
+
+
+class TestListScheduleHeap:
+    """The heap-based list scheduler pops the order of a sort per pick."""
+
+    @staticmethod
+    def _sorted_list_schedule(workflow, priority):
+        remaining = {name: len(workflow.predecessors(name)) for name in workflow}
+        ready = sorted(n for n, deg in remaining.items() if deg == 0)
+        order = []
+        while ready:
+            ready.sort(key=lambda name: (priority(name), name))
+            chosen = ready.pop(0)
+            order.append(chosen)
+            for succ in workflow.successors(chosen):
+                remaining[succ] -= 1
+                if remaining[succ] == 0:
+                    ready.append(succ)
+        return order
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_orders_match_the_sorting_oracle(self, seed, monkeypatch):
+        import repro.core.dag_scheduling as dag_scheduling
+        from repro.workflows.generators import random_layered_dag
+
+        workflow = random_layered_dag(4, 5, seed=seed)
+        for strategy in sorted(LINEARIZATION_STRATEGIES):
+            fast = linearize(workflow, strategy, rng=np.random.default_rng(seed))
+            monkeypatch.setattr(dag_scheduling, "_list_schedule", self._sorted_list_schedule)
+            slow = linearize(workflow, strategy, rng=np.random.default_rng(seed))
+            monkeypatch.undo()
+            assert fast == slow
+        # Tied priorities: every task has the same work, so names decide.
+        tied = fork_join(7, branch_work=2.0, checkpoint_cost=0.5, seed=seed)
+        priority = lambda name: 1.0  # noqa: E731
+        assert dag_scheduling._list_schedule(tied, priority) == (
+            self._sorted_list_schedule(tied, priority)
+        )
+
+
+def test_independent_value_is_the_value_of_its_groups():
+    rng = np.random.default_rng(7)
+    mismatches = 0
+    for _ in range(60):
+        n = int(rng.integers(6, 61))
+        m = int(rng.integers(1, n // 2))
+        works = rng.uniform(0.5, 12.0, size=n).tolist()
+        result = schedule_independent_tasks(works, 1.0, 0.8, 0.4, 0.03, group_counts=[m])
+        value = grouping_expected_time(result.groups, works, 1.0, 0.8, 0.4, 0.03)
+        mismatches += value != result.expected_makespan
+    assert mismatches == 0
