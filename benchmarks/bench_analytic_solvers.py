@@ -3,10 +3,11 @@
 PR 5 turned the chain-checkpointing DP (Proposition 3), its budget-constrained
 variant and the DAG linearize-then-place DP into NumPy array programs; they
 now share one row-blocked kernel (one 2-D pass computes the segment costs of
-a block of DP rows; the budget DP sweeps its whole budget axis per row).  This benchmark times each solver both ways on the same
-instances and asserts, in-bench, that the results are *exactly* equal --
-same expected makespans, same checkpoint positions -- so a speedup row can
-never hide a numerics regression.
+a block of DP rows; the budget DP sweeps its whole budget axis per row).
+This benchmark times each solver both ways on the same instances and
+asserts, in-bench, that the results are *exactly* equal -- same expected
+makespans, same checkpoint positions -- so a speedup row can never hide a
+numerics regression.
 
 Rows report ``reference_seconds``, ``vectorized_seconds``, the speedup and
 the exact-equality flag; the CI bench-smoke job archives the ``--quick``
@@ -18,9 +19,9 @@ median of the per-pair ratios.
 The hot-kernel rows carry their own gates, asserted in-bench so CI fails if
 an optimisation regresses below its claim:
 
-* ``chain_dp`` and ``dag_placement`` -- the row-blocked kernel against the
-  scalar reference, gated at ``CHAIN_DP_GATE`` and ``DAG_PLACEMENT_GATE``
-  over 3 paired trials; ``budget_dp`` is timed over 3 trials, ungated.
+* ``chain_dp``, ``budget_dp`` and ``dag_placement`` -- the row-blocked
+  kernel against the scalar reference, gated at ``CHAIN_DP_GATE``,
+  ``BUDGET_DP_GATE`` and ``DAG_PLACEMENT_GATE`` over 3 paired trials.
 
 * ``dag_frontier`` -- checkpoint placement under the frontier cost model,
   where the vectorized path precomputes the order's liveness intervals once
@@ -54,10 +55,15 @@ from repro.workflows.generators import uniform_random_chain
 
 DOWNTIME = 0.5
 RATE = 0.01
-#: Gates of the row-blocked DP rows: between what one NumPy dispatch per DP
-#: row read (chain x19.8 at n = 500, DAG placement x6.9 at n = 150) and what
-#: the row-blocked kernel reads, so a fallback to per-row dispatch fails.
+#: Gates of the row-blocked DP rows at the quick sizes, between what one NumPy
+#: dispatch per DP row read and what the row-blocked kernel reads, so that a
+#: fallback to per-row dispatch fails.  Medians (and ranges) of 9-15 repeated
+#: 3-trial readings on a 2-core container, per-row -> row-blocked: chain
+#: (n = 500) x22.6 (21.9-26.2) -> x62.3 (59.9-66.1); budget (n = 120, cap 30)
+#: x73 (68-81) -> x166 (152-176); DAG placement (n = 150) x7.5 (7.1-7.8) ->
+#: x25.2 (22.4-25.8).
 CHAIN_DP_GATE = 30.0
+BUDGET_DP_GATE = 110.0
 DAG_PLACEMENT_GATE = 10.0
 #: The strategies every perfbench campaign compares.
 CAMPAIGN_STRATEGIES = ("optimal_dp", "checkpoint_all", "checkpoint_none", "daly_period")
@@ -126,6 +132,7 @@ def run_analytic_solver_benchmarks(
             budget_chain, DOWNTIME, RATE, budget_cap, method="vectorized"
         ),
         placements_equal,
+        min_speedup=BUDGET_DP_GATE,
         trials=3,
     )
 
@@ -236,7 +243,7 @@ def run_analytic_solver_benchmarks(
 def test_analytic_solver_speedups(benchmark, print_table):
     table = benchmark(
         run_analytic_solver_benchmarks,
-        chain_n=300, budget_n=120, budget_cap=30, dag_n=150, independent_n=40,
+        chain_n=500, budget_n=120, budget_cap=30, dag_n=150, independent_n=40,
         frontier_n=70,
         schedule_n=200,
     )

@@ -32,8 +32,9 @@ when the final result does not need to be saved.
 The production solvers run on the row-blocked kernels of
 :mod:`repro.core.dp_kernels` by default (``method="auto"``): one NumPy pass
 computes the segment costs of a block of DP rows over the work prefix sums,
-and the budget DP additionally sweeps its entire budget axis per row.  The plain-Python loops are retained as ``method="reference"``; both
-paths are **bit-identical** -- same expected times, same first-lowest-index
+and the budget DP sweeps its entire budget axis per row.  The plain-Python
+loops are retained as ``method="reference"``; both paths are
+**bit-identical** -- same expected times, same first-lowest-index
 tie-breaking -- which the property tests and the analytic-solver benchmark
 assert on every run.
 """
@@ -195,7 +196,8 @@ def optimal_chain_checkpoints(
         When False, the final segment ends without a checkpoint.
     method:
         ``"auto"`` (default) solves the DP on the row-blocked NumPy kernel
-        on chains large enough to amortise the ufunc dispatch, and falls back to the plain-Python loops below that;
+        on chains large enough to amortise the ufunc dispatch, and falls
+        back to the plain-Python loops below that;
         ``"vectorized"`` / ``"reference"`` force one path.  Both are
         bit-identical (same values, same lowest-index tie-breaking).
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -180,8 +180,7 @@ class _FrontierCostTables:
     task's last successor in the order (``n`` for exit tasks).  One sweep
     builds, for every ``j``, the name-sorted live members as padded
     ``(position, cost)`` index arrays; each DP row's whole checkpoint-cost
-    vector then comes out of one masked NumPy pass, and :meth:`fill` writes
-    those rows into the DP kernel's row blocks.
+    vector then comes out of one masked NumPy pass.
 
     Bit-identity with the per-call model is preserved by construction:
 
@@ -196,7 +195,7 @@ class _FrontierCostTables:
     Any other ``combine`` callable falls back to the per-call path.
     """
 
-    __slots__ = ("n", "pos_pad", "cost_pad", "recoveries", "is_sum")
+    __slots__ = ("pos_pad", "cost_pad", "recoveries", "is_sum")
 
     #: ``combine`` callables with a bit-identical masked NumPy reduction.
     SUPPORTED_COMBINES = (sum, max)
@@ -208,7 +207,6 @@ class _FrontierCostTables:
         model: FrontierCheckpointCost,
     ) -> None:
         n = len(names)
-        self.n = n
         self.is_sum = model.combine is sum
         position = {name: p for p, name in enumerate(names)}
         ckpt_costs = [workflow.task(name).checkpoint_cost for name in names]
@@ -252,11 +250,6 @@ class _FrontierCostTables:
             return np.cumsum(masked, axis=1)[:, -1]
         masked = np.where(mask, self.cost_pad[x:], -np.inf)
         return np.max(masked, axis=1)
-
-    def fill(self, x0: int, out: np.ndarray) -> None:
-        """Fill a row block of the DP kernel: ``out[r, r:]`` is ``cost_row(x0 + r)``."""
-        for r in range(len(out)):
-            out[r, r:] = self.cost_row(x0 + r)
 
 
 @dataclass(frozen=True)
@@ -329,15 +322,12 @@ def place_checkpoints_on_order(
     position following the previous checkpoint.
 
     ``method`` selects the execution path (``"auto"``/``"vectorized"``/
-    ``"reference"``, as in :func:`~repro.core.chain_dp.optimal_chain_checkpoints`):
-    the vectorized path evaluates every linearisation on the same row-blocked
-    kernel as the chain DP.  With a :class:`FrontierCheckpointCost` whose
-    ``combine`` is ``sum`` or ``max``, the vectorized path additionally
-    precomputes the order's live-frontier intervals once
-    (:class:`_FrontierCostTables`) so each row's whole checkpoint-cost vector
-    is one masked NumPy pass instead of per-cell Python model calls; custom
-    ``combine`` callables fill the kernel's blocks one model call per cell.
-    All paths are bit-identical.
+    ``"reference"``, as in :func:`~repro.core.chain_dp.optimal_chain_checkpoints`);
+    the vectorized path runs the chain DP's row-blocked kernel.  With a
+    :class:`FrontierCheckpointCost` whose ``combine`` is ``sum`` or ``max`` it
+    takes each row's checkpoint costs from one masked NumPy pass over the
+    order's live-frontier intervals (:class:`_FrontierCostTables`); a custom
+    ``combine`` costs one model call per cell.  All paths are bit-identical.
 
     Returns the optimal checkpoint positions and the associated expected
     makespan.
@@ -364,15 +354,12 @@ def place_checkpoints_on_order(
         return workflow.task(names[prev_ckpt]).recovery_cost
 
     if resolve_dp_method(method, n) == "vectorized":
-        best, choice = _vectorized_order_tables(
+        best, choice = chain_dp_tables(
             np.array(prefix),
-            names,
-            workflow,
-            recovery_cost,
-            checkpoint_model,
+            *_kernel_costs(workflow, names, checkpoint_model, recovery_cost),
             downtime,
             rate,
-            final_checkpoint,
+            final_checkpoint=final_checkpoint,
         )
     else:
         best, choice = _reference_order_tables(
@@ -428,17 +415,13 @@ def _reference_order_tables(
     return best, choice
 
 
-def _vectorized_order_tables(
-    prefix: np.ndarray,
-    names: Sequence[str],
+def _kernel_costs(
     workflow: Workflow,
-    recovery_cost: Callable[[int], float],
+    names: Sequence[str],
     checkpoint_model: Optional[FrontierCheckpointCost],
-    downtime: float,
-    rate: float,
-    final_checkpoint: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized DP tables over a fixed order, on the chain kernel's row blocks."""
+    recovery_cost: Callable[[int], float],
+) -> Tuple[Union[np.ndarray, Callable[[int], Sequence[float]]], np.ndarray]:
+    """The row-blocked kernel's checkpoint costs and per-row recoveries on an order."""
     n = len(names)
     if checkpoint_model is None:
         # Base cost model: position-independent per-task costs, so every
@@ -450,28 +433,18 @@ def _vectorized_order_tables(
         checkpoint_model.combine is c for c in _FrontierCostTables.SUPPORTED_COMBINES
     ):
         tables = _FrontierCostTables(workflow, names, checkpoint_model)
-        checkpoint_costs = tables.fill
+        checkpoint_costs = tables.cost_row
         # The tables' recoveries replay the model's name-sorted combine
         # exactly, but without re-validating the order n times.
         recoveries = [recovery_cost(-1), *tables.recoveries[: n - 1]]
     else:
-        # A custom ``combine``: the model fills each block, one call per cell.
-        def checkpoint_costs(x0: int, out: np.ndarray) -> None:
-            for r in range(len(out)):
-                out[r, r:] = [
-                    checkpoint_model.cost(names, x0 + r - 1, j)  # repro: noqa[perf-python-callback] -- per-call fallback for custom combine
-                    for j in range(x0 + r, n)
-                ]
-
+        # A custom ``combine``: one model call per cell.
+        checkpoint_costs = lambda x: [  # noqa: E731
+            checkpoint_model.cost(names, x - 1, j)  # repro: noqa[perf-python-callback] -- per-call fallback for custom combine
+            for j in range(x, n)
+        ]
         recoveries = [recovery_cost(x - 1) for x in range(n)]
-    return chain_dp_tables(
-        prefix,
-        checkpoint_costs,
-        np.array(recoveries[:n], dtype=float),
-        downtime,
-        rate,
-        final_checkpoint=final_checkpoint,
-    )
+    return checkpoint_costs, np.array(recoveries[:n], dtype=float)
 
 
 def schedule_dag(

@@ -1,36 +1,30 @@
 """Row-blocked NumPy kernels shared by the analytic checkpoint-placement solvers.
 
 The chain DP (Proposition 3), its budget-constrained variant and the DAG
-linearize-then-place solver all share the same transition structure: a DP row
-``x`` examines every candidate segment end ``j in {x, .., n-1}`` and charges
-the Proposition 1 cost::
+linearize-then-place solver share one transition structure: DP row ``x``
+examines every segment end ``j in {x, .., n-1}`` and charges the
+Proposition 1 cost::
 
     cost(x, j) = e^{lambda R} (1/lambda + D) (e^{lambda (W_{x..j} + C_j)} - 1)
 
-The scalar references evaluate that expression one ``(x, j)`` cell at a time
-through :func:`~repro.core.expected_time.expected_completion_time`.  The
-kernels here work on a block of DP rows ``[x0, x1)`` at a time (at most
-:data:`_BLOCK_ROWS` rows and :data:`_BLOCK_CELLS` cells, in one workspace
-allocated per call): one 2-D NumPy pass computes every ``cost(x, j)`` with
-``j >= x0``, so a block pays the ufunc dispatch cost once instead of once per
-row.  The chain DP then takes one ``argmin`` over the columns whose successor
-is already final (``j >= x1 - 1``) and resolves only the in-block triangle
-(``x <= j < x1 - 1``, fewer than :data:`_BLOCK_ROWS` cells per row) bottom-up;
-on a tie between the two the triangle wins, because its indices are lower.
+The scalar references evaluate one ``(x, j)`` cell at a time through
+:func:`~repro.core.expected_time.expected_completion_time`.  The kernels here
+take a block of DP rows ``[x0, x1)`` (at most :data:`_BLOCK_ROWS` rows and
+:data:`_BLOCK_CELLS` cells, in one workspace per call) and compute every
+``cost(x, j)`` with ``j >= x0`` in one 2-D NumPy pass, so a block pays the
+ufunc dispatch once instead of once per row.  The chain DP then takes one
+``argmin`` over the columns whose successor row is final (``j >= x1 - 1``)
+and resolves the in-block triangle ``x <= j < x1 - 1`` bottom-up; on a tie
+the triangle wins, because its indices are lower.
 
-Every cell goes through the scalar references' operations in their order
-(prefix difference, ``+ C_j``, ``* lambda``, the overflow mask, ``expm1``,
-``*`` the row factor), and :mod:`repro.core.expected_time` routes its
-transcendentals through the *same* NumPy ufuncs, which return the same bits
-for an element whatever the shape of the array around it.  The tables are
-therefore **bit-identical** to the scalar loops: same values, same
-first-lowest-index argmin choices.
-
-Overflow follows the references' convention: a transition whose exponent
-exceeds ``_MAX_EXPONENT`` would make ``expected_completion_time`` raise
-``OverflowError``, which the DP loops map to ``+inf`` ("this candidate is
-never optimal"); the kernels mask those entries to ``+inf`` directly, and a
-row whose recovery exponent overflows is ``+inf`` throughout.
+Every cell goes through the references' operations in their order (prefix
+difference, ``+ C_j``, ``* lambda``, the overflow mask, ``expm1``, ``*`` the
+row factor) on the same NumPy ufuncs, which return the same bits for an
+element whatever the array around it.  The tables are therefore
+**bit-identical** to the scalar loops: same values, same first-lowest-index
+choices.  Where the references catch ``OverflowError`` (an exponent above
+``_MAX_EXPONENT``) the kernels write ``+inf``, "never optimal", and so they
+do for every transition of a row whose recovery exponent overflows.
 """
 
 from __future__ import annotations
@@ -49,11 +43,11 @@ __all__ = [
     "reconstruct_positions",
 ]
 
-#: Below this many tasks the plain-Python reference loops beat the per-row
-#: NumPy kernel of old (n ~ 17 in a 1-core container); the row-blocked chain
-#: DP wins from n ~ 7, but this constant also picks the independent-task
-#: search, whose two paths may settle in different partitions.
-AUTO_MIN_TASKS = 18
+#: Below this many tasks the plain-Python reference loops beat the row-blocked
+#: kernels (2-core container, public solvers: at n = 8 the chain DP takes 37
+#: against 47 us, DAG placement 46 against 52 us; at n = 7 the reference is
+#: level or ahead).  Both paths are bit-identical: a pure speed choice.
+AUTO_MIN_TASKS = 8
 
 #: Block caps: rows, and cells (256 KiB of float64; a longer row is a block).
 _BLOCK_ROWS = 32
@@ -61,22 +55,18 @@ _BLOCK_CELLS = 1 << 15
 
 _METHODS = ("auto", "vectorized", "reference")
 
-#: ``fill(x0, out)`` writes cost(segment from ``x0 + r`` to ``x0 + c``) into
-#: ``out[r, c]`` for ``c >= r``.
-BlockCostFill = Callable[[int, np.ndarray], None]
 
-
-def resolve_dp_method(method: str, n: int) -> str:
+def resolve_dp_method(method: str, n: int, auto_min_tasks: int = AUTO_MIN_TASKS) -> str:
     """Resolve a ``method=`` argument to ``"vectorized"`` or ``"reference"``.
 
-    ``"auto"`` (every solver's default) picks the vectorized kernel for
-    instances of :data:`AUTO_MIN_TASKS` tasks or more and the scalar
-    reference below that, where the Python loop is faster.
+    ``"auto"`` (every solver's default) picks the vectorized path for
+    instances of ``auto_min_tasks`` tasks or more and the scalar reference
+    below that, where the Python loop is faster.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
     if method == "auto":
-        return "vectorized" if n >= AUTO_MIN_TASKS else "reference"
+        return "vectorized" if n >= auto_min_tasks else "reference"
     return method
 
 
@@ -93,8 +83,7 @@ def reconstruct_positions(
     x = 0
     while x < n:
         j = int(choice[x])
-        is_last_segment = j == n - 1
-        if not (is_last_segment and not final_checkpoint):
+        if j != n - 1 or final_checkpoint:
             positions.append(j)
         x = j + 1
     return tuple(positions)
@@ -121,30 +110,28 @@ def _row_factors(
 
 def _cost_blocks(
     prefix: np.ndarray,
-    checkpoint_costs: Union[np.ndarray, BlockCostFill],
-    recoveries: np.ndarray,
-    downtime: float,
+    checkpoint_costs: Union[np.ndarray, Callable[[int], Sequence[float]]],
+    factors: np.ndarray,
+    dead: np.ndarray,
     rate: float,
     last_checkpoint_free: bool,
 ) -> Iterator[Tuple[int, int, np.ndarray]]:
     """Segment costs of the DP's row blocks, bottom-up.
 
     Yields ``(x0, x1, costs)`` with ``costs[r, c] = cost(x0 + r, x0 + c)`` for
-    ``c >= r`` (the cells ``c < r`` hold finite or ``+inf`` junk).  ``costs``
-    is a view of one workspace that the next block overwrites.  With
-    ``last_checkpoint_free`` the segment ending at ``n - 1`` is charged no
-    checkpoint.
+    ``c >= r`` (finite or ``+inf`` junk below that), a view of one workspace
+    that the next block overwrites.  ``factors`` and ``dead`` come from
+    :func:`_row_factors`; with ``last_checkpoint_free`` the segment ending at
+    ``n - 1`` is charged no checkpoint.
     """
-    n = len(recoveries)
-    factors, dead = _row_factors(recoveries, downtime, rate)
+    n = len(factors)
     any_dead = bool(dead.any())
-    factors = factors[:, None]
     size = min(max(_BLOCK_CELLS, n), n * min(_BLOCK_ROWS, n))
-    workspace = np.empty(size)
-    mask = np.empty(size, dtype=bool)
-    fill = checkpoint_costs if callable(checkpoint_costs) else None
-    if fill is not None:
-        block_ckpt = np.zeros(size)
+    workspace, mask = np.empty(size), np.empty(size, dtype=bool)
+    by_row = callable(checkpoint_costs)
+    if by_row:
+        # Zeroed once: rows write only their cells c >= r, all finite.
+        row_costs = np.zeros(size)
     else:
         ckpt = np.array(checkpoint_costs, dtype=float)
         if last_checkpoint_free:
@@ -161,9 +148,10 @@ def _cost_blocks(
         # lambda * (W + C) with the scalar loops' exact association:
         # work = prefix[j + 1] - prefix[x], then work + C_j, then rate * (..).
         np.subtract(prefix[x0 + 1 :], prefix[x0:x1, None], out=costs)
-        if fill is not None:
-            block = block_ckpt[: costs.size].reshape(shape)
-            fill(x0, block)
+        if by_row:
+            block = row_costs[: costs.size].reshape(shape)
+            for r in range(shape[0]):
+                block[r, r:] = checkpoint_costs(x0 + r)
             if last_checkpoint_free:
                 block[:, -1] = 0.0
             costs += block
@@ -181,7 +169,7 @@ def _cost_blocks(
         # threshold (the scalar reference's Python-float product does the
         # same, silently); +inf is the correct "never optimal" value either way.
         with np.errstate(over="ignore"):
-            costs *= factors[x0:x1]
+            costs *= factors[x0:x1, None]
         if clipped:
             np.copyto(costs, np.inf, where=over)
         yield x0, x1, costs
@@ -190,7 +178,7 @@ def _cost_blocks(
 
 def chain_dp_tables(
     prefix: np.ndarray,
-    checkpoint_costs: Union[np.ndarray, BlockCostFill],
+    checkpoint_costs: Union[np.ndarray, Callable[[int], Sequence[float]]],
     recoveries: np.ndarray,
     downtime: float,
     rate: float,
@@ -199,29 +187,17 @@ def chain_dp_tables(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bottom-up tables of the unbudgeted placement DP, one row block at a time.
 
-    Parameters
-    ----------
-    prefix:
-        Work prefix sums ``P[0..n]`` (``P[0] = 0``).
-    checkpoint_costs:
-        Cost ``C_j`` charged when a segment ends after position ``j``, or a
-        :data:`BlockCostFill` when that cost also depends on where the
-        segment starts.
-    recoveries:
-        ``recoveries[x]`` is the recovery cost in effect for a segment
-        starting at position ``x`` (i.e. rolling back to the checkpoint that
-        precedes ``x``).
-    final_checkpoint:
-        When False the last position's checkpoint cost is dropped (the final
-        segment ends without a checkpoint).
+    ``prefix`` holds the work prefix sums ``P[0..n]``; ``checkpoint_costs``
+    the cost ``C_j`` of a checkpoint after position ``j``, or a callable
+    ``cost_row(x)`` giving the costs for every ``j >= x`` when they also
+    depend on the segment's start ``x``; and ``recoveries[x]`` the recovery
+    cost of a segment starting at ``x`` (a rollback to the checkpoint before
+    ``x``).  With ``final_checkpoint`` False the last checkpoint is free.
 
-    Returns
-    -------
-    (best, choice):
-        ``best[x]`` is the optimal expected time for positions ``x..n-1``
-        (``best[n] = 0``); ``choice[x]`` the first-lowest-index optimal
-        segment end for a segment starting at ``x`` (``n - 1`` when every
-        candidate overflows, matching the scalar references' initialisation).
+    Returns ``(best, choice)``: ``best[x]`` is the optimal expected time for
+    positions ``x..n-1`` (``best[n] = 0``) and ``choice[x]`` the
+    first-lowest-index optimal segment end from ``x`` (``n - 1`` when every
+    candidate overflows, as the scalar references initialise it).
     """
     n = len(recoveries)
     # Rows not yet resolved read +inf, so adding best[x0 + 1:] to a whole
@@ -230,8 +206,9 @@ def chain_dp_tables(
     best = np.full(n + 1, np.inf)
     best[n] = 0.0
     choice = np.empty(n, dtype=np.int64)
+    factors, dead = _row_factors(recoveries, downtime, rate)
     for x0, x1, costs in _cost_blocks(
-        prefix, checkpoint_costs, recoveries, downtime, rate, not final_checkpoint
+        prefix, checkpoint_costs, factors, dead, rate, not final_checkpoint
     ):
         h = x1 - x0
         triangle = costs[:, : h - 1].tolist()
@@ -270,10 +247,9 @@ def budget_dp_tables(
 
     State ``best[x, b]`` is the optimal expected time for tasks ``x..n-1``
     with at most ``b`` checkpoints remaining.  The segment costs come from
-    the row blocks of the chain kernel (they do not depend on the budget);
-    each row then sweeps the entire budget dimension with one broadcast add
-    and one ``argmin`` along contiguous rows of a budget-major table.  The
-    returned tables are ``(n + 1, budget_cap + 1)`` views of it.
+    the chain kernel's row blocks; each row then sweeps the whole budget axis
+    with one add and one ``argmin`` along contiguous rows of a budget-major
+    table, returned as ``(n + 1, budget_cap + 1)`` views.
 
     ``choice[x, b]`` is the chosen segment end, with the scalar reference's
     sentinels: ``n`` for "run to the end without a further checkpoint"
@@ -281,6 +257,7 @@ def budget_dp_tables(
     option is feasible.
     """
     n = len(recoveries)
+    factors, dead = _row_factors(recoveries, downtime, rate)
     best = np.full((budget_cap + 1, n + 1), np.inf)
     choice = np.full((budget_cap + 1, n + 1), -1, dtype=np.int64)
     best[:, n] = 0.0
@@ -288,7 +265,6 @@ def budget_dp_tables(
         # Option 1 (no further checkpoint): available at every budget level,
         # evaluated first by the reference, so option 2 must strictly improve
         # on it to win.
-        factors, dead = _row_factors(recoveries, downtime, rate)
         exponents = rate * (prefix[n] - prefix[:n])
         over = (exponents > _MAX_EXPONENT) | dead
         with np.errstate(over="ignore"):
@@ -301,7 +277,7 @@ def budget_dp_tables(
         levels = np.arange(budget_cap)
         sweep = np.empty(budget_cap * n)
         for x0, x1, costs in _cost_blocks(
-            prefix, checkpoint_costs, recoveries, downtime, rate, False
+            prefix, checkpoint_costs, factors, dead, rate, False
         ):
             for x in range(x1 - 1, x0 - 1, -1):
                 # values[b - 1, k] = cost(x, x + k) + best[b - 1, x + k + 1],

@@ -59,6 +59,10 @@ __all__ = [
     "schedule_independent_tasks",
 ]
 
+#: ``method="auto"`` threshold of the local search, apart from the DP kernels':
+#: its two searches may settle in different equal-quality partitions.
+SEARCH_AUTO_MIN_TASKS = 18
+
 
 @dataclass(frozen=True)
 class IndependentScheduleResult:
@@ -593,8 +597,8 @@ def schedule_independent_tasks(
     scores moves and swaps from the cached cost tables of
     :func:`_local_search_vectorized` on large instances and keeps the plain
     reference loops on small ones; ``"vectorized"`` / ``"reference"`` force
-    one.  Both explore the same first-improvement neighbourhood in the same
-    order.
+    one.  Both explore the same neighbourhood, but may settle in different,
+    equally good group lists (hence :data:`SEARCH_AUTO_MIN_TASKS`).
     """
     works = check_sequence_of_positive("works", works)
     n = len(works)
@@ -603,7 +607,7 @@ def schedule_independent_tasks(
     )
     local_search = (
         _local_search_vectorized
-        if resolve_dp_method(method, n) == "vectorized"
+        if resolve_dp_method(method, n, SEARCH_AUTO_MIN_TASKS) == "vectorized"
         else _local_search
     )
     if group_counts is None:
@@ -653,15 +657,14 @@ def schedule_independent_tasks(
             f"the expected makespan overflows for every candidate group count {candidates}"
         ) from overflow
     first_recovery = recovery_cost if initial_recovery is None else initial_recovery
-    # The search sums changed groups in candidate order; report the value of
-    # the returned groups themselves, so re-evaluating them gives it back.
-    best_value = grouping_expected_time(
-        best_groups, works, checkpoint_cost, recovery_cost, downtime, rate,
-        initial_recovery=initial_recovery,
-    )
     return IndependentScheduleResult(
         groups=tuple(tuple(g) for g in best_groups),
-        expected_makespan=best_value,
+        # The search sums changed groups in candidate order; report the value
+        # of the returned groups, so re-evaluating them gives it back.
+        expected_makespan=grouping_expected_time(
+            best_groups, works, checkpoint_cost, recovery_cost, downtime, rate,
+            initial_recovery=initial_recovery,
+        ),
         works=tuple(works),
         checkpoint_cost=float(checkpoint_cost),
         recovery_cost=float(recovery_cost),

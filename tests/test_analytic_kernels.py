@@ -29,6 +29,7 @@ from repro.core.dag_scheduling import (
 from repro.core.dp_kernels import AUTO_MIN_TASKS, resolve_dp_method
 from repro.core.independent import (
     MAX_PARTITION_ITEMS,
+    SEARCH_AUTO_MIN_TASKS,
     exhaustive_independent_schedule,
     grouping_expected_time,
     schedule_independent_tasks,
@@ -155,8 +156,23 @@ class TestChainDPKernelExactness:
     def test_resolve_dp_method_auto_threshold(self):
         assert resolve_dp_method("auto", AUTO_MIN_TASKS - 1) == "reference"
         assert resolve_dp_method("auto", AUTO_MIN_TASKS) == "vectorized"
+        assert resolve_dp_method("auto", 5, auto_min_tasks=6) == "reference"
         assert resolve_dp_method("reference", 10_000) == "reference"
         assert resolve_dp_method("vectorized", 1) == "vectorized"
+
+    def test_independent_search_keeps_its_own_threshold(self):
+        # The two local searches may settle in different equal-quality
+        # partitions, so "auto" keeps the reference search below
+        # SEARCH_AUTO_MIN_TASKS however low the DP kernels' threshold goes.
+        assert AUTO_MIN_TASKS < SEARCH_AUTO_MIN_TASKS
+        rng = np.random.default_rng(3)
+        for n in range(AUTO_MIN_TASKS, SEARCH_AUTO_MIN_TASKS):
+            for rate in (0.01, 0.1):
+                works = rng.uniform(0.5, 12.0, size=n).tolist()
+                auto = schedule_independent_tasks(works, 1.0, 0.8, 0.4, rate)
+                assert auto == schedule_independent_tasks(
+                    works, 1.0, 0.8, 0.4, rate, method="reference"
+                )
 
 
 @st.composite
@@ -433,6 +449,14 @@ class TestRowBlockSeams:
         yield LinearChain(works=ints, checkpoint_costs=[1.0] * 30, recovery_costs=[1.0] * 30)
         for n in (1, 2, 6, 7, 8, 33, 41):
             yield uniform_random_chain(n, seed=n)
+        # Known columns all +inf under a finite triangle (at rate 40 only
+        # one-task segments stay finite), and the reverse (checkpoints that
+        # overflow everywhere but at the last column of each 7-row block).
+        yield LinearChain.uniform(20, work=10.0, checkpoint_cost=0.1)
+        yield LinearChain(
+            works=[1.0] * 28, recovery_costs=[0.5] * 28,
+            checkpoint_costs=[0.1 if j % 7 == 6 else 5000.0 for j in range(28)],
+        )
         # Rows whose factor overflows (lambda * R > 600): first, middle, last.
         recs = [0.5] * 20
         for index in (0, 9, 18):
@@ -471,10 +495,14 @@ class TestRowBlockSeams:
                     else:
                         assert_same_placement(*results)
 
-    @pytest.mark.parametrize("frontier", [False, True])
-    def test_dag_placement_equals_reference(self, blocks, frontier):
+    @pytest.mark.parametrize("combine", [None, sum, "widest_plus_tax"])
+    def test_dag_placement_equals_reference(self, blocks, combine):
+        # None is the base cost model; sum runs the frontier tables; a custom
+        # combine fills every block row by row through the model.
         workflow = fork_join(9, branch_work=3.0, checkpoint_cost=0.4, seed=3)
-        model = FrontierCheckpointCost(workflow) if frontier else None
+        if combine == "widest_plus_tax":
+            combine = lambda costs: max(costs) + 0.01 * len(costs)  # noqa: E731
+        model = None if combine is None else FrontierCheckpointCost(workflow, combine=combine)
         for strategy in sorted(LINEARIZATION_STRATEGIES):
             order = linearize(workflow, strategy, rng=np.random.default_rng(5))
             for rate in (0.01, 0.3):
