@@ -1,13 +1,14 @@
-"""Analytic solver kernels -- vectorized DP vs the scalar reference.
+"""Analytic solver kernels -- vectorized DP vs the scalar oracle.
 
-PR 5 turned the chain-checkpointing DP (Proposition 3), its budget-constrained
-variant and the DAG linearize-then-place DP into NumPy array programs; they
-now share one row-blocked kernel (one 2-D pass computes the segment costs of
-a block of DP rows; the budget DP sweeps its whole budget axis per row).
-This benchmark times each solver both ways on the same instances and
-asserts, in-bench, that the results are *exactly* equal -- same expected
-makespans, same checkpoint positions -- so a speedup row can never hide a
-numerics regression.
+The chain-checkpointing DP (Proposition 3), its budget-constrained variant
+and the DAG linearize-then-place DP are NumPy array programs that share one
+row-blocked kernel (one 2-D pass computes the segment costs of a block of DP
+rows; the budget DP sweeps its whole budget axis per row).  The scalar loops
+they replaced live on as the oracles of
+:mod:`repro.analysis.reference_solvers`.  This benchmark times each public
+solver against its oracle on the same instances and asserts, in-bench, that
+the results are *exactly* equal -- same expected makespans, same checkpoint
+positions -- so a speedup row can never hide a numerics regression.
 
 Rows report ``reference_seconds``, ``vectorized_seconds``, the speedup and
 the exact-equality flag; the CI bench-smoke job archives the ``--quick``
@@ -20,17 +21,18 @@ The hot-kernel rows carry their own gates, asserted in-bench so CI fails if
 an optimisation regresses below its claim:
 
 * ``chain_dp``, ``budget_dp`` and ``dag_placement`` -- the row-blocked
-  kernel against the scalar reference, gated at ``CHAIN_DP_GATE``,
+  kernel against the scalar oracle, gated at ``CHAIN_DP_GATE``,
   ``BUDGET_DP_GATE`` and ``DAG_PLACEMENT_GATE`` over 3 paired trials.
 
 * ``dag_frontier`` -- checkpoint placement under the frontier cost model,
-  where the vectorized path precomputes the order's liveness intervals once
-  (``_FrontierCostTables``) instead of calling the Python model per DP cell;
-  gated at >= 2x (measured two orders of magnitude).
+  where the solver precomputes the order's liveness intervals once
+  (``_FrontierCostTables``) instead of calling the Python model per DP cell
+  as the oracle does; gated at >= 2x (measured two orders of magnitude).
 * ``independent_local_search`` -- ``schedule_independent_tasks`` with the
-  scalar reference search vs the default search, which scores moves and
-  swaps from a cached replacement-cost matrix; gated at >= 10x with equal
-  values (the two may settle in different equal-quality partitions).
+  oracle's scalar search patched in vs the production search, which scores
+  moves and swaps from a cached replacement-cost matrix; gated at >= 10x
+  with equal values (the two may settle in different equal-quality
+  partitions).
 * ``chain_schedules`` -- the schedules of the four campaign strategies on one
   chain, each built, cut into segments and evaluated (failure-free time and
   expected makespan): the workflow-backed ``Schedule(...)`` constructor vs
@@ -38,9 +40,13 @@ an optimisation regresses below its claim:
   gated at >= 3x with bit-identical segments and values.
 """
 
+from unittest import mock
+
 import numpy as np
 from harness import paired_trials
 
+import repro.core.independent as independent
+from repro.analysis import reference_solvers as oracle
 from repro.baselines.strategies import evaluate_chain_strategies
 from repro.core.chain_dp import (
     optimal_chain_checkpoints,
@@ -80,9 +86,9 @@ def run_analytic_solver_benchmarks(
     schedule_n: int = 200,
     seed: int = 3,
 ) -> ResultTable:
-    """Time reference vs vectorized for every analytic solver, checking equality."""
+    """Time oracle vs production for every analytic solver, checking equality."""
     table = ResultTable(
-        title="Analytic solver kernels: scalar reference vs vectorized NumPy DP",
+        title="Analytic solver kernels: scalar oracle vs vectorized NumPy DP",
         columns=[
             "solver", "n", "reference_seconds", "vectorized_seconds",
             "speedup", "exact_match",
@@ -106,17 +112,14 @@ def run_analytic_solver_benchmarks(
             exact_match=True,
         )
 
-    def placements_equal(a, b):
-        return (
-            a.expected_makespan == b.expected_makespan
-            and a.checkpoint_after == b.checkpoint_after
-        )
+    def placements_equal(oracle_placement, result):
+        return oracle_placement == (result.checkpoint_after, result.expected_makespan)
 
     chain = uniform_random_chain(chain_n, seed=seed)
     add_row(
         "chain_dp", chain_n,
-        lambda: optimal_chain_checkpoints(chain, DOWNTIME, RATE, method="reference"),
-        lambda: optimal_chain_checkpoints(chain, DOWNTIME, RATE, method="vectorized"),
+        lambda: oracle.optimal_chain_checkpoints(chain, DOWNTIME, RATE),
+        lambda: optimal_chain_checkpoints(chain, DOWNTIME, RATE),
         placements_equal,
         min_speedup=CHAIN_DP_GATE,
         trials=3,
@@ -125,11 +128,11 @@ def run_analytic_solver_benchmarks(
     budget_chain = uniform_random_chain(budget_n, seed=seed + 1)
     add_row(
         "budget_dp", budget_n,
-        lambda: optimal_chain_checkpoints_budget(
-            budget_chain, DOWNTIME, RATE, budget_cap, method="reference"
+        lambda: oracle.optimal_chain_checkpoints_budget(
+            budget_chain, DOWNTIME, RATE, budget_cap
         ),
         lambda: optimal_chain_checkpoints_budget(
-            budget_chain, DOWNTIME, RATE, budget_cap, method="vectorized"
+            budget_chain, DOWNTIME, RATE, budget_cap
         ),
         placements_equal,
         min_speedup=BUDGET_DP_GATE,
@@ -140,19 +143,15 @@ def run_analytic_solver_benchmarks(
     order = dag.topological_order()
     add_row(
         "dag_placement", dag_n,
-        lambda: place_checkpoints_on_order(
-            dag, order, DOWNTIME, RATE, method="reference"
-        ),
-        lambda: place_checkpoints_on_order(
-            dag, order, DOWNTIME, RATE, method="vectorized"
-        ),
+        lambda: oracle.place_checkpoints_on_order(dag, order, DOWNTIME, RATE),
+        lambda: place_checkpoints_on_order(dag, order, DOWNTIME, RATE),
         lambda a, b: a == b,
         min_speedup=DAG_PLACEMENT_GATE,
         trials=3,
     )
 
-    # Independent tasks: the reference search re-evaluates every candidate
-    # move and swap in full; the default one reads each from the cached
+    # Independent tasks: the oracle's search re-evaluates every candidate
+    # move and swap in full; the production one reads each from the cached
     # replacement-cost matrix and refreshes only the rows of the two groups
     # an accepted step changed.  The searches may settle in different
     # (equal-quality) local optima when candidate improvements sit below one
@@ -161,11 +160,14 @@ def run_analytic_solver_benchmarks(
     # catches a fallback to per-pair Python loops (the pair-block search
     # read ~4.5x at n = 32).
     works = list(np.random.default_rng(seed + 3).uniform(1.0, 10.0, size=independent_n))
+
+    def with_oracle_search():
+        with mock.patch.object(independent, "_local_search_vectorized", oracle.local_search):
+            return schedule_independent_tasks(works, 1.0, 1.0, 0.0, 0.05)
+
     add_row(
         "independent_local_search", independent_n,
-        lambda: schedule_independent_tasks(
-            works, 1.0, 1.0, 0.0, 0.05, method="reference"
-        ),
+        with_oracle_search,
         lambda: schedule_independent_tasks(works, 1.0, 1.0, 0.0, 0.05),
         lambda a, b: abs(a.expected_makespan - b.expected_makespan)
         <= 1e-9 * a.expected_makespan,
@@ -173,9 +175,9 @@ def run_analytic_solver_benchmarks(
         trials=3,
     )
 
-    # Frontier cost model: the reference path calls the Python model per DP
-    # cell (O(n^2) calls, each walking the liveness window); the vectorized
-    # path precomputes the order's liveness intervals once and fills each
+    # Frontier cost model: the oracle calls the Python model per DP cell
+    # (O(n^2) calls, each walking the liveness window); the solver
+    # precomputes the order's liveness intervals once and fills each
     # row's checkpoint-cost vector with a masked NumPy pass.  The measured
     # gap is two to three orders of magnitude; the gate keeps generous noise
     # headroom while still catching a fallback to per-cell calls.
@@ -184,13 +186,13 @@ def run_analytic_solver_benchmarks(
     frontier_model = FrontierCheckpointCost(frontier_dag)
     add_row(
         "dag_frontier", frontier_n,
-        lambda: place_checkpoints_on_order(
+        lambda: oracle.place_checkpoints_on_order(
             frontier_dag, frontier_order, DOWNTIME, RATE,
-            checkpoint_model=frontier_model, method="reference",
+            checkpoint_model=frontier_model,
         ),
         lambda: place_checkpoints_on_order(
             frontier_dag, frontier_order, DOWNTIME, RATE,
-            checkpoint_model=frontier_model, method="vectorized",
+            checkpoint_model=frontier_model,
         ),
         lambda a, b: a == b,
         min_speedup=2.0,

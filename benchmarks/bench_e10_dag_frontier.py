@@ -14,6 +14,7 @@ Shape expected:
 
 import pytest
 
+from repro.analysis import reference_solvers as oracle
 from repro.core.dag_scheduling import place_checkpoints_on_order
 from repro.experiments.registry import experiment_e10_dag_frontier
 from repro.models.checkpoint import FrontierCheckpointCost
@@ -26,7 +27,7 @@ def run_e10_with_kernel_check(*, seed: int = 7):
     The experiment itself exercises the frontier model through the heuristic
     scheduler; this wrapper additionally pins the optimisation under it --
     the vectorized placement's precomputed liveness intervals
-    (``_FrontierCostTables``) must reproduce the per-cell reference DP
+    (``_FrontierCostTables``) must reproduce the per-cell oracle DP
     bit-for-bit on the same wide-fan-out DAGs the experiment uses.
     """
     table = experiment_e10_dag_frontier(seed=seed)
@@ -37,18 +38,16 @@ def run_e10_with_kernel_check(*, seed: int = 7):
         order = workflow.topological_order()
         model = FrontierCheckpointCost(workflow)
         for rate in (0.01, 0.1):
-            reference = place_checkpoints_on_order(
-                workflow, order, 0.2, rate,
-                checkpoint_model=model, method="reference",
+            reference = oracle.place_checkpoints_on_order(
+                workflow, order, 0.2, rate, checkpoint_model=model,
             )
             vectorized = place_checkpoints_on_order(
-                workflow, order, 0.2, rate,
-                checkpoint_model=model, method="vectorized",
+                workflow, order, 0.2, rate, checkpoint_model=model,
             )
             if reference != vectorized:
                 raise AssertionError(
                     "frontier placement: vectorized kernel diverges from the "
-                    f"reference at rate={rate}"
+                    f"oracle at rate={rate}"
                 )
     return table
 

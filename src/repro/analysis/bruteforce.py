@@ -116,6 +116,12 @@ def brute_force_independent_schedule(
     max_tasks: int = 12,
 ) -> IndependentScheduleResult:
     """Exact optimum for independent tasks (exhaustive set-partition enumeration)."""
+    if len(works) > max_tasks:
+        raise ValueError(
+            f"exhaustive enumeration over {len(works)} tasks would explore "
+            f"B_{len(works)} partitions; the limit is max_tasks={max_tasks}. "
+            "Use schedule_independent_tasks() instead."
+        )
     return exhaustive_independent_schedule(
         works,
         checkpoint_cost,
@@ -123,5 +129,4 @@ def brute_force_independent_schedule(
         downtime,
         rate,
         initial_recovery=initial_recovery,
-        max_tasks=max_tasks,
     )

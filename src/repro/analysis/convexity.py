@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro._validation import check_non_negative, check_positive
+from repro.core.expected_time import _MAX_EXPONENT
 
 __all__ = [
     "g_function",
@@ -40,7 +41,7 @@ def g_function(m: float, total_work: float, checkpoint_cost: float, rate: float)
     check_non_negative("checkpoint_cost", checkpoint_cost)
     check_positive("rate", rate)
     exponent = rate * (total_work / m + checkpoint_cost)
-    if exponent > 600.0:
+    if exponent > _MAX_EXPONENT:
         return math.inf
     return m * math.expm1(exponent)
 
@@ -52,7 +53,7 @@ def g_derivative(m: float, total_work: float, checkpoint_cost: float, rate: floa
     check_non_negative("checkpoint_cost", checkpoint_cost)
     check_positive("rate", rate)
     exponent = rate * (total_work / m + checkpoint_cost)
-    if exponent > 600.0:
+    if exponent > _MAX_EXPONENT:
         return -math.inf
     return (1.0 - rate * total_work / m) * math.exp(exponent) - 1.0
 
@@ -66,7 +67,7 @@ def g_second_derivative(
     check_non_negative("checkpoint_cost", checkpoint_cost)
     check_positive("rate", rate)
     exponent = rate * (total_work / m + checkpoint_cost)
-    if exponent > 600.0:
+    if exponent > _MAX_EXPONENT:
         return math.inf
     return (rate ** 2) * (total_work ** 2) / (m ** 3) * math.exp(exponent)
 

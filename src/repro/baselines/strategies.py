@@ -139,7 +139,6 @@ def evaluate_chain_strategies(
     every_k: Sequence[int] = (2, 5),
     final_checkpoint: bool = True,
     only: Optional[Sequence[str]] = None,
-    method: str = "auto",
 ) -> Dict[str, ChainDPResult]:
     """Evaluate the optimal DP and every baseline strategy on the same chain.
 
@@ -151,12 +150,11 @@ def evaluate_chain_strategies(
     ``only`` restricts evaluation to the named strategies -- scenario specs
     that compare a subset then skip the ``O(n^2)`` DP solve (or the other
     placements) entirely; unknown names raise ``KeyError`` listing the full
-    catalog.  ``method`` is forwarded to the DP solver
-    (:func:`~repro.core.chain_dp.optimal_chain_checkpoints`).
+    catalog.
     """
     builders: Dict[str, Callable[[], ChainDPResult]] = {
         "optimal_dp": lambda: optimal_chain_checkpoints(
-            chain, downtime, rate, final_checkpoint=final_checkpoint, method=method
+            chain, downtime, rate, final_checkpoint=final_checkpoint
         ),
         "checkpoint_all": lambda: checkpoint_all_chain(chain, downtime, rate),
         "checkpoint_none": lambda: checkpoint_none_chain(

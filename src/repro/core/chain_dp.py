@@ -30,13 +30,12 @@ Algorithm 1 charges ``C_n``); pass ``final_checkpoint=False`` to drop it, e.g.
 when the final result does not need to be saved.
 
 The production solvers run on the row-blocked kernels of
-:mod:`repro.core.dp_kernels` by default (``method="auto"``): one NumPy pass
-computes the segment costs of a block of DP rows over the work prefix sums,
-and the budget DP sweeps its entire budget axis per row.  The plain-Python
-loops are retained as ``method="reference"``; both paths are
-**bit-identical** -- same expected times, same first-lowest-index
-tie-breaking -- which the property tests and the analytic-solver benchmark
-assert on every run.
+:mod:`repro.core.dp_kernels` at every chain length: one NumPy pass computes
+the segment costs of a block of DP rows over the work prefix sums, and the
+budget DP sweeps its entire budget axis per row.  Both are **bit-identical**
+to the plain-Python loops of :mod:`repro.analysis.reference_solvers` -- same
+expected times, same first-lowest-index tie-breaking -- which the property
+tests and the analytic-solver benchmark assert on every run.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ from repro._validation import check_non_negative, check_positive
 from repro.core.dp_kernels import (
     budget_dp_tables,
     chain_dp_tables,
+    reconstruct_budget_positions,
     reconstruct_positions,
-    resolve_dp_method,
 )
-from repro.core.expected_time import expected_completion_time
+from repro.core.expected_time import _MAX_EXPONENT
 from repro.core.schedule import CheckpointPlan, Schedule
 from repro.workflows.chain import LinearChain
 
@@ -64,27 +63,6 @@ __all__ = [
     "optimal_chain_checkpoints_budget",
     "dp_makespan_recursive",
 ]
-
-
-def _segment_cost(
-    work: float,
-    checkpoint: float,
-    downtime: float,
-    recovery: float,
-    rate: float,
-) -> float:
-    """Proposition 1 cost of one segment, mapping overflow to +inf.
-
-    During the DP search some candidate segments may be absurdly long (e.g.
-    the whole chain without any checkpoint on a very failure-prone platform);
-    their expectation overflows ``float``.  Such candidates are simply never
-    optimal, so we treat them as infinitely bad instead of aborting the
-    search.
-    """
-    try:
-        return expected_completion_time(work, checkpoint, downtime, recovery, rate)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -135,49 +113,12 @@ def _kernel_arrays(chain: LinearChain) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     )
 
 
-def _reference_chain_tables(
-    chain: LinearChain,
-    downtime: float,
-    rate: float,
-    final_checkpoint: bool,
-) -> Tuple[List[float], List[int]]:
-    """Scalar reference DP tables (the pre-vectorization nested loops)."""
-    n = chain.n
-    prefix = chain.prefix_work()
-
-    # best[x] = optimal expected time for tasks x..n-1 (0-based), starting
-    # right after the checkpoint preceding task x; best[n] = 0.
-    best: List[float] = [math.inf] * (n + 1)
-    choice: List[int] = [-1] * n
-    best[n] = 0.0
-
-    for x in range(n - 1, -1, -1):
-        recovery = chain.recovery_before(x)
-        best_value = math.inf
-        best_j = n - 1
-        for j in range(x, n):
-            work = prefix[j + 1] - prefix[x]
-            if j == n - 1 and not final_checkpoint:
-                ckpt_cost = 0.0
-            else:
-                ckpt_cost = chain.checkpoint_costs[j]
-            cost = _segment_cost(work, ckpt_cost, downtime, recovery, rate)
-            value = cost + best[j + 1]
-            if value < best_value:
-                best_value = value
-                best_j = j
-        best[x] = best_value
-        choice[x] = best_j
-    return best, choice
-
-
 def optimal_chain_checkpoints(
     chain: LinearChain,
     downtime: float,
     rate: float,
     *,
     final_checkpoint: bool = True,
-    method: str = "auto",
 ) -> ChainDPResult:
     """Optimal checkpoint placement for a linear chain (Proposition 3).
 
@@ -194,12 +135,6 @@ def optimal_chain_checkpoints(
         When True (default, matching the paper's Algorithm 1), a checkpoint is
         always taken after the last task and its cost ``C_n`` is charged.
         When False, the final segment ends without a checkpoint.
-    method:
-        ``"auto"`` (default) solves the DP on the row-blocked NumPy kernel
-        on chains large enough to amortise the ufunc dispatch, and falls
-        back to the plain-Python loops below that;
-        ``"vectorized"`` / ``"reference"`` force one path.  Both are
-        bit-identical (same values, same lowest-index tie-breaking).
 
     Returns
     -------
@@ -213,14 +148,9 @@ def optimal_chain_checkpoints(
     """
     downtime = check_non_negative("downtime", downtime)
     rate = check_positive("rate", rate)
-    n = chain.n
-    if resolve_dp_method(method, n) == "vectorized":
-        best, choice = chain_dp_tables(
-            *_kernel_arrays(chain), downtime, rate, final_checkpoint=final_checkpoint
-        )
-    else:
-        best, choice = _reference_chain_tables(chain, downtime, rate, final_checkpoint)
-
+    best, choice = chain_dp_tables(
+        *_kernel_arrays(chain), downtime, rate, final_checkpoint=final_checkpoint
+    )
     if not math.isfinite(best[0]):
         raise OverflowError(
             "the optimal expected makespan overflows float: even the best checkpoint "
@@ -230,59 +160,11 @@ def optimal_chain_checkpoints(
 
     return ChainDPResult(
         expected_makespan=float(best[0]),
-        checkpoint_after=reconstruct_positions(choice, n, final_checkpoint),
+        checkpoint_after=reconstruct_positions(choice, chain.n, final_checkpoint),
         chain=chain,
         downtime=downtime,
         rate=rate,
     )
-
-
-def _reference_budget_tables(
-    chain: LinearChain,
-    downtime: float,
-    rate: float,
-    budget_cap: int,
-    final_checkpoint: bool,
-) -> Tuple[List[List[float]], List[List[int]]]:
-    """Scalar reference tables of the budgeted DP (the pre-vectorization loops)."""
-    n = chain.n
-    prefix = chain.prefix_work()
-
-    # best[x][b] = optimal expected time for tasks x..n-1 with at most b
-    # checkpoints remaining, starting right after the checkpoint preceding x.
-    infinity = math.inf
-    best = [[infinity] * (budget_cap + 1) for _ in range(n + 1)]
-    choice = [[-1] * (budget_cap + 1) for _ in range(n + 1)]
-    for b in range(budget_cap + 1):
-        best[n][b] = 0.0
-    for x in range(n - 1, -1, -1):
-        recovery = chain.recovery_before(x)
-        for b in range(budget_cap + 1):
-            best_value = infinity
-            best_j = -1
-            # Option 1: run to the end without any further checkpoint (allowed
-            # only when no final checkpoint is required).
-            if not final_checkpoint:
-                work = prefix[n] - prefix[x]
-                cost = _segment_cost(work, 0.0, downtime, recovery, rate)
-                if cost < best_value:
-                    best_value = cost
-                    best_j = n  # sentinel: no checkpoint in this tail
-            # Option 2: place the next checkpoint after some task j (consumes
-            # one unit of budget).
-            if b >= 1:
-                for j in range(x, n):
-                    work = prefix[j + 1] - prefix[x]
-                    cost = _segment_cost(
-                        work, chain.checkpoint_costs[j], downtime, recovery, rate
-                    )
-                    value = cost + best[j + 1][b - 1]
-                    if value < best_value:
-                        best_value = value
-                        best_j = j
-            best[x][b] = best_value
-            choice[x][b] = best_j
-    return best, choice
 
 
 def optimal_chain_checkpoints_budget(
@@ -292,7 +174,6 @@ def optimal_chain_checkpoints_budget(
     max_checkpoints: int,
     *,
     final_checkpoint: bool = True,
-    method: str = "auto",
 ) -> ChainDPResult:
     """Optimal placement of at most ``max_checkpoints`` checkpoints on a chain.
 
@@ -307,10 +188,8 @@ def optimal_chain_checkpoints_budget(
     ``max_checkpoints = 1`` and ``final_checkpoint=True`` it degenerates to
     the single-final-checkpoint placement.
 
-    ``method`` selects the execution path exactly as in
-    :func:`optimal_chain_checkpoints`; the vectorized kernel computes each
-    row's segment costs once and sweeps the whole budget dimension in one
-    broadcast ``argmin``, and is bit-identical to the reference loops.
+    The kernel computes each row's segment costs once and sweeps the whole
+    budget dimension in one broadcast ``argmin``.
 
     Raises
     ------
@@ -328,41 +207,23 @@ def optimal_chain_checkpoints_budget(
             "max_checkpoints must be >= 1 when a final checkpoint is required"
         )
     budget_cap = min(max_checkpoints, n)
-    if resolve_dp_method(method, n) == "vectorized":
-        best_arr, choice_arr = budget_dp_tables(
-            *_kernel_arrays(chain),
-            downtime,
-            rate,
-            budget_cap,
-            final_checkpoint=final_checkpoint,
-        )
-        best_final = float(best_arr[0, budget_cap])
-        choice = choice_arr
-    else:
-        best, choice = _reference_budget_tables(
-            chain, downtime, rate, budget_cap, final_checkpoint
-        )
-        best_final = best[0][budget_cap]
-
+    best, choice = budget_dp_tables(
+        *_kernel_arrays(chain),
+        downtime,
+        rate,
+        budget_cap,
+        final_checkpoint=final_checkpoint,
+    )
+    best_final = float(best[0, budget_cap])
     if not math.isfinite(best_final):
         raise OverflowError(
             "no placement within the checkpoint budget has a finite expected makespan; "
             "increase max_checkpoints or check the instance parameters"
         )
 
-    positions: List[int] = []
-    x, b = 0, budget_cap
-    while x < n:
-        j = int(choice[x][b])
-        if j == n:
-            break  # tail executed without further checkpoints
-        positions.append(j)
-        x = j + 1
-        b -= 1
-
     return ChainDPResult(
         expected_makespan=best_final,
-        checkpoint_after=tuple(positions),
+        checkpoint_after=reconstruct_budget_positions(choice, n, budget_cap),
         chain=chain,
         downtime=downtime,
         rate=rate,
@@ -407,7 +268,7 @@ def dp_makespan_recursive(
         work = prefix[end] - prefix[start - 1]
         ckpt = chain.checkpoint_costs[end - 1]
         exponent = rate * (work + ckpt)
-        if exponent > 600.0:
+        if exponent > _MAX_EXPONENT:
             return math.inf
         return factor(start) * math.expm1(exponent)
 

@@ -14,9 +14,9 @@ provides:
   generalising the chain DP of Section 5 to position-dependent checkpoint and
   recovery costs -- including the frontier-dependent cost model of the first
   extension in Section 6 (checkpoint cost = aggregate of the live tasks'
-  costs).  All linearisation orders run through the shared row-blocked
-  kernel of :mod:`repro.core.dp_kernels` by default, with the plain-Python
-  loops retained (bit-identically) as ``method="reference"``;
+  costs).  Every linearisation order runs through the shared row-blocked
+  kernel of :mod:`repro.core.dp_kernels`, bit-identical to the plain-Python
+  loops of :mod:`repro.analysis.reference_solvers`;
 * :func:`schedule_dag` -- the production heuristic: try several linearisation
   strategies, optimally place checkpoints on each with the DP, keep the best;
 * :func:`exhaustive_dag_schedule` -- exact optimum for tiny DAGs by
@@ -34,12 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro._validation import check_non_negative, check_positive
-from repro.core.dp_kernels import (
-    chain_dp_tables,
-    reconstruct_positions,
-    resolve_dp_method,
-)
-from repro.core.expected_time import expected_completion_time
+from repro.core.dp_kernels import chain_dp_tables, reconstruct_positions
 from repro.core.schedule import CheckpointPlan, Schedule
 from repro.models.checkpoint import FrontierCheckpointCost
 from repro.workflows.dag import Workflow
@@ -192,7 +187,8 @@ class _FrontierCostTables:
     * ``combine=max``: order-independent, so a masked ``max`` (fill
       ``-inf``) returns the identical float.
 
-    Any other ``combine`` callable falls back to the per-call path.
+    Any other ``combine`` callable keeps per-call checkpoint costs; the
+    recoveries replay any ``combine``.
     """
 
     __slots__ = ("pos_pad", "cost_pad", "recoveries", "is_sum")
@@ -307,7 +303,6 @@ def place_checkpoints_on_order(
     initial_recovery: float = 0.0,
     checkpoint_model: Optional[FrontierCheckpointCost] = None,
     final_checkpoint: bool = True,
-    method: str = "auto",
 ) -> Tuple[Tuple[int, ...], float]:
     """Optimal checkpoint placement for a *fixed* linearisation.
 
@@ -321,13 +316,12 @@ def place_checkpoints_on_order(
     window), which the DP handles because each subproblem is indexed by the
     position following the previous checkpoint.
 
-    ``method`` selects the execution path (``"auto"``/``"vectorized"``/
-    ``"reference"``, as in :func:`~repro.core.chain_dp.optimal_chain_checkpoints`);
-    the vectorized path runs the chain DP's row-blocked kernel.  With a
+    The DP runs on the chain DP's row-blocked kernel.  With a
     :class:`FrontierCheckpointCost` whose ``combine`` is ``sum`` or ``max`` it
     takes each row's checkpoint costs from one masked NumPy pass over the
     order's live-frontier intervals (:class:`_FrontierCostTables`); a custom
-    ``combine`` costs one model call per cell.  All paths are bit-identical.
+    ``combine`` costs one model call per cell.  Either way the result is
+    bit-identical to per-cell model calls.
 
     Returns the optimal checkpoint positions and the associated expected
     makespan.
@@ -335,116 +329,57 @@ def place_checkpoints_on_order(
     downtime = check_non_negative("downtime", downtime)
     rate = check_positive("rate", rate)
     names = workflow.validate_order(order)
-    n = len(names)
-    works = [workflow.task(name).work for name in names]
     prefix = [0.0]
-    for w in works:
-        prefix.append(prefix[-1] + w)
-
-    def checkpoint_cost(prev_ckpt: int, j: int) -> float:
-        if checkpoint_model is not None:
-            return checkpoint_model.cost(names, prev_ckpt, j)
-        return workflow.task(names[j]).checkpoint_cost
-
-    def recovery_cost(prev_ckpt: int) -> float:
-        if prev_ckpt < 0:
-            return initial_recovery
-        if checkpoint_model is not None:
-            return checkpoint_model.recovery(names, prev_ckpt)
-        return workflow.task(names[prev_ckpt]).recovery_cost
-
-    if resolve_dp_method(method, n) == "vectorized":
-        best, choice = chain_dp_tables(
-            np.array(prefix),
-            *_kernel_costs(workflow, names, checkpoint_model, recovery_cost),
-            downtime,
-            rate,
-            final_checkpoint=final_checkpoint,
-        )
-    else:
-        best, choice = _reference_order_tables(
-            prefix, n, checkpoint_cost, recovery_cost, downtime, rate, final_checkpoint
-        )
-
+    for name in names:
+        prefix.append(prefix[-1] + workflow.task(name).work)
+    best, choice = chain_dp_tables(
+        np.array(prefix),
+        *_kernel_costs(workflow, names, checkpoint_model, initial_recovery),
+        downtime,
+        rate,
+        final_checkpoint=final_checkpoint,
+    )
     if not math.isfinite(best[0]):
         raise OverflowError(
             "even the best checkpoint placement on this order has an expected time "
             "that overflows float; check the failure rate and task durations"
         )
 
-    return reconstruct_positions(choice, n, final_checkpoint), float(best[0])
-
-
-def _reference_order_tables(
-    prefix: Sequence[float],
-    n: int,
-    checkpoint_cost: Callable[[int, int], float],
-    recovery_cost: Callable[[int], float],
-    downtime: float,
-    rate: float,
-    final_checkpoint: bool,
-) -> Tuple[List[float], List[int]]:
-    """Scalar reference DP tables over a fixed order (pre-vectorization loops)."""
-    # best[x] = optimal expected time for positions x..n-1 given that the
-    # previous checkpoint sits right before position x (i.e. at position x-1,
-    # or nowhere when x == 0).
-    best: List[float] = [math.inf] * (n + 1)
-    choice: List[int] = [-1] * n
-    best[n] = 0.0
-    for x in range(n - 1, -1, -1):
-        prev_ckpt = x - 1
-        recovery = recovery_cost(prev_ckpt)
-        best_value = math.inf
-        best_j = n - 1
-        for j in range(x, n):
-            work = prefix[j + 1] - prefix[x]
-            if j == n - 1 and not final_checkpoint:
-                ckpt = 0.0
-            else:
-                ckpt = checkpoint_cost(prev_ckpt, j)
-            try:
-                cost = expected_completion_time(work, ckpt, downtime, recovery, rate)
-            except OverflowError:
-                cost = math.inf
-            value = cost + best[j + 1]
-            if value < best_value:
-                best_value = value
-                best_j = j
-        best[x] = best_value
-        choice[x] = best_j
-    return best, choice
+    return reconstruct_positions(choice, len(names), final_checkpoint), float(best[0])
 
 
 def _kernel_costs(
     workflow: Workflow,
     names: Sequence[str],
     checkpoint_model: Optional[FrontierCheckpointCost],
-    recovery_cost: Callable[[int], float],
+    initial_recovery: float,
 ) -> Tuple[Union[np.ndarray, Callable[[int], Sequence[float]]], np.ndarray]:
-    """The row-blocked kernel's checkpoint costs and per-row recoveries on an order."""
+    """The row-blocked kernel's checkpoint costs and per-row recoveries on an order.
+
+    Row ``x`` recovers from the checkpoint after position ``x - 1``, row 0
+    from the initial state (``initial_recovery``).
+    """
     n = len(names)
     if checkpoint_model is None:
         # Base cost model: position-independent per-task costs, so every
         # linearisation is a chain.
         tasks = [workflow.task(name) for name in names]
         checkpoint_costs = np.array([task.checkpoint_cost for task in tasks])
-        recoveries = [recovery_cost(-1), *(t.recovery_cost for t in tasks[: n - 1])]
-    elif any(
-        checkpoint_model.combine is c for c in _FrontierCostTables.SUPPORTED_COMBINES
-    ):
-        tables = _FrontierCostTables(workflow, names, checkpoint_model)
-        checkpoint_costs = tables.cost_row
-        # The tables' recoveries replay the model's name-sorted combine
-        # exactly, but without re-validating the order n times.
-        recoveries = [recovery_cost(-1), *tables.recoveries[: n - 1]]
+        recoveries = [task.recovery_cost for task in tasks]
     else:
-        # A custom ``combine``: one model call per cell.
-        checkpoint_costs = lambda x: [  # noqa: E731
-            checkpoint_model.cost(names, x - 1, j)  # repro: noqa[perf-python-callback] -- per-call fallback for custom combine
-            for j in range(x, n)
-        ]
-        recoveries = [recovery_cost(x - 1) for x in range(n)]
-    return checkpoint_costs, np.array(recoveries[:n], dtype=float)
+        tables = _FrontierCostTables(workflow, names, checkpoint_model)
+        # The tables' recoveries replay the model's name-sorted combine
+        # exactly, whatever it is, but without re-validating the order n times.
+        recoveries = tables.recoveries
+        if any(checkpoint_model.combine is c for c in tables.SUPPORTED_COMBINES):
+            checkpoint_costs = tables.cost_row
+        else:
+            # A custom ``combine``: one model call per cell.
+            checkpoint_costs = lambda x: [  # noqa: E731
+                checkpoint_model.cost(names, x - 1, j)  # repro: noqa[perf-python-callback] -- per-call fallback for custom combine
+                for j in range(x, n)
+            ]
+    return checkpoint_costs, np.array([initial_recovery, *recoveries][:n], dtype=float)
 
 
 def schedule_dag(
@@ -459,16 +394,13 @@ def schedule_dag(
     num_random_orders: int = 4,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    method: str = "auto",
 ) -> DagScheduleResult:
     """Heuristic checkpoint scheduling of an arbitrary workflow DAG.
 
     Tries several linearisation strategies (all deterministic strategies by
     default plus ``num_random_orders`` random list-scheduling orders), places
     checkpoints optimally on each linearisation with the DP of
-    :func:`place_checkpoints_on_order` (``method`` is forwarded, so every
-    candidate order shares one vectorized kernel by default), and returns the
-    best combination.
+    :func:`place_checkpoints_on_order`, and returns the best combination.
     """
     if len(workflow) == 0:
         raise ValueError("cannot schedule an empty workflow")
@@ -494,7 +426,6 @@ def schedule_dag(
             initial_recovery=initial_recovery,
             checkpoint_model=checkpoint_model,
             final_checkpoint=final_checkpoint,
-            method=method,
         )
         if best is None or value < best.expected_makespan:
             best = DagScheduleResult(
@@ -520,7 +451,6 @@ def exhaustive_dag_schedule(
     checkpoint_model: Optional[FrontierCheckpointCost] = None,
     final_checkpoint: bool = True,
     max_orders: int = 50_000,
-    method: str = "auto",
 ) -> DagScheduleResult:
     """Exact optimum over every topological order (tiny DAGs only).
 
@@ -545,7 +475,6 @@ def exhaustive_dag_schedule(
             initial_recovery=initial_recovery,
             checkpoint_model=checkpoint_model,
             final_checkpoint=final_checkpoint,
-            method=method,
         )
         if best is None or value < best.expected_makespan:
             best = DagScheduleResult(

@@ -7,7 +7,8 @@ Proposition 1 cost::
 
     cost(x, j) = e^{lambda R} (1/lambda + D) (e^{lambda (W_{x..j} + C_j)} - 1)
 
-The scalar references evaluate one ``(x, j)`` cell at a time through
+The oracles of :mod:`repro.analysis.reference_solvers` evaluate one
+``(x, j)`` cell at a time through
 :func:`~repro.core.expected_time.expected_completion_time`.  The kernels here
 take a block of DP rows ``[x0, x1)`` (at most :data:`_BLOCK_ROWS` rows and
 :data:`_BLOCK_CELLS` cells, in one workspace per call) and compute every
@@ -15,14 +16,15 @@ take a block of DP rows ``[x0, x1)`` (at most :data:`_BLOCK_ROWS` rows and
 ufunc dispatch once instead of once per row.  The chain DP then takes one
 ``argmin`` over the columns whose successor row is final (``j >= x1 - 1``)
 and resolves the in-block triangle ``x <= j < x1 - 1`` bottom-up; on a tie
-the triangle wins, because its indices are lower.
+the triangle wins, because its indices are lower.  They serve every instance
+size, down to one task.
 
-Every cell goes through the references' operations in their order (prefix
+Every cell goes through the oracles' operations in their order (prefix
 difference, ``+ C_j``, ``* lambda``, the overflow mask, ``expm1``, ``*`` the
 row factor) on the same NumPy ufuncs, which return the same bits for an
 element whatever the array around it.  The tables are therefore
 **bit-identical** to the scalar loops: same values, same first-lowest-index
-choices.  Where the references catch ``OverflowError`` (an exponent above
+choices.  Where the oracles catch ``OverflowError`` (an exponent above
 ``_MAX_EXPONENT``) the kernels write ``+inf``, "never optimal", and so they
 do for every transition of a row whose recovery exponent overflows.
 """
@@ -37,37 +39,15 @@ import numpy as np
 from repro.core.expected_time import _MAX_EXPONENT
 
 __all__ = [
-    "resolve_dp_method",
     "chain_dp_tables",
     "budget_dp_tables",
     "reconstruct_positions",
+    "reconstruct_budget_positions",
 ]
-
-#: Below this many tasks the plain-Python reference loops beat the row-blocked
-#: kernels (2-core container, public solvers: at n = 8 the chain DP takes 37
-#: against 47 us, DAG placement 46 against 52 us; at n = 7 the reference is
-#: level or ahead).  Both paths are bit-identical: a pure speed choice.
-AUTO_MIN_TASKS = 8
 
 #: Block caps: rows, and cells (256 KiB of float64; a longer row is a block).
 _BLOCK_ROWS = 32
 _BLOCK_CELLS = 1 << 15
-
-_METHODS = ("auto", "vectorized", "reference")
-
-
-def resolve_dp_method(method: str, n: int, auto_min_tasks: int = AUTO_MIN_TASKS) -> str:
-    """Resolve a ``method=`` argument to ``"vectorized"`` or ``"reference"``.
-
-    ``"auto"`` (every solver's default) picks the vectorized path for
-    instances of ``auto_min_tasks`` tasks or more and the scalar reference
-    below that, where the Python loop is faster.
-    """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
-    if method == "auto":
-        return "vectorized" if n >= auto_min_tasks else "reference"
-    return method
 
 
 def reconstruct_positions(
@@ -77,7 +57,7 @@ def reconstruct_positions(
 
     Follows ``choice[x]`` from position 0; the last segment's end is not a
     checkpoint position when ``final_checkpoint`` is False.  Shared by the
-    chain DP and the DAG placement DP, for both execution paths.
+    chain DP and the DAG placement DP, and by their oracles.
     """
     positions = []
     x = 0
@@ -89,12 +69,34 @@ def reconstruct_positions(
     return tuple(positions)
 
 
+def reconstruct_budget_positions(
+    choice: Sequence[Sequence[int]], n: int, budget_cap: int
+) -> Tuple[int, ...]:
+    """Checkpoint positions from the budget DP's ``choice[x][b]`` table.
+
+    Follows the choices from position 0 with the whole budget, one unit less
+    per checkpoint, until the sentinel ``n`` (the tail runs without a further
+    checkpoint) or the end of the chain.  Shared by the budget DP and its
+    oracle.
+    """
+    positions = []
+    x, b = 0, budget_cap
+    while x < n:
+        j = int(choice[x][b])
+        if j == n:
+            break  # tail executed without further checkpoints
+        positions.append(j)
+        x = j + 1
+        b -= 1
+    return tuple(positions)
+
+
 def _row_factors(
     recoveries: np.ndarray, downtime: float, rate: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Row constants ``e^{lambda R} (1/lambda + D)`` and the rows they overflow.
 
-    A row whose factor overflows is ``+inf`` throughout, like the references'
+    A row whose factor overflows is ``+inf`` throughout, like the oracles'
     ``OverflowError`` on ``lambda * R``: its factor comes back as 1.0 and its
     ``dead`` flag set, so callers mask it instead of multiplying by ``+inf``.
     """
@@ -145,7 +147,7 @@ def _cost_blocks(
         shape = (x1 - x0, n - x0)
         costs = workspace[: shape[0] * shape[1]].reshape(shape)
         over = mask[: costs.size].reshape(shape)
-        # lambda * (W + C) with the scalar loops' exact association:
+        # lambda * (W + C) with the oracles' exact association:
         # work = prefix[j + 1] - prefix[x], then work + C_j, then rate * (..).
         np.subtract(prefix[x0 + 1 :], prefix[x0:x1, None], out=costs)
         if by_row:
@@ -166,7 +168,7 @@ def _cost_blocks(
             np.minimum(costs, _MAX_EXPONENT, out=costs)
         np.expm1(costs, out=costs)
         # factor * expm1 may overflow to +inf even below the exponent
-        # threshold (the scalar reference's Python-float product does the
+        # threshold (the oracle's Python-float product does the
         # same, silently); +inf is the correct "never optimal" value either way.
         with np.errstate(over="ignore"):
             costs *= factors[x0:x1, None]
@@ -197,7 +199,7 @@ def chain_dp_tables(
     Returns ``(best, choice)``: ``best[x]`` is the optimal expected time for
     positions ``x..n-1`` (``best[n] = 0``) and ``choice[x]`` the
     first-lowest-index optimal segment end from ``x`` (``n - 1`` when every
-    candidate overflows, as the scalar references initialise it).
+    candidate overflows, as the oracle initialises it).
     """
     n = len(recoveries)
     # Rows not yet resolved read +inf, so adding best[x0 + 1:] to a whole
@@ -251,7 +253,7 @@ def budget_dp_tables(
     with one add and one ``argmin`` along contiguous rows of a budget-major
     table, returned as ``(n + 1, budget_cap + 1)`` views.
 
-    ``choice[x, b]`` is the chosen segment end, with the scalar reference's
+    ``choice[x, b]`` is the chosen segment end, with the oracle's
     sentinels: ``n`` for "run to the end without a further checkpoint"
     (allowed only when ``final_checkpoint`` is False) and ``-1`` when no
     option is feasible.
@@ -263,7 +265,7 @@ def budget_dp_tables(
     best[:, n] = 0.0
     if not final_checkpoint:
         # Option 1 (no further checkpoint): available at every budget level,
-        # evaluated first by the reference, so option 2 must strictly improve
+        # evaluated first by the oracle, so option 2 must strictly improve
         # on it to win.
         exponents = rate * (prefix[n] - prefix[:n])
         over = (exponents > _MAX_EXPONENT) | dead

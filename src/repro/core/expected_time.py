@@ -62,12 +62,14 @@ __all__ = [
 # downstream arithmetic (sums over segments) would overflow anyway.
 _MAX_EXPONENT = 600.0
 
-#: Generation tag of the analytic transcendentals.  Cached or deduplicated
-#: artifacts whose *values* embed analytic results (experiment tables, not
-#: Monte-Carlo samples) include this tag in their keys, so switching libm
-#: generations (math.* -> NumPy ufuncs in PR 5, <= 1 ulp) recomputes them
-#: instead of replaying stale bits.
-ANALYTIC_NUMERICS = "np-ufunc"
+#: Generation tag of the analytic results.  Cached or deduplicated artifacts
+#: whose *values* embed analytic results (experiment tables, not Monte-Carlo
+#: samples) include this tag in their keys, so a change that moves them by an
+#: ulp recomputes them instead of replaying stale bits: switching libm
+#: generations (math.* -> NumPy ufuncs, <= 1 ulp), then running the one
+#: cached-cost local search at every instance size (E5's n = 5 row moved by
+#: one ulp).
+ANALYTIC_NUMERICS = "np-ufunc-one-search"
 
 
 def _exp(value: float) -> float:

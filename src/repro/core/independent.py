@@ -27,12 +27,14 @@ This module provides:
   3-PARTITION instance this recovers the optimal partition in most cases,
   and it is never worse than checkpoint-after-every-task or a single final
   checkpoint because those placements are included in the candidate set.
+  Every instance size runs the one cached-cost search; the scalar search it
+  replaced is kept as the oracle ``local_search`` of
+  :mod:`repro.analysis.reference_solvers`.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -45,7 +47,6 @@ from repro._validation import (
     check_positive,
     check_sequence_of_positive,
 )
-from repro.core.dp_kernels import resolve_dp_method
 from repro.core.expected_time import _MAX_EXPONENT, expected_completion_time
 from repro.core.schedule import CheckpointPlan, Schedule
 from repro.workflows.generators import make_independent
@@ -58,10 +59,6 @@ __all__ = [
     "balanced_grouping",
     "schedule_independent_tasks",
 ]
-
-#: ``method="auto"`` threshold of the local search, apart from the DP kernels':
-#: its two searches may settle in different equal-quality partitions.
-SEARCH_AUTO_MIN_TASKS = 18
 
 
 @dataclass(frozen=True)
@@ -223,28 +220,19 @@ def exhaustive_independent_schedule(
     rate: float,
     *,
     initial_recovery: Optional[float] = None,
-    max_tasks: int = 13,
 ) -> IndependentScheduleResult:
     """Exact optimal partition of independent tasks by exhaustive enumeration.
 
     Enumerates every set partition of the task indices (the order of groups
     and of tasks within a group is irrelevant with constant costs) and keeps
     the one with the smallest expected makespan.  The number of set partitions
-    is the Bell number ``B_n`` (e.g. ``B_12 = 4 213 597``), so the function
-    refuses instances larger than ``max_tasks`` -- and, whatever ``max_tasks``
-    says, larger than :data:`MAX_PARTITION_ITEMS`, the hard enumeration cap
-    enforced by the partition generator itself (raising ``max_tasks`` past it
-    only changes which guard rejects the instance).  Partitions whose
-    expectation overflows are skipped; ``OverflowError`` is raised only when
-    every partition overflows.
+    is the Bell number ``B_n`` (e.g. ``B_12 = 4 213 597``), so the partition
+    generator refuses instances larger than :data:`MAX_PARTITION_ITEMS`.
+    Partitions whose expectation overflows are skipped; ``OverflowError`` is
+    raised only when every partition overflows.
     """
     works = check_sequence_of_positive("works", works)
     n = len(works)
-    if n > max_tasks:
-        raise ValueError(
-            f"exhaustive enumeration over {n} tasks would explore B_{n} partitions; "
-            f"the limit is max_tasks={max_tasks}. Use schedule_independent_tasks() instead."
-        )
     best_groups: Optional[List[List[int]]] = None
     best_value = math.inf
     overflow: Optional[OverflowError] = None
@@ -307,7 +295,7 @@ def optimal_group_count(
 
     def g(m: int) -> float:
         exponent = rate * (total_work / m + checkpoint_cost)
-        if exponent > 600.0:
+        if exponent > _MAX_EXPONENT:
             return math.inf
         return m * math.expm1(exponent)
 
@@ -344,71 +332,6 @@ def balanced_grouping(works: Sequence[float], num_groups: int) -> List[List[int]
     return [sorted(group) for group in groups if group]
 
 
-def _local_search(
-    groups: List[List[int]],
-    works: Sequence[float],
-    checkpoint_cost: float,
-    recovery_cost: float,
-    downtime: float,
-    rate: float,
-    initial_recovery: Optional[float],
-    max_iterations: int,
-) -> Tuple[List[List[int]], float]:
-    """Improve a partition by single-task moves and pairwise swaps.
-
-    Each round accepts the first improving candidate: moves by ``(src,
-    position, dst)`` (never emptying a group), then swaps by ``(src, dst, i,
-    j)``.  The start partition's expectation must be finite
-    (``OverflowError`` otherwise); a candidate whose expectation overflows
-    scores ``+inf`` and is never accepted.
-    """
-
-    def evaluate(candidate: List[List[int]]) -> float:
-        return grouping_expected_time(
-            candidate,
-            works,
-            checkpoint_cost,
-            recovery_cost,
-            downtime,
-            rate,
-            initial_recovery=initial_recovery,
-        )
-
-    def neighbours(current: List[List[int]]) -> Iterable[List[List[int]]]:
-        m = len(current)
-        for src in range(m):
-            if len(current[src]) == 1:
-                continue
-            for task_pos in range(len(current[src])):
-                for dst in range(m):
-                    if dst != src:
-                        candidate = [list(g) for g in current]
-                        candidate[dst].append(candidate[src].pop(task_pos))
-                        yield candidate
-        for src, dst in itertools.combinations(range(m), 2):
-            for i in range(len(current[src])):
-                for j in range(len(current[dst])):
-                    candidate = [list(g) for g in current]
-                    candidate[src][i], candidate[dst][j] = current[dst][j], current[src][i]
-                    yield candidate
-
-    current = [list(g) for g in groups if g]
-    current_value = evaluate(current)
-    for _ in range(max_iterations):
-        for candidate in neighbours(current):
-            try:
-                value = evaluate(candidate)
-            except OverflowError:
-                continue  # scores +inf: never accepted
-            if value < current_value - 1e-15:
-                current = [sorted(g) for g in candidate]
-                current_value = value
-                break
-        else:
-            break
-    return [sorted(g) for g in current], current_value
-
-
 #: Cells (source task x task) the swap scan scores per NumPy call:
 #: consecutive source groups share one call while they fit, so small
 #: instances score every swap at once and large ones stop at an early hit.
@@ -427,11 +350,15 @@ def _local_search_vectorized(
 ) -> Tuple[List[List[int]], float]:
     """First-improvement local search scored from cached replacement costs.
 
-    Visits the neighbourhood of :func:`_local_search` in the same order, but
-    scores a candidate by the change in the Proposition 1 costs of the two
-    groups it alters, so sub-ulp differences can settle the two searches in
-    different equal-quality optima.  Groups are kept sorted, so a task's
-    position follows its index.  ``D[a, b]`` is the cost of a's group with
+    Each round accepts the first improving candidate: moves by ``(src,
+    position, dst)`` (never emptying a group), then swaps by ``(src, dst, i,
+    j)``.  It visits the neighbourhood of the oracle
+    :func:`repro.analysis.reference_solvers.local_search` in the same order,
+    but scores a candidate by the change in the Proposition 1 costs of the two
+    groups it alters instead of re-summing every group, so sub-ulp
+    differences can settle the two searches in different equal-quality
+    optima.  Groups are kept sorted, so a task's position follows its
+    index.  ``D[a, b]`` is the cost of a's group with
     task ``a`` replaced by task ``b`` (by nothing in column ``n``) and
     ``Q[a, d]`` the cost of group ``d`` with ``a`` added, each minus that
     group's current cost: a swap scores ``D[a, b] + D[b, a]`` and a move
@@ -519,11 +446,11 @@ def _local_search_vectorized(
         candidate = None
         if m > 1:
             # --- Single-task moves: delta[t, d] for moving task t into group
-            # d.  The reference's first improving move is the improving row
+            # d.  The oracle's first improving move is the improving row
             # of the lowest (group, index), then its lowest column.
             delta = D[:, n][:, None] + Q
             delta[np.arange(n), group_of] = np.inf  # dst == src
-            delta[sizes[group_of] == 1] = np.inf  # the reference never empties a group
+            delta[sizes[group_of] == 1] = np.inf  # the oracle never empties a group
             improving = delta < -1e-15
             if improving.any():
                 tasks = np.flatnonzero(improving.any(axis=1))
@@ -536,7 +463,7 @@ def _local_search_vectorized(
 
         # --- Pairwise swaps: rows are the tasks of source groups s0..s1-1 in
         # (group, index) order; a cell counts when its column's group follows
-        # its row's.  The reference's first improving swap is in the lowest
+        # its row's.  The oracle's first improving swap is in the lowest
         # improving row's group, the lowest group among its improving
         # columns, then the first improving (i, j) between the two.
         offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -575,7 +502,6 @@ def schedule_independent_tasks(
     initial_recovery: Optional[float] = None,
     group_counts: Optional[Iterable[int]] = None,
     local_search_iterations: int = 200,
-    method: str = "auto",
 ) -> IndependentScheduleResult:
     """Heuristic scheduler for independent tasks with constant checkpoint costs.
 
@@ -589,26 +515,16 @@ def schedule_independent_tasks(
     This is a heuristic -- the problem is strongly NP-hard -- but it always
     dominates the trivial strategies (a single checkpoint at the end, and a
     checkpoint after every task) because both are among the candidates.  A
-    group count whose balanced start overflows (``lambda (W_g + C) > 600``
-    for some group) is skipped; ``OverflowError`` is raised only when every
-    candidate overflows.
-
-    ``method`` picks the local-search implementation: ``"auto"`` (default)
-    scores moves and swaps from the cached cost tables of
-    :func:`_local_search_vectorized` on large instances and keeps the plain
-    reference loops on small ones; ``"vectorized"`` / ``"reference"`` force
-    one.  Both explore the same neighbourhood, but may settle in different,
-    equally good group lists (hence :data:`SEARCH_AUTO_MIN_TASKS`).
+    group count whose balanced start overflows (``lambda (W_g + C)`` above
+    :data:`~repro.core.expected_time._MAX_EXPONENT` for some group) is
+    skipped; ``OverflowError`` is raised only when every candidate
+    overflows.  The local search is :func:`_local_search_vectorized`, which
+    scores moves and swaps from cached cost tables.
     """
     works = check_sequence_of_positive("works", works)
     n = len(works)
     local_search_iterations = check_non_negative_int(
         "local_search_iterations", local_search_iterations
-    )
-    local_search = (
-        _local_search_vectorized
-        if resolve_dp_method(method, n, SEARCH_AUTO_MIN_TASKS) == "vectorized"
-        else _local_search
     )
     if group_counts is None:
         if n <= 20:
@@ -636,7 +552,7 @@ def schedule_independent_tasks(
     overflow: Optional[OverflowError] = None
     for m in candidates:
         try:
-            groups, value = local_search(
+            groups, value = _local_search_vectorized(
                 balanced_grouping(works, m),
                 works,
                 checkpoint_cost,

@@ -241,15 +241,8 @@ def experiment_e2_formula_comparison(
 def experiment_e3_chain_dp(
     *, brute_force_sizes: tuple = (4, 6, 8, 10), scaling_sizes: tuple = (100, 200, 400, 800),
     seed: int = 2, downtime: float = 0.5, rate: float = 0.02,
-    method: str = "auto",
 ) -> ResultTable:
-    """Chain DP equals brute force on small chains, and scales quadratically (E3).
-
-    ``method`` picks the DP execution path (``"auto"`` defaults to the
-    vectorized kernels on the scaling sizes; ``"reference"`` forces the
-    scalar loops) -- results are bit-identical either way, only
-    ``dp_seconds`` changes.
-    """
+    """Chain DP equals brute force on small chains, and scales quadratically (E3)."""
     table = ResultTable(
         title="E3: linear-chain DP vs brute force, and runtime scaling",
         columns=[
@@ -261,7 +254,7 @@ def experiment_e3_chain_dp(
     for n in brute_force_sizes:
         chain = uniform_random_chain(n, rng=rng)
         start = time.perf_counter()
-        dp = optimal_chain_checkpoints(chain, downtime, rate, method=method)
+        dp = optimal_chain_checkpoints(chain, downtime, rate)
         elapsed = time.perf_counter() - start
         brute = brute_force_chain_checkpoints(chain, downtime, rate)
         table.add_row(
@@ -276,7 +269,7 @@ def experiment_e3_chain_dp(
     for n in scaling_sizes:
         chain = uniform_random_chain(n, rng=rng)
         start = time.perf_counter()
-        dp = optimal_chain_checkpoints(chain, downtime, rate, method=method)
+        dp = optimal_chain_checkpoints(chain, downtime, rate)
         elapsed = time.perf_counter() - start
         table.add_row(
             n=n,
@@ -352,14 +345,8 @@ def experiment_e4_reduction(*, num_yes: int = 4, num_no: int = 2, seed: int = 3)
 def experiment_e5_independent_heuristics(
     *, exact_sizes: tuple = (5, 7, 9), heuristic_sizes: tuple = (30, 60),
     seed: int = 4, checkpoint: float = 1.0, downtime: float = 0.0, rate: float = 0.05,
-    method: str = "auto",
 ) -> ResultTable:
-    """Heuristic grouping vs exhaustive optimum and trivial strategies (E5).
-
-    ``method`` picks the local-search implementation of
-    :func:`~repro.core.independent.schedule_independent_tasks` (the batched
-    incremental scoring by default on the heuristic sizes).
-    """
+    """Heuristic grouping vs exhaustive optimum and trivial strategies (E5)."""
     table = ResultTable(
         title="E5: independent-task heuristic vs exhaustive optimum and trivial groupings",
         columns=[
@@ -371,7 +358,7 @@ def experiment_e5_independent_heuristics(
     for n in list(exact_sizes) + list(heuristic_sizes):
         works = list(rng.uniform(1.0, 10.0, size=n))
         heuristic = schedule_independent_tasks(
-            works, checkpoint, checkpoint, downtime, rate, method=method
+            works, checkpoint, checkpoint, downtime, rate
         )
         one_group = grouping_expected_time(
             [list(range(n))], works, checkpoint, checkpoint, downtime, rate
@@ -717,6 +704,17 @@ def experiment_descriptions() -> Dict[str, str]:
         doc = inspect.getdoc(EXPERIMENTS[key]) or ""
         descriptions[key] = doc.splitlines()[0] if doc else "(no description)"
     return descriptions
+
+
+def experiment_params(name: str) -> List[str]:
+    """The ``params`` keys a run of experiment ``name`` takes, sorted.
+
+    Its keyword parameters, less the runtime keywords that
+    :func:`run_experiment` sets itself, plus ``chunk_size``, which every
+    experiment takes (those that do not declare it ignore it).
+    """
+    parameters = inspect.signature(EXPERIMENTS[name.upper()]).parameters
+    return sorted(set(parameters) - set(_RUNTIME_KWARGS) | {"chunk_size"})
 
 
 def run_experiment(

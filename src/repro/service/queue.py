@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.expected_time import ANALYTIC_NUMERICS
 from repro.devtools.lockwatch import tracked_condition
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import EXPERIMENTS, experiment_params, run_experiment
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
@@ -236,7 +236,9 @@ class JobScheduler:
         """Enqueue a registry experiment (E1-E10) run.
 
         ``params`` are forwarded to the experiment function as keyword
-        arguments (e.g. ``{"num_runs": 500, "seed": 3}``).
+        arguments (e.g. ``{"num_runs": 500, "seed": 3}``); a key outside
+        :func:`~repro.experiments.registry.experiment_params` is a
+        :exc:`ValueError` before any job exists.
         """
         key = experiment.upper()
         if key not in EXPERIMENTS:
@@ -244,6 +246,12 @@ class JobScheduler:
                 f"unknown experiment {experiment!r}; available: {sorted(EXPERIMENTS)}"
             )
         params = dict(params or {})
+        accepted = experiment_params(key)
+        unknown = sorted(set(params) - set(accepted))
+        if unknown:
+            raise ValueError(
+                f"experiment {key} does not take params {unknown}; accepted: {accepted}"
+            )
         if "chunk_size" in params:
             # The Monte-Carlo-heavy experiments accept a chunk_size; bound it
             # like a campaign's (their num_runs defaults differ per

@@ -1,35 +1,41 @@
 """Property sweeps pinning the hot-kernel optimisations to their references.
 
 Each fast kernel keeps its outputs bit-for-bit (or, for the local search,
-value-) identical to a retained reference:
+value-) identical to a reference:
 
 * the fused Poisson compare+advance veteran round
   (:func:`repro.simulation.vectorized.simulate_poisson_batch`) vs the
   lock-step kernel and the scalar event loop;
-* the budget DP table kernel (``method="vectorized"``) vs the reference
-  tables, including the ``budget=0`` / ``final_checkpoint=False`` edges;
-* value agreement of the matrix local search with the scalar reference
+* the budget DP table kernel vs the scalar oracle of
+  :mod:`repro.analysis.reference_solvers`, including the ``budget=0`` /
+  ``final_checkpoint=False`` edges;
+* value agreement of the matrix local search with the oracle's scalar
   search (its bit-identity with the pair-block search it replaced is pinned
-  in tests/test_independent_search.py);
+  in tests/test_independent_search.py), alone and inside the whole
+  heuristic at every size from 2 to 17 tasks;
 * the precomputed frontier tables in
   :func:`repro.core.dag_scheduling.place_checkpoints_on_order` vs the
-  per-cell Python model calls, including custom ``combine`` callables (which
-  keep the per-call path) and the empty-DAG edge.
+  oracle's per-cell Python model calls, including custom ``combine``
+  callables (which keep the per-call path) and the empty-DAG edge.
 
 Each sweep runs many randomized seeds and shapes: these kernels' contracts
 are exactness claims, so a single lucky instance proves nothing.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.core.independent as independent
+from repro.analysis import reference_solvers as oracle
 from repro.core.chain_dp import optimal_chain_checkpoints_budget
 from repro.core.dag_scheduling import linearize, place_checkpoints_on_order
 from repro.core.independent import (
-    _local_search,
     _local_search_vectorized,
     balanced_grouping,
     grouping_expected_time,
+    schedule_independent_tasks,
 )
 from repro.core.schedule import Schedule
 from repro.models.checkpoint import FrontierCheckpointCost
@@ -136,7 +142,7 @@ class TestFusedPoissonSweep:
 
 
 class TestStreamingBudgetDPSweep:
-    """The budget DP table kernel reproduces the reference tables bit-for-bit.
+    """The budget DP table kernel reproduces the oracle bit-for-bit.
 
     Covers what the hypothesis suite in ``test_analytic_kernels.py`` does not
     reach: ``n = 60``, budgets above ``n`` and budget 0 without a final
@@ -152,39 +158,38 @@ class TestStreamingBudgetDPSweep:
         caps = {1, 2, max(n // 2, 1), n, n + 3, int(rng.integers(1, n + 2))}
         for cap in sorted(caps):
             for final_checkpoint in (True, False):
-                reference = optimal_chain_checkpoints_budget(
-                    chain, DOWNTIME, RATE, cap,
-                    final_checkpoint=final_checkpoint, method="reference",
+                positions, value = oracle.optimal_chain_checkpoints_budget(
+                    chain, DOWNTIME, RATE, cap, final_checkpoint=final_checkpoint,
                 )
                 table = optimal_chain_checkpoints_budget(
-                    chain, DOWNTIME, RATE, cap,
-                    final_checkpoint=final_checkpoint, method="vectorized",
+                    chain, DOWNTIME, RATE, cap, final_checkpoint=final_checkpoint,
                 )
-                assert table.expected_makespan == reference.expected_makespan
-                assert table.checkpoint_after == reference.checkpoint_after
+                assert table.expected_makespan == value
+                assert table.checkpoint_after == positions
 
     def test_zero_budget_edge(self):
         # budget=0 is only legal without a mandatory final checkpoint; the
         # table kernel must agree that no checkpoints is the only plan.
         chain = uniform_random_chain(9, seed=5)
-        reference = optimal_chain_checkpoints_budget(
-            chain, DOWNTIME, RATE, 0, final_checkpoint=False, method="reference"
+        positions, value = oracle.optimal_chain_checkpoints_budget(
+            chain, DOWNTIME, RATE, 0, final_checkpoint=False
         )
         table = optimal_chain_checkpoints_budget(
-            chain, DOWNTIME, RATE, 0, final_checkpoint=False, method="vectorized"
+            chain, DOWNTIME, RATE, 0, final_checkpoint=False
         )
-        assert table.checkpoint_after == reference.checkpoint_after == ()
-        assert table.expected_makespan == reference.expected_makespan
+        assert table.checkpoint_after == positions == ()
+        assert table.expected_makespan == value
 
     @pytest.mark.parametrize("method", ["streaming", "table"])
     def test_unknown_method_is_rejected(self, method):
+        # The solver has one path: any ``method=`` is an unexpected keyword.
         chain = uniform_random_chain(9, seed=5)
-        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+        with pytest.raises(TypeError, match="method"):
             optimal_chain_checkpoints_budget(chain, DOWNTIME, RATE, 3, method=method)
 
 
 class TestCachedLocalSearchSweep:
-    """The matrix local search agrees with the scalar reference search in value.
+    """The matrix local search agrees with the oracle's scalar search in value.
 
     Sub-ulp deltas can steer the two into different equal-quality optima
     (see tests/test_analytic_kernels.py), so the contract is value agreement.
@@ -201,7 +206,7 @@ class TestCachedLocalSearchSweep:
         fast_groups, fast_value = _local_search_vectorized(
             [list(g) for g in start], *args
         )
-        ref_groups, ref_value = _local_search([list(g) for g in start], *args)
+        ref_groups, ref_value = oracle.local_search([list(g) for g in start], *args)
         assert fast_value == pytest.approx(ref_value, rel=1e-9)
         # Whatever partition each settles in, the reported value must be the
         # true expected makespan of a real partition of all n tasks.
@@ -210,6 +215,33 @@ class TestCachedLocalSearchSweep:
             [sorted(g) for g in fast_groups if g], works, 1.0, 0.8, 0.4, 0.03
         )
         assert fast_value == pytest.approx(recomputed, rel=1e-12)
+
+    @pytest.mark.parametrize("initial_recovery", [None, 2.5])
+    @pytest.mark.parametrize("works_kind", ["uniform", "ones_and_twos"])
+    def test_heuristic_agrees_with_the_oracle_search_on_small_instances(
+        self, works_kind, initial_recovery
+    ):
+        # The whole heuristic on the production search and with the oracle's
+        # search patched in, at every size from 2 to 17 tasks.  Integer works
+        # make exact ties between partitions.
+        rng = np.random.default_rng(401 if works_kind == "uniform" else 402)
+        for n in range(2, 18):
+            if works_kind == "uniform":
+                works = rng.uniform(0.5, 12.0, size=n).tolist()
+            else:
+                works = rng.integers(1, 3, size=n).astype(float).tolist()
+            rate = float(rng.uniform(0.01, 0.1))
+            args = (works, 1.0, 0.8, 0.4, rate)
+            fast = schedule_independent_tasks(*args, initial_recovery=initial_recovery)
+            with mock.patch.object(
+                independent, "_local_search_vectorized", oracle.local_search
+            ):
+                ref = schedule_independent_tasks(*args, initial_recovery=initial_recovery)
+            assert abs(fast.expected_makespan - ref.expected_makespan) <= (
+                1e-15 * ref.expected_makespan
+            )
+            for result in (fast, ref):
+                assert sorted(i for g in result.groups for i in g) == list(range(n))
 
 
 class TestFrontierPrecomputeSweep:
@@ -235,40 +267,34 @@ class TestFrontierPrecomputeSweep:
                 linearize(workflow, "random", rng=rng),
             ):
                 for rate in (0.01, 0.2):
-                    reference = place_checkpoints_on_order(
-                        workflow, order, DOWNTIME, rate,
-                        checkpoint_model=model, method="reference",
+                    reference = oracle.place_checkpoints_on_order(
+                        workflow, order, DOWNTIME, rate, checkpoint_model=model,
                     )
                     vectorized = place_checkpoints_on_order(
-                        workflow, order, DOWNTIME, rate,
-                        checkpoint_model=model, method="vectorized",
+                        workflow, order, DOWNTIME, rate, checkpoint_model=model,
                     )
                     assert vectorized == reference
 
     def test_custom_combine_keeps_per_call_path_and_matches(self):
         # A custom callable cannot be replayed by the tables, so the
-        # vectorized path falls back to per-call costs -- still exact.
+        # kernel takes per-call costs -- still exact.
         def widest_plus_tax(costs):
             return max(costs) + 0.01 * len(costs)
 
         workflow = montage_like(3, checkpoint_cost=0.3)
         order = workflow.topological_order()
         model = FrontierCheckpointCost(workflow, combine=widest_plus_tax)
-        reference = place_checkpoints_on_order(
-            workflow, order, DOWNTIME, 0.05,
-            checkpoint_model=model, method="reference",
+        reference = oracle.place_checkpoints_on_order(
+            workflow, order, DOWNTIME, 0.05, checkpoint_model=model,
         )
         vectorized = place_checkpoints_on_order(
-            workflow, order, DOWNTIME, 0.05,
-            checkpoint_model=model, method="vectorized",
+            workflow, order, DOWNTIME, 0.05, checkpoint_model=model,
         )
         assert vectorized == reference
 
     def test_empty_dag_edge(self):
         empty = Workflow([], [])
-        for method in ("reference", "vectorized"):
-            positions, makespan = place_checkpoints_on_order(
-                empty, [], DOWNTIME, RATE, method=method
-            )
+        for solve in (oracle.place_checkpoints_on_order, place_checkpoints_on_order):
+            positions, makespan = solve(empty, [], DOWNTIME, RATE)
             assert positions == ()
             assert makespan == 0.0

@@ -81,7 +81,7 @@ class TestExhaustiveOptimum:
         assert result.num_checkpoints == 1
 
     def test_refuses_large_instances(self):
-        with pytest.raises(ValueError, match="max_tasks"):
+        with pytest.raises(ValueError, match="MAX_PARTITION_ITEMS"):
             exhaustive_independent_schedule([1.0] * 20, 1.0, 1.0, 0.0, 0.1)
 
     def test_group_works_consistent(self):
@@ -202,8 +202,7 @@ class TestHeuristicScheduler:
 class TestOverflowingCandidates:
     """A candidate whose expectation overflows is skipped, not fatal."""
 
-    @pytest.mark.parametrize("method", ["vectorized", "reference"])
-    def test_heuristic_skips_an_overflowing_one_group_start(self, method):
+    def test_heuristic_skips_an_overflowing_one_group_start(self):
         import numpy as np
 
         works = list(np.random.default_rng(1).uniform(1.0, 10.0, size=60))
@@ -214,7 +213,7 @@ class TestOverflowingCandidates:
             [[i] for i in range(60)], works, 1.0, 1.0, 0.0, rate
         )
         result = schedule_independent_tasks(
-            works, 1.0, 1.0, 0.0, rate, group_counts=[1, 40, 60], method=method
+            works, 1.0, 1.0, 0.0, rate, group_counts=[1, 40, 60]
         )
         assert math.isfinite(result.expected_makespan)
         assert result.expected_makespan <= singletons * (1 + 1e-12)
@@ -247,15 +246,15 @@ class TestOverflowingCandidates:
             optimum.groups, works, 1.0, 1.0, 0.0, rate
         )
 
-    @pytest.mark.parametrize("method", ["vectorized", "reference"])
-    def test_every_candidate_overflowing_raises(self, method):
+    def test_every_candidate_overflowing_raises(self):
         with pytest.raises(OverflowError, match="every candidate group count"):
-            schedule_independent_tasks([1.0, 2.0], 1.0, 1.0, 0.0, 1000.0, method=method)
+            schedule_independent_tasks([1.0, 2.0], 1.0, 1.0, 0.0, 1000.0)
         with pytest.raises(OverflowError, match="every partition"):
             exhaustive_independent_schedule([1.0, 2.0], 1.0, 1.0, 0.0, 1000.0)
 
     def test_searches_score_overflowing_moves_inf(self):
-        from repro.core.independent import _local_search, _local_search_vectorized
+        from repro.analysis.reference_solvers import local_search
+        from repro.core.independent import _local_search_vectorized
 
         # Two tasks per group are finite (lambda W = 500); a move would
         # make a group of three (750 > 600).  Swaps change nothing.
@@ -263,7 +262,7 @@ class TestOverflowingCandidates:
         args = (works, 0.0, 0.0, 0.0, 50.0, None, 10)
         start = [[0, 1], [2, 3]]
         value = grouping_expected_time(start, *args[:5])
-        assert _local_search([list(g) for g in start], *args) == (start, value)
+        assert local_search([list(g) for g in start], *args) == (start, value)
         assert _local_search_vectorized([list(g) for g in start], *args) == (start, value)
 
 

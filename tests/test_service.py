@@ -654,6 +654,38 @@ class TestSeedValidation:
             assert "seed" in str(excinfo.value)
 
 
+class TestExperimentParamValidation:
+    """An experiment param the run would reject is a 400 at submit, not a failed job."""
+
+    @pytest.mark.parametrize(
+        "bad", ["method", "no_such_param", "backend", "cache", "engine", "progress"]
+    )
+    def test_scheduler_rejects_keys_the_run_would_reject(self, bad):
+        with JobStore() as store:
+            scheduler = JobScheduler(store)
+            with pytest.raises(ValueError, match=bad) as excinfo:
+                scheduler.submit_experiment("E3", params={"seed": 1, bad: "x"})
+            # The message lists what E3 does accept.
+            assert "scaling_sizes" in str(excinfo.value)
+            assert store.count("queued") == 0
+
+    def test_declared_params_and_chunk_size_stay_accepted(self):
+        with JobStore() as store:
+            scheduler = JobScheduler(store)
+            record, _ = scheduler.submit_experiment(
+                "E3", params={"seed": 1, "chunk_size": 10}
+            )
+            assert record.spec["params"] == {"seed": 1, "chunk_size": 10}
+
+    def test_http_submission_with_a_removed_param_is_a_400(self, live_service):
+        client = live_service["client"]
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit_experiment("E3", params={"method": "reference"})
+        assert excinfo.value.status == 400
+        assert "method" in str(excinfo.value)
+        assert client.jobs() == []
+
+
 class TestExperimentProgress:
     """Experiment jobs report real chunk counts, not just 0/1 -> 1/1."""
 

@@ -516,7 +516,9 @@ class TestPublishedRecords:
         submit_claim_execute(campaign, "done")
         experiment, _ = scheduler.submit_experiment("E2")
         submit_claim_execute(experiment, "done")
-        broken, _ = scheduler.submit_experiment("E2", params={"bogus": 1})
+        # A valid key with a value the experiment rejects when it runs (an
+        # unknown key is refused at submit).
+        broken, _ = scheduler.submit_experiment("E2", params={"total_work": -1.0})
         submit_claim_execute(broken, "failed")
 
         cancelled, _ = scheduler.submit_campaign(small_spec(seed=4).to_dict())
@@ -528,7 +530,7 @@ class TestPublishedRecords:
         assert published[-1].state == "cancelled"
         check(claimed.id)
 
-        queued, _ = scheduler.submit_experiment("E2", params={"n": 4})
+        queued, _ = scheduler.submit_experiment("E2", params={"total_work": 40.0})
         store.request_cancel(queued.id)
         assert published[-1].state == "cancelled"
         check(queued.id)
