@@ -246,8 +246,23 @@ class TestOverflowingCandidates:
             optimum.groups, works, 1.0, 1.0, 0.0, rate
         )
 
-    def test_every_candidate_overflowing_raises(self):
-        with pytest.raises(OverflowError, match="every candidate group count"):
+    # "reference" runs the heuristic on the oracle search, patched in.
+    @pytest.mark.parametrize("method", ["vectorized", "reference"])
+    def test_every_candidate_overflowing_raises(self, method):
+        import contextlib
+        from unittest import mock
+
+        from repro.analysis import reference_solvers
+        from repro.core import independent
+
+        search = (
+            mock.patch.object(
+                independent, "_local_search_vectorized", reference_solvers.local_search
+            )
+            if method == "reference"
+            else contextlib.nullcontext()
+        )
+        with search, pytest.raises(OverflowError, match="every candidate group count"):
             schedule_independent_tasks([1.0, 2.0], 1.0, 1.0, 0.0, 1000.0)
         with pytest.raises(OverflowError, match="every partition"):
             exhaustive_independent_schedule([1.0, 2.0], 1.0, 1.0, 0.0, 1000.0)
